@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import Gaussian
-from .special import erf, normal_cdf
+from .special import _clamp_unit, erf, normal_cdf
 
 __all__ = [
     "CompatQuery", "NormalizedProb",
@@ -27,11 +27,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _clamp_unit(v: float) -> float:
-    # guard against sub-ulp excursions of cdf differences
-    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
 @dataclass(frozen=True)

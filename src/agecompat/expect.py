@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import AgeProfile
-from .special import normal_cdf
+from .special import _clamp_unit, normal_cdf
 
 __all__ = [
     "Cohort", "NormalTail",
@@ -220,5 +220,4 @@ def at_least_k_normal(k: int, n: int, p: float) -> NormalTail:
     mean = n * p
     sd = math.sqrt(n * p * (1.0 - p))
     value = 1.0 - normal_cdf((k - mean) / sd) + normal_cdf(-math.sqrt(mean / (1.0 - p)))
-    value = 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
-    return NormalTail(value, normal_approx_valid(n, p))
+    return NormalTail(_clamp_unit(value), normal_approx_valid(n, p))

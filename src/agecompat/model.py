@@ -13,7 +13,7 @@ All types are immutable values and all operations pure.
 import math
 from dataclasses import dataclass
 
-from .special import _check_finite
+from .special import _SQRT2PI, _check_finite
 
 __all__ = [
     "Gaussian", "AgeProfile", "DiffStats",
@@ -21,8 +21,6 @@ __all__ = [
     "SIGMA_RATIO_LOW", "SIGMA_RATIO_HIGH",
     "MEAN_DIFF_COEF", "DIFF_DISPERSION_COEF", "D_SCOPE_UPPER_COEF",
 ]
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 # Empirically supported band for the dispersion-to-age ratio s.
 SIGMA_RATIO_LOW = 0.1

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from .special import normal_cdf, normal_quantile
+from .special import _clamp_unit, normal_cdf, normal_quantile
 
 __all__ = [
     "DEFAULT_T", "AgeLimitSpec", "RuleAuditPoint",
@@ -127,7 +127,7 @@ def _rule_prob_from_ratio(rho, s1, s2, t):
     # rho = Delta/mu; d = t * s1 * mu (the younger person's sigma)
     den = math.hypot(s1, s2 * (1.0 + rho))
     p = normal_cdf((rho + t * s1) / den) - normal_cdf((rho - t * s1) / den)
-    return 0.0 if p < 0.0 else (1.0 if p > 1.0 else p)
+    return _clamp_unit(p)
 
 
 def rule_probability(mu: float, delta: float, s1: float, s2: float,

@@ -40,6 +40,11 @@ _Q = (2.56852019228982242e00, 1.87295284992346047e00, 5.27905102951428412e-1,
       6.05183413124413191e-2, 2.33520497626869185e-3)
 
 
+def _clamp_unit(v: float) -> float:
+    # guard against sub-ulp excursions of cdf differences
+    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+
+
 def _check_finite(x, name):
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")

@@ -2,8 +2,10 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +274,27 @@ class TestCliContract:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "0.52" in proc.stdout
+
+    def test_import_and_cli_run_without_numpy(self):
+        # `import agecompat` and `python -m agecompat compat ...` must not
+        # load numpy; only mc_oracle imports it, on call
+        script = (
+            "import runpy, sys\n"
+            "import agecompat\n"
+            "assert 'numpy' not in sys.modules, 'import agecompat loaded numpy'\n"
+            "sys.argv = ['agecompat', 'compat', '--age1', '30', '--age2', '32']\n"
+            "try:\n"
+            "    runpy.run_module('agecompat', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert 'numpy' not in sys.modules, 'the compat command loaded numpy'\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("age1,")
 
     def test_seed_flag_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "--seed", "7", "tables")

@@ -19,6 +19,7 @@ from agecompat.verify import (
     slice_params,
     truncation_bound,
 )
+from agecompat.verify import _GL_NODES, _GL_WEIGHTS, _panel
 
 PHI_MINUS_4 = 3.1671241833119924e-05
 
@@ -176,6 +177,20 @@ class TestErrorRatioBounds:
         for i in range(1, 400):
             x = i / 40.0
             assert x / (x + 1.0) < math.tanh(x) < 1.0
+
+
+class TestGaussLegendreRule:
+    def test_matches_numpy_leggauss(self):
+        import numpy as np
+        nodes, weights = np.polynomial.legendre.leggauss(len(_GL_NODES))
+        assert max(abs(a - float(b)) for a, b in zip(_GL_NODES, nodes)) <= 4e-16
+        assert max(abs(a - float(b)) for a, b in zip(_GL_WEIGHTS, weights)) <= 2e-15
+
+    @pytest.mark.parametrize("k", range(2 * len(_GL_NODES)))
+    def test_panel_exact_through_degree_29(self, k):
+        # k = 0 is the check that the weights sum to 2
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert _panel(lambda x: x ** k, -1.0, 1.0) == pytest.approx(exact, abs=1e-15)
 
 
 class TestIntegrate:
