@@ -27,6 +27,7 @@ DEFAULT_S = 0.15
 DEFAULT_DIGITS = 6
 
 _FLOAT_EXACT_LIMIT = 2.0 ** 53
+_MAX_GRID_POINTS = 10 ** 5
 
 
 def _fmt(value, digits):
@@ -46,15 +47,27 @@ def _emit(columns, rows, digits, out=None):
         writer.writerow([_fmt(v, digits) for v in row])
 
 
+def _digits(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_range(text):
-    """Parse lo:hi:step into an inclusive list of grid values."""
+    """Parse lo:hi:step into an inclusive list of at most 10**5 grid values."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected lo:hi:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise ValueError(f"need lo <= hi and step > 0, got {text!r}")
-    count = int(round((hi - lo) / step))
+    span = (hi - lo) / step  # the grid has round(span) + 1 points
+    if not span < _MAX_GRID_POINTS - 0.5:
+        raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    count = int(round(span))
     values = [lo + i * step for i in range(count + 1)]
     return [v for v in values if v <= hi + 1e-9 * max(1.0, abs(hi))]
 
@@ -70,12 +83,8 @@ def _parse_budget(text):
 def _query_from_args(args):
     g1 = Gaussian(args.age1, args.s1 * args.age1)
     g2 = Gaussian(args.age2, args.s2 * args.age2)
-    if args.d is not None and args.t is not None:
-        raise ValueError("give only one of --d and --t")
-    if args.d is not None:
-        return CompatQuery(g1, g2, d=args.d)
-    t = args.t if args.t is not None else policy.DEFAULT_T
-    return CompatQuery(g1, g2, t=t)
+    t = policy.DEFAULT_T if args.d is None and args.t is None else args.t
+    return CompatQuery(g1, g2, d=args.d, t=t)
 
 
 def _cmd_compat(args):
@@ -181,14 +190,11 @@ def _cmd_rule(args):
     if args.mu_grid is None:
         raise ValueError("need --mu-grid for audit mode (or --solve-m)")
     grid = _parse_range(args.mu_grid)
-    kept = [mu for mu in grid if mu > 14.0]
-    for mu in grid:
-        if mu <= 14.0:
-            print(f"skipping mu={_fmt(mu, args.digits)}: rule allows no "
-                  "upward gap at or below its fixed point 14", file=sys.stderr)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        points = policy.audit_hyaps(kept, args.s1, args.s2, t)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = policy.audit_hyaps(grid, args.s1, args.s2, t)
+    for w in caught:
+        print(w.message, file=sys.stderr)
     rows = [(pt.mu, pt.delta, pt.delta / pt.mu, pt.p_min, pt.err_term, pt.flagged)
             for pt in points]
     _emit(["mu", "delta", "delta_over_mu", "p_min", "err_term", "flagged"],
@@ -224,10 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="agecompat",
         description="Mental-age compatibility probabilities, expectations, "
                     "age-limit conversions and rule audits.")
-    parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
-                        help="significant digits for numeric output (default 6)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random seed for commands that sample")
+    parser.add_argument("--digits", type=_digits, default=DEFAULT_DIGITS,
+                        help="significant digits for numeric output, at least 1 "
+                             "(default 6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compat = sub.add_parser("compat", help="pair compatibility probability")
@@ -308,7 +313,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: finite inputs whose intermediates leave float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

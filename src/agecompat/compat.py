@@ -9,7 +9,10 @@ Gaussians is Gaussian, it has the closed form
 
 and every other operation here is a specialization: a point mass for a
 known mental age, normalization by the same-age probability, single
-ranges, and a pure age-ratio form that exposes scale invariance.
+ranges, and a pure age-ratio form that exposes scale invariance.  Each
+interval is evaluated by ``special._cdf_diff``, which keeps relative
+accuracy far into the tails, and the ratio form has one kernel,
+``_ratio_prob``, which the rule audit in ``policy`` shares.
 """
 
 import math
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import Gaussian
-from .special import _clamp_unit, erf, normal_cdf
+from .special import _cdf_diff, _clamp_unit, erf, normal_cdf
 
 __all__ = [
     "CompatQuery", "NormalizedProb",
@@ -78,8 +81,7 @@ def compat_prob(q: CompatQuery) -> float:
     """
     gap = abs(q.g1.mu - q.g2.mu)
     scale = math.hypot(q.g1.sigma, q.g2.sigma)
-    p = normal_cdf((gap + q.d) / scale) - normal_cdf((gap - q.d) / scale)
-    return _clamp_unit(p)
+    return _cdf_diff((gap + q.d) / scale, (gap - q.d) / scale)
 
 
 def compat_prob_known(d: float, x1: float, g: Gaussian) -> float:
@@ -91,8 +93,7 @@ def compat_prob_known(d: float, x1: float, g: Gaussian) -> float:
     """
     if d < 0:
         raise ValueError(f"d must be nonnegative, got {d!r}")
-    p = normal_cdf((x1 - g.mu + d) / g.sigma) - normal_cdf((x1 - g.mu - d) / g.sigma)
-    return _clamp_unit(p)
+    return _cdf_diff((x1 - g.mu + d) / g.sigma, (x1 - g.mu - d) / g.sigma)
 
 
 def compat_prob_normalized(q: CompatQuery) -> NormalizedProb:
@@ -126,8 +127,7 @@ def range_prob(x_lo: float, x_hi: float, g: Gaussian) -> float:
     """P(x_lo <= X <= x_hi) for a single mental-age density."""
     if x_lo > x_hi:
         raise ValueError(f"empty range: x_lo={x_lo!r} > x_hi={x_hi!r}")
-    p = normal_cdf((x_hi - g.mu) / g.sigma) - normal_cdf((x_lo - g.mu) / g.sigma)
-    return _clamp_unit(p)
+    return _cdf_diff((x_hi - g.mu) / g.sigma, (x_lo - g.mu) / g.sigma)
 
 
 def symmetric_range_prob(d: float, g: Gaussian) -> float:
@@ -165,7 +165,10 @@ def compat_prob_ratio_form(r: float, s1: float, s2: float, t: float) -> float:
         raise ValueError("ratios s1, s2 must be positive")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    den = math.hypot(s1 * r, s2)
-    gap = r - 1.0
-    p = normal_cdf((gap + s2 * t) / den) - normal_cdf((gap - s2 * t) / den)
-    return _clamp_unit(p)
+    return _ratio_prob(r - 1.0, s1, s2, t)
+
+
+def _ratio_prob(rho, s_old, s_young, t):
+    # rho = gap / mu_young; d = t * s_young * mu_young, all in units of mu_young
+    den = math.hypot(s_young, s_old * (1.0 + rho))
+    return _cdf_diff((rho + t * s_young) / den, (rho - t * s_young) / den)

@@ -210,14 +210,19 @@ def at_least_k_normal(k: int, n: int, p: float) -> NormalTail:
 
     Approximates the binomial sum by a Gaussian integral from 0 to k,
     which yields the correction term Phi(-sqrt(n p/(1-p))) on top of
-    the familiar 1 - Phi((k - n p)/sd).  No continuity correction is
-    applied; the exact path is authoritative where they disagree.
+    the familiar 1 - Phi((k - n p)/sd).  That term is evaluated as
+    Phi((n p - k)/sd), which keeps its relative accuracy for k far above
+    the mean.  No continuity correction is applied; the exact path is
+    authoritative where they disagree.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
+    if n == 0:
+        # then k = 0, where Phi(a) + Phi(-a) below is 1 for every n
+        return NormalTail(1.0, False)
     mean = n * p
     sd = math.sqrt(n * p * (1.0 - p))
-    value = 1.0 - normal_cdf((k - mean) / sd) + normal_cdf(-math.sqrt(mean / (1.0 - p)))
+    value = normal_cdf((mean - k) / sd) + normal_cdf(-math.sqrt(mean / (1.0 - p)))
     return NormalTail(_clamp_unit(value), normal_approx_valid(n, p))

@@ -18,7 +18,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from .special import _clamp_unit, normal_cdf, normal_quantile
+from .compat import _ratio_prob
+from .special import normal_quantile
 
 __all__ = [
     "DEFAULT_T", "AgeLimitSpec", "RuleAuditPoint",
@@ -123,13 +124,6 @@ def hyaps_bounds(mu: float) -> Tuple[float, float]:
     return (0.5 * mu + 7.0, 2.0 * mu - 14.0)
 
 
-def _rule_prob_from_ratio(rho, s1, s2, t):
-    # rho = Delta/mu; d = t * s1 * mu (the younger person's sigma)
-    den = math.hypot(s1, s2 * (1.0 + rho))
-    p = normal_cdf((rho + t * s1) / den) - normal_cdf((rho - t * s1) / den)
-    return _clamp_unit(p)
-
-
 def rule_probability(mu: float, delta: float, s1: float, s2: float,
                      t: float = DEFAULT_T) -> float:
     """Compatibility probability for ages (mu, mu + delta), d = t*s1*mu.
@@ -147,7 +141,7 @@ def rule_probability(mu: float, delta: float, s1: float, s2: float,
         raise ValueError("ratios s1, s2 must be positive")
     if t < 1.0:
         raise ValueError(f"t must be at least 1 (natural lower edge of d), got {t!r}")
-    return _rule_prob_from_ratio(delta / mu, s1, s2, t)
+    return _ratio_prob(delta / mu, s2, s1, t)
 
 
 @dataclass(frozen=True)
@@ -204,13 +198,13 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
         raise ValueError("ratios s1, s2 must be positive")
     if t < 1.0:
         raise ValueError(f"t must be at least 1, got {t!r}")
-    ceiling = _rule_prob_from_ratio(0.0, s1, s2, t)
+    ceiling = _ratio_prob(0.0, s2, s1, t)
     if not 0.0 < p_min < ceiling:
         raise ValueError(
             f"p_min must lie in (0, {ceiling:.6g}) (the same-age value) "
             f"for a positive root to exist, got {p_min!r}")
 
-    f = lambda m: _rule_prob_from_ratio(m, s1, s2, t) - p_min
+    f = lambda m: _ratio_prob(m, s2, s1, t) - p_min
     hi = 1.0
     while f(hi) > 0.0:
         hi *= 2.0

@@ -3,7 +3,11 @@
 Everything downstream reduces to these three primitives (erf, the normal
 cdf, and its inverse), so they are implemented here with no numeric
 dependencies and verified against independent references in the test
-suite.  All functions are pure and safe for concurrent use.
+suite.  The one interval kernel built on them, ``_cdf_diff`` for
+Phi(hi) - Phi(lo), also lives here: every closed-form interval
+probability in the package goes through it, and it differences
+whichever tail keeps the result relatively accurate.  All functions are
+pure and safe for concurrent use.
 
 References:
     W. J. Cody, "Rational Chebyshev approximation for the error
@@ -130,6 +134,15 @@ def normal_cdf(z: float) -> float:
     """Standard normal cdf via erfc, relatively accurate in both tails."""
     _check_finite(z, "z")
     return 0.5 * erfc(-z / _SQRT2)
+
+
+def _cdf_diff(hi: float, lo: float) -> float:
+    # Phi(hi) - Phi(lo) for lo <= hi, clamped to [0, 1]; above the median
+    # the upper tails are differenced, so far-tail intervals keep their
+    # relative accuracy instead of cancelling against 1
+    if lo > 0.0:
+        return _clamp_unit(normal_cdf(-lo) - normal_cdf(-hi))
+    return _clamp_unit(normal_cdf(hi) - normal_cdf(lo))
 
 
 def _quantile_rational(p):

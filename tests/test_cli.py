@@ -2,12 +2,16 @@
 
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agecompat.cli import main
 
@@ -16,6 +20,12 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _src_env():
+    # child interpreters import the package from this checkout's src/
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=str(src))
 
 
 def parse_csv(text):
@@ -243,6 +253,19 @@ class TestCliContract:
         assert run_cli(capsys, "compat", "--age1", "18")[0] == 2
         assert run_cli(capsys, "no-such-command")[0] == 2
 
+    def test_overflow_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "compat", "--age1", "1e200", "--age2", "14",
+                                 "--error-budget", "1,1,1")
+        assert code == 2 and out == ""
+        assert "error" in err
+
+    def test_empty_cohort_at_least_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "expect", "--n1", "0", "--n2", "0",
+                               "--p", "0.5", "--at-least-k", "0")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0]["k_tail_normal_1"]) == 1.0
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "compat", "--age1", "18", "--age2", "14",
                                "--s1", "-0.1", "--t", "1")
@@ -271,7 +294,7 @@ class TestCliContract:
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "agecompat", "tables"],
-                              capture_output=True, text=True)
+                              env=_src_env(), capture_output=True, text=True)
         assert proc.returncode == 0
         assert "0.52" in proc.stdout
 
@@ -289,16 +312,36 @@ class TestCliContract:
             "    assert exc.code == 0, exc.code\n"
             "assert 'numpy' not in sys.modules, 'the compat command loaded numpy'\n"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("age1,")
 
-    def test_seed_flag_accepted(self, capsys):
+    def test_seed_flag_rejected(self, capsys):
         code, out, _ = run_cli(capsys, "--seed", "7", "tables")
-        assert code == 0 and "0.52" in out
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("rule", "--mu-grid", "15:inf:1"),
+        ("rule", "--mu-grid", "15:1e12:1"),  # ~1e12 points: rejected before any list
+        ("limits", "--kind", "min", "--chrono", "18", "--sweep", "0.05:inf:0.05"),
+    ])
+    def test_unbounded_grid_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error" in err
+
+    def test_grid_point_cap_is_inclusive(self):
+        from agecompat.cli import _MAX_GRID_POINTS, _parse_range
+        assert len(_parse_range(f"0:{_MAX_GRID_POINTS - 1}:1")) == _MAX_GRID_POINTS
+        with pytest.raises(ValueError):
+            _parse_range(f"0:{_MAX_GRID_POINTS}:1")
+
+    @pytest.mark.parametrize("digits", ["-3", "0"])
+    def test_digits_below_one_rejected(self, capsys, digits):
+        code, out, _ = run_cli(capsys, "--digits", digits, "compat",
+                               "--age1", "18", "--age2", "14")
+        assert code == 2 and out == ""
 
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
         from agecompat import cli as cli_mod
@@ -311,3 +354,71 @@ class TestCliContract:
         code, _, err = run_cli(capsys, "tables")
         assert code == 3
         assert "numerical failure" in err
+
+
+# Values for numeric flags: ordinary, negative, zero, huge and non-finite.
+_NUMBER = st.one_of(st.floats(min_value=-100.0, max_value=200.0),
+                    st.sampled_from([0.0, 1e300, -1e300, math.nan, math.inf,
+                                     -math.inf]))
+_RATIO = st.one_of(st.floats(min_value=-0.5, max_value=1.5),
+                   st.sampled_from([0.0, 1.0, math.nan, math.inf]))
+_COUNT = st.one_of(st.integers(min_value=-3, max_value=300),
+                   st.sampled_from([10 ** 6, 10 ** 7 + 1]))
+
+
+@st.composite
+def _grid(draw, lo, step):
+    """lo:hi:step with at most 200 points, or an infinite upper bound."""
+    lo, step = draw(lo), draw(step)
+    points = draw(st.integers(min_value=0, max_value=199))
+    hi = draw(st.sampled_from([lo + points * abs(step), math.inf, -math.inf]))
+    return f"{lo!r}:{hi!r}:{step!r}"
+
+
+def _flags(**choices):
+    """argv fragment from optional flags; None omits a flag, True is a switch."""
+    def render(values):
+        argv = []
+        for name, value in values.items():
+            flag = "--" + name.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif value is not None and value is not False:
+                argv.append(f"{flag}={value!r}" if isinstance(value, float)
+                            else f"{flag}={value}")
+        return argv
+    return st.fixed_dictionaries(
+        {name: st.none() | strategy for name, strategy in choices.items()}
+    ).map(render)
+
+
+_COMMANDS = st.one_of(
+    _flags(age1=_NUMBER, age2=_NUMBER, s1=_RATIO, s2=_RATIO, d=_NUMBER,
+           t=_NUMBER, normalized=st.booleans(),
+           error_budget=st.tuples(_RATIO, _RATIO, _RATIO).map(
+               lambda b: ",".join(map(repr, b)))).map(lambda a: ["compat", *a]),
+    _flags(n1=_COUNT, n2=_COUNT, p=_RATIO, age1=_NUMBER, age2=_NUMBER,
+           s1=_RATIO, s2=_RATIO, d=_NUMBER, t=_NUMBER, at_least_k=_COUNT,
+           exact=st.booleans()).map(lambda a: ["expect", *a]),
+    _flags(kind=st.sampled_from(["min", "max"]), mental=_NUMBER, chrono=_NUMBER,
+           p=_RATIO, s=_RATIO, sweep=_grid(_RATIO, _RATIO)).map(
+               lambda a: ["limits", *a]),
+    _flags(mu_grid=_grid(_NUMBER, _NUMBER), s1=_RATIO, s2=_RATIO, t=_NUMBER,
+           solve_m=st.booleans(), p=_RATIO).map(lambda a: ["rule", *a]),
+    st.just(["tables"]),
+)
+
+
+class TestExitContract:
+    # more examples than the profile's 60: five subcommands share the budget
+    @settings(max_examples=150)
+    @given(digits=st.none() | st.integers(min_value=-3, max_value=15),
+           command=_COMMANDS)
+    def test_exit_zero_or_two_and_no_partial_output(self, digits, command):
+        argv = ([] if digits is None else [f"--digits={digits}"]) + command
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, code, err.getvalue())
+        if code != 0:
+            assert out.getvalue() == "", argv

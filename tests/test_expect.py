@@ -177,6 +177,11 @@ class TestAtLeastKNormal:
         with pytest.raises(ValueError):
             at_least_k_normal(1, 10, 0.0)
 
+    def test_empty_population_is_sure_at_k_zero(self):
+        # sd = 0 at n = 0; the k = 0 value is 1 for every other n too
+        assert at_least_k_normal(0, 0, 0.5) == (1.0, False)
+        assert at_least_k_normal(0, 30, 0.5).value == pytest.approx(1.0, abs=1e-15)
+
     def test_exact_vs_normal_on_seeded_grid(self):
         # grid restricted to n*p*(1-p) >= 20: below that variance the
         # missing continuity correction alone exceeds the 0.06 band
