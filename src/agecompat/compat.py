@@ -30,15 +30,17 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_INF = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CompatQuery:
     """Two mental-age densities plus an allowed difference.
 
     The difference may be given in absolute years (d) or as a multiple t
     of the smaller standard deviation; exactly one of the two must be
-    supplied and the other is derived via d = t * min(sigma1, sigma2).
+    supplied, finite and nonnegative, and the other is derived via
+    d = t * min(sigma1, sigma2).
     """
 
     g1: Gaussian
@@ -46,22 +48,37 @@ class CompatQuery:
     d: Optional[float] = None
     t: Optional[float] = None
 
-    def __post_init__(self):
-        if (self.d is None) == (self.t is None):
+    def __init__(self, g1: Gaussian, g2: Gaussian, d: Optional[float] = None,
+                 t: Optional[float] = None):
+        if (d is None) == (t is None):
             raise ValueError("give exactly one of d (years) or t (sigma multiple)")
-        anchor = min(self.g1.sigma, self.g2.sigma)
-        if self.d is None:
-            if self.t < 0:
-                raise ValueError(f"t must be nonnegative, got {self.t!r}")
-            object.__setattr__(self, "d", self.t * anchor)
+        anchor = min(g1.sigma, g2.sigma)
+        if d is None:
+            if t < 0:
+                raise ValueError(f"t must be nonnegative, got {t!r}")
+            if not t < _INF:
+                raise ValueError(f"t must be finite, got {t!r}")
+            d = t * anchor
         else:
-            if self.d < 0:
-                raise ValueError(f"d must be nonnegative, got {self.d!r}")
-            object.__setattr__(self, "t", self.d / anchor)
+            if d < 0:
+                raise ValueError(f"d must be nonnegative, got {d!r}")
+            if not d < _INF:
+                raise ValueError(f"d must be finite, got {d!r}")
+            t = d / anchor
+        _set_g1(self, g1)
+        _set_g2(self, g2)
+        _set_d(self, d)
+        _set_t(self, t)
 
     @classmethod
     def from_profiles(cls, p1, p2, d=None, t=None) -> "CompatQuery":
         return cls(p1.gaussian, p2.gaussian, d=d, t=t)
+
+
+# The frozen class's __setattr__ refuses every assignment; __init__ stores
+# each field once through its slot descriptor instead.
+_set_g1, _set_g2, _set_d, _set_t = (
+    CompatQuery.__dict__[name].__set__ for name in ("g1", "g2", "d", "t"))
 
 
 class NormalizedProb(NamedTuple):

@@ -13,7 +13,7 @@ All types are immutable values and all operations pure.
 import math
 from dataclasses import dataclass
 
-from .special import _SQRT2PI, _check_finite
+from .special import _check_finite, _pdf
 
 __all__ = [
     "Gaussian", "AgeProfile", "DiffStats",
@@ -104,8 +104,7 @@ class DiffStats:
 
 def gaussian_pdf(x: float, g: Gaussian) -> float:
     """Density of g at x; peaks at 1/(sqrt(2*pi)*sigma) when x = mu."""
-    z = (x - g.mu) / g.sigma
-    return math.exp(-0.5 * z * z) / (_SQRT2PI * g.sigma)
+    return _pdf((x - g.mu) / g.sigma) / g.sigma
 
 
 def convolve_diff(g1: Gaussian, g2: Gaussian) -> Gaussian:

@@ -50,11 +50,11 @@ class AgeLimitSpec:
     def __post_init__(self):
         if self.kind not in ("min", "max"):
             raise ValueError(f"kind must be 'min' or 'max', got {self.kind!r}")
-        if self.x_limit <= 0:
+        if not self.x_limit > 0:
             raise ValueError(f"x_limit must be positive, got {self.x_limit!r}")
         if not 0.0 < self.p_limit < 1.0:
             raise ValueError(f"p_limit must lie in (0, 1), got {self.p_limit!r}")
-        if self.s <= 0:
+        if not self.s > 0:
             raise ValueError(f"s must be positive, got {self.s!r}")
 
 
@@ -104,9 +104,9 @@ def mental_limit_from_chrono(mu_limit: float, s: float, p_limit: float,
     """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
-    if mu_limit <= 0:
+    if not mu_limit > 0:
         raise ValueError(f"mu_limit must be positive, got {mu_limit!r}")
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"s must be positive, got {s!r}")
     if p_limit == 0.5:
         return mu_limit
@@ -139,7 +139,7 @@ def rule_probability(mu: float, delta: float, s1: float, s2: float,
         raise ValueError(f"delta must be nonnegative, got {delta!r}")
     if not (s1 > 0 and s2 > 0):
         raise ValueError("ratios s1, s2 must be positive")
-    if t < 1.0:
+    if not t >= 1.0:
         raise ValueError(f"t must be at least 1 (natural lower edge of d), got {t!r}")
     return _ratio_prob(delta / mu, s2, s1, t)
 
@@ -196,7 +196,7 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
     """
     if not (s1 > 0 and s2 > 0):
         raise ValueError("ratios s1, s2 must be positive")
-    if t < 1.0:
+    if not t >= 1.0:
         raise ValueError(f"t must be at least 1, got {t!r}")
     ceiling = _ratio_prob(0.0, s2, s1, t)
     if not 0.0 < p_min < ceiling:

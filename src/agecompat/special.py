@@ -9,6 +9,16 @@ probability in the package goes through it, and it differences
 whichever tail keeps the result relatively accurate.  All functions are
 pure and safe for concurrent use.
 
+Inputs are validated once, at the public boundary.  The public
+functions ``erf``, ``erfc``, ``normal_pdf``, ``normal_cdf`` and
+``normal_quantile`` reject non-finite (and, for the quantile,
+out-of-range) arguments with ``ValueError``.  The internal kernels
+``_erf_core``, ``_erfc_pos``, ``_phi`` and ``_pdf`` check nothing and
+expect finite arguments from a caller that has already checked them.
+``_cdf_diff`` is the one internal kernel with a guard of its own: a
+single chained comparison that rejects a non-finite or reversed
+interval, so every interval probability built on it inherits the check.
+
 References:
     W. J. Cody, "Rational Chebyshev approximation for the error
     function", Math. Comp. 23 (1969), 631-637 (the SPECFUN coefficient
@@ -23,25 +33,10 @@ import math
 __all__ = ["erf", "erfc", "normal_pdf", "normal_cdf", "normal_quantile"]
 
 _THRESH = 0.46875
+_INF = math.inf
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_PI = 0.56418958354775628695
-
-# Cody's double-precision minimax coefficient sets.
-_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-      3.20937758913846947e03, 1.85777706184603153e-1)
-_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-      2.84423683343917062e03)
-_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-      2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-      2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
-_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-      1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-      3.43936767414372164e03, 1.23033935480374942e03)
-_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-      1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
-_Q = (2.56852019228982242e00, 1.87295284992346047e00, 5.27905102951428412e-1,
-      6.05183413124413191e-2, 2.33520497626869185e-3)
 
 
 def _clamp_unit(v: float) -> float:
@@ -54,53 +49,61 @@ def _check_finite(x, name):
         raise ValueError(f"{name} must be finite, got {x!r}")
 
 
+# Cody's double-precision minimax coefficient sets, written out as Horner
+# chains: each numerator starts from its highest coefficient times the
+# argument, each denominator from the bare argument (leading coefficient 1).
 def _erf_core(x):
     # |x| <= 0.46875, odd rational approximation in x**2
     z = x * x
-    num = _A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _A[i]) * z
-        den = (den + _B[i]) * z
-    return x * (num + _A[3]) / (den + _B[3])
-
-
-def _exp_split(y):
-    # exp(-y*y) with the argument split to limit rounding in the square
-    ysq = math.floor(y * 16.0) / 16.0
-    return math.exp(-ysq * ysq) * math.exp(-(y - ysq) * (y + ysq))
-
-
-def _erfc_mid(y):
-    # 0.46875 < y <= 4
-    num = _C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _C[i]) * y
-        den = (den + _D[i]) * y
-    return _exp_split(y) * (num + _C[7]) / (den + _D[7])
-
-
-def _erfc_far(y):
-    # y > 4; underflows to 0 near y ~ 26.6
-    if y >= 26.6:
-        return 0.0
-    z = 1.0 / (y * y)
-    num = _P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _P[i]) * z
-        den = (den + _Q[i]) * z
-    r = z * (num + _P[4]) / (den + _Q[4])
-    return _exp_split(y) * (_INV_SQRT_PI - r) / y
+    return (x * ((((1.85777706184603153e-1 * z + 3.16112374387056560e00) * z
+                   + 1.13864154151050156e02) * z + 3.77485237685302021e02) * z
+                 + 3.20937758913846947e03)
+            / ((((z + 2.36012909523441209e01) * z + 2.44024637934444173e02) * z
+                + 1.28261652607737228e03) * z + 2.84423683343917062e03))
 
 
 def _erfc_pos(y):
+    # erfc(y) for finite y >= 0
     if y <= _THRESH:
         return 1.0 - _erf_core(y)
     if y <= 4.0:
-        return _erfc_mid(y)
-    return _erfc_far(y)
+        num = ((((((((2.15311535474403846e-8 * y + 5.64188496988670089e-1) * y
+                     + 8.88314979438837594e00) * y + 6.61191906371416295e01) * y
+                   + 2.98635138197400131e02) * y + 8.81952221241769090e02) * y
+                 + 1.71204761263407058e03) * y + 2.05107837782607147e03) * y
+               + 1.23033935479799725e03)
+        den = ((((((((y + 1.57449261107098347e01) * y + 1.17693950891312499e02) * y
+                     + 5.37181101862009858e02) * y + 1.62138957456669019e03) * y
+                   + 3.29079923573345963e03) * y + 4.36261909014324716e03) * y
+                 + 3.43936767414372164e03) * y + 1.23033935480374942e03)
+    elif y < 26.6:
+        z = 1.0 / (y * y)
+        num = _INV_SQRT_PI - (
+            z * (((((1.63153871373020978e-2 * z + 3.05326634961232344e-1) * z
+                    + 3.60344899949804439e-1) * z + 1.25781726111229246e-1) * z
+                  + 1.60837851487422766e-2) * z + 6.58749161529837803e-4)
+            / (((((z + 2.56852019228982242e00) * z + 1.87295284992346047e00) * z
+                 + 5.27905102951428412e-1) * z + 6.05183413124413191e-2) * z
+               + 2.33520497626869185e-3))
+        den = y
+    else:
+        return 0.0      # erfc underflows near y ~ 26.6
+    # exp(-y*y) with the argument split to limit rounding in the square
+    ysq = math.floor(y * 16.0) / 16.0
+    return math.exp(-ysq * ysq) * math.exp(-(y - ysq) * (y + ysq)) * num / den
+
+
+def _phi(z):
+    # Phi(z) = erfc(-z/sqrt(2))/2 for finite z, unchecked
+    x = -z / _SQRT2
+    if x >= 0:
+        return 0.5 * _erfc_pos(x)
+    return 0.5 * (2.0 - _erfc_pos(-x))
+
+
+def _pdf(z):
+    # standard normal density for finite z, unchecked
+    return math.exp(-0.5 * z * z) / _SQRT2PI
 
 
 def erf(x: float) -> float:
@@ -127,22 +130,28 @@ def erfc(x: float) -> float:
 def normal_pdf(z: float) -> float:
     """Standard normal density exp(-z**2/2) / sqrt(2*pi)."""
     _check_finite(z, "z")
-    return math.exp(-0.5 * z * z) / _SQRT2PI
+    return _pdf(z)
 
 
 def normal_cdf(z: float) -> float:
     """Standard normal cdf via erfc, relatively accurate in both tails."""
     _check_finite(z, "z")
-    return 0.5 * erfc(-z / _SQRT2)
+    return _phi(z)
 
 
 def _cdf_diff(hi: float, lo: float) -> float:
-    # Phi(hi) - Phi(lo) for lo <= hi, clamped to [0, 1]; above the median
-    # the upper tails are differenced, so far-tail intervals keep their
-    # relative accuracy instead of cancelling against 1
+    # Phi(hi) - Phi(lo) for finite lo <= hi, clamped to [0, 1]; above the
+    # median the upper tails are differenced, so far-tail intervals keep
+    # their relative accuracy instead of cancelling against 1.  The guard
+    # is the only check between the public callers and the kernel.
+    if not -_INF < lo <= hi < _INF:
+        raise ValueError(
+            f"interval needs finite bounds lo <= hi, got lo={lo!r}, hi={hi!r}")
     if lo > 0.0:
-        return _clamp_unit(normal_cdf(-lo) - normal_cdf(-hi))
-    return _clamp_unit(normal_cdf(hi) - normal_cdf(lo))
+        v = _phi(-lo) - _phi(-hi)
+    else:
+        v = _phi(hi) - _phi(lo)
+    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
 def _quantile_rational(p):
@@ -199,7 +208,7 @@ def normal_quantile(p: float) -> float:
     if math.isnan(p) or not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
     x = _quantile_rational(p)
-    pdf = normal_pdf(x)
+    pdf = _pdf(x)
     if pdf > 0.0:
-        x -= (normal_cdf(x) - p) / pdf
+        x -= (_phi(x) - p) / pdf
     return x

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from .compat import CompatQuery
 from .model import gaussian_pdf
-from .special import _SQRT2PI, _clamp_unit, normal_cdf
+from .special import _SQRT2PI, _clamp_unit, _phi, normal_cdf
 
 __all__ = [
     "SliceParams", "ErrorBudget", "TruncationBound", "McEstimate",
@@ -93,7 +93,7 @@ class ErrorBudget:
 
     def __post_init__(self):
         for name in ("d_err", "sigma1_err", "sigma2_err"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 
@@ -237,8 +237,7 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
     g1, g2, d = q.g1, q.g2, q.d
 
     def f(x1):
-        inner = (normal_cdf((x1 - g2.mu + d) / g2.sigma)
-                 - normal_cdf((x1 - g2.mu - d) / g2.sigma))
+        inner = _phi((x1 - g2.mu + d) / g2.sigma) - _phi((x1 - g2.mu - d) / g2.sigma)
         return gaussian_pdf(x1, g1) * inner
 
     smax = max(g1.sigma, g2.sigma)

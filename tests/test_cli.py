@@ -331,6 +331,17 @@ class TestCliContract:
         assert code == 2 and out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("limits", "--kind", "min", "--chrono", "nan", "--p", "0.3"),
+        ("limits", "--kind", "min", "--mental", "18", "--p", "0.3", "--s", "nan"),
+        ("compat", "--age1", "18", "--age2", "14", "--error-budget", "nan,0.1,0.1"),
+    ])
+    def test_nan_argument_rejected(self, capsys, argv):
+        # NaN fails every comparison, so positivity checks read `not x > 0`
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error" in err
+
     def test_grid_point_cap_is_inclusive(self):
         from agecompat.cli import _MAX_GRID_POINTS, _parse_range
         assert len(_parse_range(f"0:{_MAX_GRID_POINTS - 1}:1")) == _MAX_GRID_POINTS

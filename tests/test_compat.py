@@ -1,5 +1,6 @@
 """Pair-probability closed forms and their invariances."""
 
+import dataclasses
 import math
 
 import pytest
@@ -70,6 +71,33 @@ class TestCompatQuery:
             CompatQuery(g, g, d=-0.5)
         with pytest.raises(ValueError):
             CompatQuery(g, g, t=-0.5)
+
+    @pytest.mark.parametrize("field", ["d", "t"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_rejected_at_construction(self, field, bad):
+        g = Gaussian(20.0, 2.0)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CompatQuery(g, g, **{field: bad})
+
+    def test_frozen_hashable_and_equal_by_value(self):
+        q = _query(18.0, 0.1, 14.0, 0.1, t=1.0)
+        same = _query(18.0, 0.1, 14.0, 0.1, t=1.0)
+        other = _query(18.0, 0.1, 14.0, 0.1, t=1.5)
+        for name in ("g1", "g2", "d", "t"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(q, name, 1.0)
+        assert q == same and hash(q) == hash(same)
+        assert q != other
+        assert len({q, same, other}) == 2
+        assert [f.name for f in dataclasses.fields(q)] == ["g1", "g2", "d", "t"]
+        assert repr(q) == ("CompatQuery(g1=Gaussian(mu=18.0, sigma=1.8), "
+                           "g2=Gaussian(mu=14.0, sigma=1.4000000000000001), "
+                           f"d={q.d!r}, t=1.0)")
+
+    def test_fields_live_in_slots(self):
+        # no per-instance dict: a pair-grid request builds thousands of these
+        q = _query(18.0, 0.1, 14.0, 0.1, t=1.0)
+        assert not hasattr(q, "__dict__")
 
     def test_from_profiles(self):
         q = CompatQuery.from_profiles(AgeProfile(18.0, 0.1),

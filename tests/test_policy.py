@@ -1,5 +1,7 @@
 """Age-limit inversions, the dating-rule audit, and the gap-slope solver."""
 
+import math
+
 import pytest
 
 from agecompat.compat import CompatQuery, compat_prob, same_age_prob
@@ -42,6 +44,11 @@ class TestAgeLimitSpec:
             AgeLimitSpec("min", 18.0, 1.0, 0.15)
         with pytest.raises(ValueError):
             AgeLimitSpec("min", 18.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("x_limit, s", [(math.nan, 0.15), (18.0, math.nan)])
+    def test_rejects_nan(self, x_limit, s):
+        with pytest.raises(ValueError):
+            AgeLimitSpec("min", x_limit, 0.3, s)
 
 
 class TestChronoMinAge:
@@ -119,6 +126,11 @@ class TestMentalLimitFromChrono:
         with pytest.raises(ValueError):
             mental_limit_from_chrono(18.0, 0.1, 0.5, "upper")
 
+    @pytest.mark.parametrize("mu, s", [(math.nan, 0.15), (18.0, math.nan)])
+    def test_nan_rejected(self, mu, s):
+        with pytest.raises(ValueError):
+            mental_limit_from_chrono(mu, s, 0.3, "min")
+
 
 class TestHyapsBounds:
     def test_fixed_point(self):
@@ -170,6 +182,12 @@ class TestRuleProbability:
     def test_rejects_small_t(self):
         with pytest.raises(ValueError):
             rule_probability(30.0, 16.0, 0.15, 0.15, 0.9)
+
+    def test_nan_t_rejected_by_name(self):
+        with pytest.raises(ValueError, match="t must be at least 1"):
+            rule_probability(30.0, 16.0, 0.15, 0.15, math.nan)
+        with pytest.raises(ValueError, match="t must be at least 1"):
+            solve_m(0.05, 0.15, 0.15, math.nan)
 
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):

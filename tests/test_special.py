@@ -7,11 +7,13 @@ second, structurally unrelated implementation.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from agecompat import special
 from agecompat.special import erf, erfc, normal_cdf, normal_pdf, normal_quantile
 
 # reference evaluations, 40-digit oracle rounded to float64
@@ -143,3 +145,144 @@ class TestNormalQuantile:
         x = normal_quantile(p)
         assert x < -8.0
         assert abs(normal_cdf(x) - p) / p <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# Reference copy of Cody's rational forms as coefficient tuples evaluated by
+# loops.  The kernels in ``special`` write the same Horner chains out as
+# straight-line expressions; both must agree bit for bit.
+
+_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+      3.20937758913846947e03, 1.85777706184603153e-1)
+_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+      2.84423683343917062e03)
+_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+      2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+      2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+      1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+      3.43936767414372164e03, 1.23033935480374942e03)
+_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+      1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_Q = (2.56852019228982242e00, 1.87295284992346047e00, 5.27905102951428412e-1,
+      6.05183413124413191e-2, 2.33520497626869185e-3)
+
+
+def _ref_rational(num_coefs, den_coefs, x):
+    # numerator starts at its last coefficient times x, denominator at x
+    n = len(den_coefs) - 1
+    num = num_coefs[-1] * x
+    den = x
+    for i in range(n):
+        num = (num + num_coefs[i]) * x
+        den = (den + den_coefs[i]) * x
+    return num + num_coefs[n], den + den_coefs[n]
+
+
+def _ref_exp_split(y):
+    ysq = math.floor(y * 16.0) / 16.0
+    return math.exp(-ysq * ysq) * math.exp(-(y - ysq) * (y + ysq))
+
+
+def _ref_erf_core(x):
+    num, den = _ref_rational(_A, _B, x * x)
+    return x * num / den
+
+
+def _ref_erfc_pos(y):
+    if y <= 0.46875:
+        return 1.0 - _ref_erf_core(y)
+    if y <= 4.0:
+        num, den = _ref_rational(_C, _D, y)
+        return _ref_exp_split(y) * num / den
+    if y >= 26.6:
+        return 0.0
+    z = 1.0 / (y * y)
+    num, den = _ref_rational(_P, _Q, z)
+    return _ref_exp_split(y) * (0.56418958354775628695 - z * num / den) / y
+
+
+def _ref_erf(x):
+    if abs(x) <= 0.46875:
+        return _ref_erf_core(x)
+    v = 1.0 - _ref_erfc_pos(abs(x))
+    return v if x > 0 else -v
+
+
+def _ref_erfc(x):
+    return _ref_erfc_pos(x) if x >= 0 else 2.0 - _ref_erfc_pos(-x)
+
+
+def _ref_normal_cdf(z):
+    return 0.5 * _ref_erfc(-z / math.sqrt(2.0))
+
+
+def _kernel_points():
+    # seeded points in every branch of |x|, each branch edge with its three
+    # neighbouring floats on either side, and both signs of each
+    rng = random.Random(20261018)
+    pts = [0.0]
+    for lo, hi in ((0.0, 0.46875), (0.46875, 4.0), (4.0, 26.6), (26.6, 40.0)):
+        pts += [rng.uniform(lo, hi) for _ in range(1500)]
+    pts += [math.exp(rng.uniform(-40.0, 0.0)) for _ in range(500)]
+    for edge in (0.46875, 4.0, 26.6):
+        lo = hi = edge
+        pts.append(edge)
+        for _ in range(3):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+            pts += [lo, hi]
+    return pts + [-x for x in pts]
+
+
+_POINTS = _kernel_points()
+
+
+class TestStraightLineKernels:
+    @pytest.mark.parametrize("name, kernel, reference", [
+        ("erf", erf, _ref_erf),
+        ("erfc", erfc, _ref_erfc),
+        ("_erf_core", special._erf_core, _ref_erf_core),
+    ])
+    def test_bit_identical_to_loop_form(self, name, kernel, reference):
+        xs = _POINTS if name != "_erf_core" else [x for x in _POINTS if abs(x) <= 0.46875]
+        bad = [x for x in xs if kernel(x).hex() != reference(x).hex()]
+        assert not bad, f"{name} differs at {bad[:5]}"
+
+    def test_erfc_pos_bit_identical(self):
+        bad = [y for y in _POINTS if y >= 0.0
+               and special._erfc_pos(y).hex() != _ref_erfc_pos(y).hex()]
+        assert not bad, bad[:5]
+
+    def test_phi_and_normal_cdf_bit_identical(self):
+        # Phi's argument is scaled by sqrt(2), so the branch edges of erfc
+        # are hit at z = -sqrt(2) * edge; include those arguments as well
+        zs = _POINTS + [-x * math.sqrt(2.0) for x in _POINTS]
+        bad = [z for z in zs if not special._phi(z).hex()
+               == normal_cdf(z).hex() == _ref_normal_cdf(z).hex()]
+        assert not bad, bad[:5]
+
+
+class TestPdfKernel:
+    def test_normal_pdf_wraps_unchecked_kernel(self):
+        for z in (0.0, 0.3, -1.7, 5.0, 38.0):
+            assert normal_pdf(z) == special._pdf(z) == \
+                math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_normal_pdf_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError):
+            normal_pdf(bad)
+
+
+class TestCdfDiffGuard:
+    @pytest.mark.parametrize("hi, lo", [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+        (math.inf, math.inf), (-math.inf, -math.inf), (1.0, 2.0),
+    ])
+    def test_rejects_nonfinite_or_reversed(self, hi, lo):
+        with pytest.raises(ValueError):
+            special._cdf_diff(hi, lo)
+
+    def test_empty_interval_is_zero(self):
+        assert special._cdf_diff(0.7, 0.7) == 0.0
+        assert special._cdf_diff(-3.0, -3.0) == 0.0

@@ -76,6 +76,12 @@ class TestTruncationBound:
 
 
 class TestErrorPropagation:
+    @pytest.mark.parametrize("budget", [(math.nan, 0.1, 0.1), (0.1, math.nan, 0.1),
+                                        (0.1, 0.1, math.nan), (0.1, -0.1, 0.1)])
+    def test_budget_rejects_negative_or_nan(self, budget):
+        with pytest.raises(ValueError):
+            ErrorBudget(*budget)
+
     def test_zero_budget(self):
         q = _query(20.0, 2.5, 17.0, 1.9, d=1.5)
         assert error_propagation(q, ErrorBudget(0.0, 0.0, 0.0)) == 0.0
