@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import Gaussian
-from .special import _cdf_diff, _clamp_unit, erf, normal_cdf
+from .special import (_cdf_diff, _check_finite, _check_nonneg, _check_positive,
+                      erf, normal_cdf)
 
 __all__ = [
     "CompatQuery", "NormalizedProb",
@@ -30,7 +31,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_INF = math.inf
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -54,16 +54,10 @@ class CompatQuery:
             raise ValueError("give exactly one of d (years) or t (sigma multiple)")
         anchor = min(g1.sigma, g2.sigma)
         if d is None:
-            if t < 0:
-                raise ValueError(f"t must be nonnegative, got {t!r}")
-            if not t < _INF:
-                raise ValueError(f"t must be finite, got {t!r}")
+            _check_nonneg(t, "t")
             d = t * anchor
         else:
-            if d < 0:
-                raise ValueError(f"d must be nonnegative, got {d!r}")
-            if not d < _INF:
-                raise ValueError(f"d must be finite, got {d!r}")
+            _check_nonneg(d, "d")
             t = d / anchor
         _set_g1(self, g1)
         _set_g2(self, g2)
@@ -108,8 +102,8 @@ def compat_prob_known(d: float, x1: float, g: Gaussian) -> float:
     only the other person's cdf is integrated.  Maximal over x1 at
     x1 = g.mu.
     """
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d!r}")
+    _check_nonneg(d, "d")
+    _check_finite(x1, "x1")
     return _cdf_diff((x1 - g.mu + d) / g.sigma, (x1 - g.mu - d) / g.sigma)
 
 
@@ -135,13 +129,14 @@ def same_age_prob(t: float) -> float:
 
     Independent of both the age and sigma; only the multiple t matters.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
-    return _clamp_unit(erf(0.5 * t))
+    _check_nonneg(t, "t")
+    return erf(0.5 * t)
 
 
 def range_prob(x_lo: float, x_hi: float, g: Gaussian) -> float:
     """P(x_lo <= X <= x_hi) for a single mental-age density."""
+    _check_finite(x_lo, "x_lo")
+    _check_finite(x_hi, "x_hi")
     if x_lo > x_hi:
         raise ValueError(f"empty range: x_lo={x_lo!r} > x_hi={x_hi!r}")
     return _cdf_diff((x_hi - g.mu) / g.sigma, (x_lo - g.mu) / g.sigma)
@@ -149,19 +144,18 @@ def range_prob(x_lo: float, x_hi: float, g: Gaussian) -> float:
 
 def symmetric_range_prob(d: float, g: Gaussian) -> float:
     """P(|X - mu| <= d) = erf(d / (sqrt(2)*sigma))."""
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d!r}")
-    return _clamp_unit(erf(d / (_SQRT2 * g.sigma)))
+    _check_nonneg(d, "d")
+    return erf(d / (_SQRT2 * g.sigma))
 
 
 def prob_at_least(x0: float, g: Gaussian) -> float:
     """P(X >= x0); complements :func:`prob_at_most` exactly."""
-    return _clamp_unit(normal_cdf((g.mu - x0) / g.sigma))
+    return normal_cdf((g.mu - x0) / g.sigma)
 
 
 def prob_at_most(x0: float, g: Gaussian) -> float:
     """P(X <= x0)."""
-    return _clamp_unit(normal_cdf((x0 - g.mu) / g.sigma))
+    return normal_cdf((x0 - g.mu) / g.sigma)
 
 
 def compat_prob_ratio_form(r: float, s1: float, s2: float, t: float) -> float:
@@ -176,12 +170,12 @@ def compat_prob_ratio_form(r: float, s1: float, s2: float, t: float) -> float:
     Hence a 16/24 pair is exactly as compatible as a 24/36 pair under
     the same (s1, s2, t).
     """
-    if r < 1:
-        raise ValueError(f"age ratio must satisfy r >= 1, got {r!r} (swap the ages)")
-    if not (s1 > 0 and s2 > 0):
-        raise ValueError("ratios s1, s2 must be positive")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
+    if not 1.0 <= r < math.inf:
+        raise ValueError(
+            f"age ratio r must be at least 1 (swap the ages) and finite, got {r!r}")
+    _check_positive(s1, "s1")
+    _check_positive(s2, "s2")
+    _check_nonneg(t, "t")
     return _ratio_prob(r - 1.0, s1, s2, t)
 
 

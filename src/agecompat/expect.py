@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import AgeProfile
-from .special import _clamp_unit, normal_cdf
+from .special import _check_nonneg, _clamp_unit, normal_cdf
 
 __all__ = [
     "Cohort", "NormalTail",
@@ -32,18 +32,12 @@ class Cohort:
     profile: AgeProfile
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"population count must be nonnegative, got {self.n!r}")
+        _check_nonneg(self.n, "n")
 
 
 def _check_prob(p):
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-
-
-def _check_count(n, name):
-    if n < 0:
-        raise ValueError(f"{name} must be nonnegative, got {n!r}")
 
 
 def expected_pairs(n1: int, n2: int, p: float) -> float:
@@ -53,15 +47,15 @@ def expected_pairs(n1: int, n2: int, p: float) -> float:
     than distinct people; the product can exceed 2**53 for cohort sizes
     in the millions and is returned in floating point.
     """
-    _check_count(n1, "n1")
-    _check_count(n2, "n2")
+    _check_nonneg(n1, "n1")
+    _check_nonneg(n2, "n2")
     _check_prob(p)
     return float(n1) * float(n2) * p
 
 
 def mean_counterparts(n: int, p: float) -> float:
     """Mean number of compatible members of an n-person cohort, n*p."""
-    _check_count(n, "n")
+    _check_nonneg(n, "n")
     _check_prob(p)
     return float(n) * p
 
@@ -72,8 +66,8 @@ def expected_with_at_least_one(n_self: int, n_other: int, p: float) -> float:
     n_self * (1 - (1-p)**n_other), evaluated via expm1/log1p so the
     power does not underflow and the result never exceeds n_self.
     """
-    _check_count(n_self, "n_self")
-    _check_count(n_other, "n_other")
+    _check_nonneg(n_self, "n_self")
+    _check_nonneg(n_other, "n_other")
     _check_prob(p)
     if p == 1.0:
         return float(n_self) if n_other > 0 else 0.0
@@ -199,7 +193,7 @@ class NormalTail(NamedTuple):
 
 def normal_approx_valid(n: int, p: float) -> bool:
     """Applicability condition n > 9 * max(p/(1-p), (1-p)/p), strictly."""
-    _check_count(n, "n")
+    _check_nonneg(n, "n")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
     return n > 9.0 * max(p / (1.0 - p), (1.0 - p) / p)

@@ -13,7 +13,7 @@ All types are immutable values and all operations pure.
 import math
 from dataclasses import dataclass
 
-from .special import _check_finite, _pdf
+from .special import _check_finite, _check_positive, _pdf
 
 __all__ = [
     "Gaussian", "AgeProfile", "DiffStats",
@@ -43,9 +43,7 @@ class Gaussian:
 
     def __post_init__(self):
         _check_finite(self.mu, "mu")
-        _check_finite(self.sigma, "sigma")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        _check_positive(self.sigma, "sigma")
 
 
 @dataclass(frozen=True)
@@ -62,18 +60,14 @@ class AgeProfile:
     s: float
 
     def __post_init__(self):
-        _check_finite(self.mu, "mu")
-        _check_finite(self.s, "s")
-        if self.mu <= 0:
-            raise ValueError(f"age mu must be positive, got {self.mu!r}")
-        if self.s <= 0:
-            raise ValueError(f"ratio s must be positive, got {self.s!r}")
+        _check_positive(self.mu, "mu")
+        _check_positive(self.s, "s")
 
     @classmethod
     def from_sigma(cls, mu: float, sigma: float) -> "AgeProfile":
         """Alternative constructor for callers holding an absolute sigma."""
-        if mu <= 0:
-            raise ValueError(f"age mu must be positive, got {mu!r}")
+        _check_positive(mu, "mu")
+        _check_positive(sigma, "sigma")
         return cls(mu, sigma / mu)
 
     @property
@@ -114,8 +108,7 @@ def convolve_diff(g1: Gaussian, g2: Gaussian) -> Gaussian:
 
 def same_age_diff_stats(sigma: float) -> DiffStats:
     """Half-normal moments of |X1 - X2| within one cohort of scale sigma."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    _check_positive(sigma, "sigma")
     return DiffStats(
         sigma_d=math.sqrt(2.0) * sigma,
         mean_d=MEAN_DIFF_COEF * sigma,
@@ -130,7 +123,7 @@ def d_scope(sigma1: float, sigma2: float) -> tuple[float, float]:
     tighter than natural same-cohort scatter).  Upper edge: mean plus
     dispersion of the half-normal difference law, ~1.981 * sigma.
     """
-    if not (sigma1 > 0 and sigma2 > 0):
-        raise ValueError("standard deviations must be positive")
+    _check_positive(sigma1, "sigma1")
+    _check_positive(sigma2, "sigma2")
     lo = min(sigma1, sigma2)
     return (lo, D_SCOPE_UPPER_COEF * lo)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from .compat import _ratio_prob
-from .special import normal_quantile
+from .special import _check_nonneg, _check_positive, normal_quantile
 
 __all__ = [
     "DEFAULT_T", "AgeLimitSpec", "RuleAuditPoint",
@@ -50,12 +50,10 @@ class AgeLimitSpec:
     def __post_init__(self):
         if self.kind not in ("min", "max"):
             raise ValueError(f"kind must be 'min' or 'max', got {self.kind!r}")
-        if not self.x_limit > 0:
-            raise ValueError(f"x_limit must be positive, got {self.x_limit!r}")
+        _check_positive(self.x_limit, "x_limit")
         if not 0.0 < self.p_limit < 1.0:
             raise ValueError(f"p_limit must lie in (0, 1), got {self.p_limit!r}")
-        if not self.s > 0:
-            raise ValueError(f"s must be positive, got {self.s!r}")
+        _check_positive(self.s, "s")
 
 
 def _chrono_from_mental(x_limit, s, quantile_arg):
@@ -76,8 +74,6 @@ def chrono_min_age(spec: AgeLimitSpec) -> float:
     """
     if spec.kind != "min":
         raise ValueError(f"expected a 'min' spec, got kind={spec.kind!r}")
-    if spec.p_limit == 0.5:
-        return spec.x_limit
     return _chrono_from_mental(spec.x_limit, spec.s, 1.0 - spec.p_limit)
 
 
@@ -89,8 +85,6 @@ def chrono_max_age(spec: AgeLimitSpec) -> float:
     """
     if spec.kind != "max":
         raise ValueError(f"expected a 'max' spec, got kind={spec.kind!r}")
-    if spec.p_limit == 0.5:
-        return spec.x_limit
     return _chrono_from_mental(spec.x_limit, spec.s, spec.p_limit)
 
 
@@ -104,12 +98,8 @@ def mental_limit_from_chrono(mu_limit: float, s: float, p_limit: float,
     """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
-    if not mu_limit > 0:
-        raise ValueError(f"mu_limit must be positive, got {mu_limit!r}")
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s!r}")
-    if p_limit == 0.5:
-        return mu_limit
+    _check_positive(mu_limit, "mu_limit")
+    _check_positive(s, "s")
     arg = 1.0 - p_limit if kind == "min" else p_limit
     return mu_limit * (1.0 + s * normal_quantile(arg))
 
@@ -119,8 +109,7 @@ def hyaps_bounds(mu: float) -> Tuple[float, float]:
 
     mu = 14 is the fixed point where both bounds collapse onto mu.
     """
-    if mu <= 0:
-        raise ValueError(f"age must be positive, got {mu!r}")
+    _check_positive(mu, "mu")
     return (0.5 * mu + 7.0, 2.0 * mu - 14.0)
 
 
@@ -133,14 +122,13 @@ def rule_probability(mu: float, delta: float, s1: float, s2: float,
     constant s1, s2 it depends on (mu, delta) only through delta/mu, so
     a proportional gap delta = m*mu keeps it constant across ages.
     """
-    if mu <= 0:
-        raise ValueError(f"age must be positive, got {mu!r}")
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta!r}")
-    if not (s1 > 0 and s2 > 0):
-        raise ValueError("ratios s1, s2 must be positive")
-    if not t >= 1.0:
-        raise ValueError(f"t must be at least 1 (natural lower edge of d), got {t!r}")
+    _check_positive(mu, "mu")
+    _check_nonneg(delta, "delta")
+    _check_positive(s1, "s1")
+    _check_positive(s2, "s2")
+    if not 1.0 <= t < math.inf:
+        raise ValueError(
+            f"t must be at least 1 (natural lower edge of d) and finite, got {t!r}")
     return _ratio_prob(delta / mu, s2, s1, t)
 
 
@@ -194,11 +182,7 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
     m = 0 toward 0, so the root is unique.  Bisection on [0, m_hi] with
     m_hi doubled until it brackets (capped at 64), tolerance 1e-10 on p.
     """
-    if not (s1 > 0 and s2 > 0):
-        raise ValueError("ratios s1, s2 must be positive")
-    if not t >= 1.0:
-        raise ValueError(f"t must be at least 1, got {t!r}")
-    ceiling = _ratio_prob(0.0, s2, s1, t)
+    ceiling = rule_probability(1.0, 0.0, s1, s2, t)   # validates s1, s2, t
     if not 0.0 < p_min < ceiling:
         raise ValueError(
             f"p_min must lie in (0, {ceiling:.6g}) (the same-age value) "

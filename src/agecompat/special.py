@@ -9,15 +9,23 @@ probability in the package goes through it, and it differences
 whichever tail keeps the result relatively accurate.  All functions are
 pure and safe for concurrent use.
 
-Inputs are validated once, at the public boundary.  The public
-functions ``erf``, ``erfc``, ``normal_pdf``, ``normal_cdf`` and
-``normal_quantile`` reject non-finite (and, for the quantile,
-out-of-range) arguments with ``ValueError``.  The internal kernels
-``_erf_core``, ``_erfc_pos``, ``_phi`` and ``_pdf`` check nothing and
-expect finite arguments from a caller that has already checked them.
+Inputs are validated once, at the public boundary, and the whole
+package states its domain rule through three checks defined here:
+``_check_finite`` (any finite value), ``_check_positive`` (finite and
+> 0: ages, dispersions, ratios) and ``_check_nonneg`` (finite and
+>= 0: allowed differences, gaps, error budgets, counts).  Each raises
+``ValueError`` with a message that names the argument, so NaN and +-inf
+are rejected by name everywhere.  The public functions ``erf``,
+``erfc``, ``normal_pdf``, ``normal_cdf`` and ``normal_quantile`` reject
+non-finite (and, for the quantile, out-of-range) arguments.  The
+internal kernels ``_erf_core``, ``_erfc_pos``, ``_phi`` and ``_pdf``
+check nothing and expect finite arguments from a caller that has
+already checked them.
 ``_cdf_diff`` is the one internal kernel with a guard of its own: a
 single chained comparison that rejects a non-finite or reversed
-interval, so every interval probability built on it inherits the check.
+interval.  Its callers have already checked their arguments, so the
+guard is a safety net: finite ages near the float limit can still
+overflow to an infinite bound inside it.
 
 References:
     W. J. Cody, "Rational Chebyshev approximation for the error
@@ -47,6 +55,16 @@ def _clamp_unit(v: float) -> float:
 def _check_finite(x, name):
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
+
+
+def _check_positive(x, name):
+    if not 0.0 < x < _INF:
+        raise ValueError(f"{name} must be finite and positive, got {x!r}")
+
+
+def _check_nonneg(x, name):
+    if not 0.0 <= x < _INF:
+        raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
 
 
 # Cody's double-precision minimax coefficient sets, written out as Horner

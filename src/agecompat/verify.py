@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple
 
 from .compat import CompatQuery
 from .model import gaussian_pdf
-from .special import _SQRT2PI, _clamp_unit, _phi, normal_cdf
+from .special import (_SQRT2PI, _check_nonneg, _check_positive, _clamp_unit, _phi,
+                      normal_cdf)
 
 __all__ = [
     "SliceParams", "ErrorBudget", "TruncationBound", "McEstimate",
@@ -93,8 +94,7 @@ class ErrorBudget:
 
     def __post_init__(self):
         for name in ("d_err", "sigma1_err", "sigma2_err"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+            _check_nonneg(getattr(self, name), name)
 
 
 class TruncationBound(NamedTuple):
@@ -160,8 +160,7 @@ def error_ratio(q: CompatQuery, budget: ErrorBudget) -> float:
     At equal means the tanh term vanishes and the expression coincides
     with the quotient of the two :func:`error_propagation` channels.
     """
-    if budget.d_err <= 0:
-        raise ValueError("d_err must be positive to form the ratio")
+    _check_positive(budget.d_err, "d_err")
     s1, s2 = q.g1.sigma, q.g2.sigma
     s2sum = s1 * s1 + s2 * s2
     g = q.g1.mu - q.g2.mu

@@ -337,10 +337,27 @@ class TestCliContract:
         ("compat", "--age1", "18", "--age2", "14", "--error-budget", "nan,0.1,0.1"),
     ])
     def test_nan_argument_rejected(self, capsys, argv):
-        # NaN fails every comparison, so positivity checks read `not x > 0`
+        # NaN fails every comparison, so the shared checks test `not 0 < x < inf`
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (("limits", "--kind", "max", "--chrono", "inf", "--p", "0.3"), "mu_limit"),
+        (("limits", "--kind", "min", "--mental", "18", "--p", "0.3", "--s", "inf"), "s"),
+        (("limits", "--kind", "min", "--mental", "inf", "--p", "0.3"), "x_limit"),
+        (("limits", "--kind", "min", "--chrono", "18", "--sweep", "0.1:0.2:0.1",
+          "--s", "inf"), "s"),
+        (("rule", "--mu-grid", "15:17:1", "--s2", "inf"), "s2"),
+        (("rule", "--solve-m", "--p", "0.05", "--s1", "inf"), "s1"),
+        (("compat", "--age1", "18", "--age2", "14", "--error-budget", "0.1,0.1,inf"),
+         "sigma2_err"),
+    ])
+    def test_infinite_argument_rejected_by_name(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {name} must be finite and positive, got inf\n" or \
+            err == f"error: {name} must be finite and nonnegative, got inf\n"
 
     def test_grid_point_cap_is_inclusive(self):
         from agecompat.cli import _MAX_GRID_POINTS, _parse_range

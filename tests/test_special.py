@@ -114,7 +114,10 @@ class TestNormalPdf:
 
 class TestNormalQuantile:
     def test_median(self):
+        # exact zero: the limit conversions return the limit itself at
+        # p = 0.5 through their general path, 1 + s * 0.0 == 1.0
         assert normal_quantile(0.5) == 0.0
+        assert normal_quantile(1.0 - 0.5) == 0.0
 
     def test_reference_values(self):
         assert normal_quantile(0.8413) == pytest.approx(Q_0_8413, abs=1e-12)
@@ -260,6 +263,13 @@ class TestStraightLineKernels:
         bad = [z for z in zs if not special._phi(z).hex()
                == normal_cdf(z).hex() == _ref_normal_cdf(z).hex()]
         assert not bad, bad[:5]
+
+    def test_values_stay_in_range(self):
+        # callers return erf and normal_cdf unclamped as probabilities
+        assert all(-1.0 <= erf(x) <= 1.0 and 0.0 <= erfc(x) <= 2.0 for x in _POINTS)
+        assert all(0.0 <= special._erfc_pos(y) <= 1.0 for y in _POINTS if y >= 0.0)
+        zs = _POINTS + [-x * math.sqrt(2.0) for x in _POINTS]
+        assert all(0.0 <= normal_cdf(z) <= 1.0 for z in zs)
 
 
 class TestPdfKernel:
