@@ -17,11 +17,10 @@ import sys
 import warnings
 
 from . import compat as compat_mod
-from . import expect as expect_mod
 from . import policy
 from .compat import CompatQuery
 from .model import D_SCOPE_UPPER_COEF, Gaussian
-from .verify import ErrorBudget, QuadratureError, error_propagation
+from .special import QuadratureError, _check_positive
 
 DEFAULT_S = 0.15
 DEFAULT_DIGITS = 6
@@ -73,14 +72,16 @@ def _parse_range(text):
 
 
 def _parse_budget(text):
+    from .verify import ErrorBudget
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected dd,dsigma1,dsigma2, got {text!r}")
-    dd, ds1, ds2 = (float(p) for p in parts)
-    return ErrorBudget(dd, ds1, ds2)
+    return ErrorBudget(*map(float, parts))
 
 
 def _query_from_args(args):
+    for name in ("age1", "age2", "s1", "s2"):  # by flag name, before sigma = s * age
+        _check_positive(getattr(args, name), name)
     g1 = Gaussian(args.age1, args.s1 * args.age1)
     g2 = Gaussian(args.age2, args.s2 * args.age2)
     t = policy.DEFAULT_T if args.d is None and args.t is None else args.t
@@ -97,14 +98,15 @@ def _cmd_compat(args):
         columns += ["p0", "p0_denominator", "p0_swapped"]
         row += [norm.value, norm.denominator, norm.swapped]
     if args.error_budget is not None:
-        budget = _parse_budget(args.error_budget)
+        from .verify import error_propagation
         columns.append("delta_p")
-        row.append(error_propagation(q, budget))
+        row.append(error_propagation(q, _parse_budget(args.error_budget)))
     _emit(columns, [row], args.digits)
     return 0
 
 
 def _cmd_expect(args):
+    from . import expect as expect_mod
     columns, row = ["n1", "n2"], [args.n1, args.n2]
     if args.p is not None:
         if args.age1 is not None or args.age2 is not None:

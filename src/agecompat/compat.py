@@ -16,10 +16,9 @@ accuracy far into the tails, and the ratio form has one kernel,
 """
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
-from .model import Gaussian
+from .model import Gaussian, _Value
 from .special import (_cdf_diff, _check_finite, _check_nonneg, _check_positive,
                       erf, normal_cdf)
 
@@ -33,8 +32,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CompatQuery:
+class CompatQuery(_Value):
     """Two mental-age densities plus an allowed difference.
 
     The difference may be given in absolute years (d) or as a multiple t
@@ -43,13 +41,10 @@ class CompatQuery:
     d = t * min(sigma1, sigma2).
     """
 
-    g1: Gaussian
-    g2: Gaussian
-    d: Optional[float] = None
-    t: Optional[float] = None
+    __slots__ = ("g1", "g2", "d", "t")
 
-    def __init__(self, g1: Gaussian, g2: Gaussian, d: Optional[float] = None,
-                 t: Optional[float] = None):
+    def __init__(self, g1: Gaussian, g2: Gaussian, d: float | None = None,
+                 t: float | None = None):
         if (d is None) == (t is None):
             raise ValueError("give exactly one of d (years) or t (sigma multiple)")
         anchor = min(g1.sigma, g2.sigma)
@@ -69,18 +64,12 @@ class CompatQuery:
         return cls(p1.gaussian, p2.gaussian, d=d, t=t)
 
 
-# The frozen class's __setattr__ refuses every assignment; __init__ stores
-# each field once through its slot descriptor instead.
-_set_g1, _set_g2, _set_d, _set_t = (
-    CompatQuery.__dict__[name].__set__ for name in ("g1", "g2", "d", "t"))
+# a pair grid builds one per pair, so skip the __setstate__ loop
+_set_g1, _set_g2, _set_d, _set_t = CompatQuery._stores
 
-
-class NormalizedProb(NamedTuple):
-    """Probability divided by the younger cohort's same-age probability."""
-
-    value: float
-    swapped: bool      # True when inputs were reordered so mu2 <= mu1
-    denominator: float
+NormalizedProb = namedtuple("NormalizedProb", "value swapped denominator")
+NormalizedProb.__doc__ = ("Pair probability over the younger cohort's same-age probability;"
+                          " swapped is True if the inputs were reordered so mu2 <= mu1.")
 
 
 def compat_prob(q: CompatQuery) -> float:

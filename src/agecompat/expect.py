@@ -8,10 +8,9 @@ approximation form.
 """
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
-from .model import AgeProfile
+from .model import AgeProfile, _Value
 from .special import _check_nonneg, _clamp_unit, normal_cdf
 
 __all__ = [
@@ -24,15 +23,14 @@ _MAX_N = 10 ** 7         # term-recurrence accumulation bound
 _REL_CUTOFF = 1e-18      # stop once terms no longer move the running sum
 
 
-@dataclass(frozen=True)
-class Cohort:
+class Cohort(_Value):
     """An age profile together with its population count."""
 
-    n: int
-    profile: AgeProfile
+    __slots__ = ("n", "profile")
 
-    def __post_init__(self):
-        _check_nonneg(self.n, "n")
+    def __init__(self, n: int, profile: AgeProfile):
+        _check_nonneg(n, "n")
+        self.__setstate__((n, profile))
 
 
 def _check_prob(p):
@@ -179,16 +177,13 @@ def at_least_k_exact(k: int, n: int, p: float) -> float:
     return 1.0 - total if total < 1.0 else 0.0
 
 
-class NormalTail(NamedTuple):
-    """Normal-approximation tail value plus its validity verdict.
+NormalTail = namedtuple("NormalTail", "value valid")
+NormalTail.__doc__ = """Normal-approximation tail value plus its validity verdict.
 
-    ``valid`` is False when the sample size fails the applicability
-    condition n > 9*max(p/(1-p), (1-p)/p); the value is still computed
-    so the caller can see how far off it lands.
-    """
-
-    value: float
-    valid: bool
+``valid`` is False when the sample size fails the applicability
+condition n > 9*max(p/(1-p), (1-p)/p); the value is still computed
+so the caller can see how far off it lands.
+"""
 
 
 def normal_approx_valid(n: int, p: float) -> bool:

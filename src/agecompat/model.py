@@ -11,7 +11,6 @@ All types are immutable values and all operations pure.
 """
 
 import math
-from dataclasses import dataclass
 
 from .special import _check_finite, _check_positive, _pdf
 
@@ -34,20 +33,67 @@ DIFF_DISPERSION_COEF = math.sqrt(2.0 * (1.0 - 2.0 / math.pi))
 D_SCOPE_UPPER_COEF = MEAN_DIFF_COEF + DIFF_DISPERSION_COEF
 
 
-@dataclass(frozen=True)
-class Gaussian:
+class _Value:
+    """Immutable slotted record: the base of the package's value types.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` stores them with ``__setstate__`` or the slot setters
+    in ``_stores``, since ``__setattr__`` refuses every assignment with a
+    frozen dataclass's message.  ``==``, ``hash`` and ``repr`` go by the
+    field tuple.  Pickle and copy rebuild through the slots, never the
+    constructor: ``CompatQuery`` refuses d and t together.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        # each slot descriptor's own setter: about a third faster than object.__setattr__
+        cls._stores = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        for store, value in zip(self._stores, state):
+            store(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__getstate__() == other.__getstate__()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__getstate__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Gaussian(_Value):
     """Mental-age density: mean mu and standard deviation sigma, in years."""
 
-    mu: float
-    sigma: float
+    __slots__ = ("mu", "sigma")
 
-    def __post_init__(self):
-        _check_finite(self.mu, "mu")
-        _check_positive(self.sigma, "sigma")
+    def __init__(self, mu: float, sigma: float):
+        _check_finite(mu, "mu")
+        _check_positive(sigma, "sigma")
+        _set_mu(self, mu)
+        _set_sigma(self, sigma)
 
 
-@dataclass(frozen=True)
-class AgeProfile:
+# a pair grid builds one per age, so skip the __setstate__ loop
+_set_mu, _set_sigma = Gaussian._stores
+
+
+class AgeProfile(_Value):
     """Chronological age mu with relative dispersion s (sigma = s * mu).
 
     The model is parameterized by the ratio s rather than sigma because
@@ -56,12 +102,12 @@ class AgeProfile:
     :attr:`in_supported_band`, since the empirical studies cluster there.
     """
 
-    mu: float
-    s: float
+    __slots__ = ("mu", "s")
 
-    def __post_init__(self):
-        _check_positive(self.mu, "mu")
-        _check_positive(self.s, "s")
+    def __init__(self, mu: float, s: float):
+        _check_positive(mu, "mu")
+        _check_positive(s, "s")
+        self.__setstate__((mu, s))
 
     @classmethod
     def from_sigma(cls, mu: float, sigma: float) -> "AgeProfile":
@@ -83,17 +129,17 @@ class AgeProfile:
         return SIGMA_RATIO_LOW <= self.s <= SIGMA_RATIO_HIGH
 
 
-@dataclass(frozen=True)
-class DiffStats:
+class DiffStats(_Value):
     """Moments of the same-cohort mental-age difference |X1 - X2|.
 
     sigma_d is the scale of the signed difference, mean_d and disp_d the
     mean and dispersion of its absolute value (half-normal law).
     """
 
-    sigma_d: float
-    mean_d: float
-    disp_d: float
+    __slots__ = ("sigma_d", "mean_d", "disp_d")
+
+    def __init__(self, sigma_d: float, mean_d: float, disp_d: float):
+        self.__setstate__((sigma_d, mean_d, disp_d))
 
 
 def gaussian_pdf(x: float, g: Gaussian) -> float:

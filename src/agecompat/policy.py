@@ -15,10 +15,10 @@ Two applications of the core model:
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from collections.abc import Iterable
 
 from .compat import _ratio_prob
+from .model import _Value
 from .special import _check_nonneg, _check_positive, normal_quantile
 
 __all__ = [
@@ -38,22 +38,19 @@ _SOLVE_M_HI_CAP = 64.0
 _SOLVE_M_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class AgeLimitSpec:
+class AgeLimitSpec(_Value):
     """A mental-age limit: kind ('min' or 'max'), threshold, probability, s."""
 
-    kind: str
-    x_limit: float
-    p_limit: float
-    s: float
+    __slots__ = ("kind", "x_limit", "p_limit", "s")
 
-    def __post_init__(self):
-        if self.kind not in ("min", "max"):
-            raise ValueError(f"kind must be 'min' or 'max', got {self.kind!r}")
-        _check_positive(self.x_limit, "x_limit")
-        if not 0.0 < self.p_limit < 1.0:
-            raise ValueError(f"p_limit must lie in (0, 1), got {self.p_limit!r}")
-        _check_positive(self.s, "s")
+    def __init__(self, kind: str, x_limit: float, p_limit: float, s: float):
+        if kind not in ("min", "max"):
+            raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+        _check_positive(x_limit, "x_limit")
+        if not 0.0 < p_limit < 1.0:
+            raise ValueError(f"p_limit must lie in (0, 1), got {p_limit!r}")
+        _check_positive(s, "s")
+        self.__setstate__((kind, x_limit, p_limit, s))
 
 
 def _chrono_from_mental(x_limit, s, quantile_arg):
@@ -104,7 +101,7 @@ def mental_limit_from_chrono(mu_limit: float, s: float, p_limit: float,
     return mu_limit * (1.0 + s * normal_quantile(arg))
 
 
-def hyaps_bounds(mu: float) -> Tuple[float, float]:
+def hyaps_bounds(mu: float) -> tuple[float, float]:
     """Half-your-age-plus-seven bounds: (mu/2 + 7, 2*mu - 14).
 
     mu = 14 is the fixed point where both bounds collapse onto mu.
@@ -132,8 +129,7 @@ def rule_probability(mu: float, delta: float, s1: float, s2: float,
     return _ratio_prob(delta / mu, s2, s1, t)
 
 
-@dataclass(frozen=True)
-class RuleAuditPoint:
+class RuleAuditPoint(_Value):
     """One audited age: gap delta = mu - 14 and the resulting probability.
 
     err_term is 14/mu, the relative deviation of the rule's gap from
@@ -141,15 +137,15 @@ class RuleAuditPoint:
     clears at mu >= 280.
     """
 
-    mu: float
-    delta: float
-    p_min: float
-    err_term: float
-    flagged: bool
+    __slots__ = ("mu", "delta", "p_min", "err_term", "flagged")
+
+    def __init__(self, mu: float, delta: float, p_min: float, err_term: float,
+                 flagged: bool):
+        self.__setstate__((mu, delta, p_min, err_term, flagged))
 
 
 def audit_hyaps(mu_grid: Iterable[float], s1: float, s2: float,
-                t: float = DEFAULT_T) -> List[RuleAuditPoint]:
+                t: float = DEFAULT_T) -> list[RuleAuditPoint]:
     """Evaluate the inverted rule (delta = mu - 14) across an age grid.
 
     Ages at or below the fixed point 14 have no upward gap and are

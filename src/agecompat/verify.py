@@ -22,13 +22,13 @@ sampler needs numpy, which it imports when called.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .compat import CompatQuery
-from .model import gaussian_pdf
-from .special import (_SQRT2PI, _check_nonneg, _check_positive, _clamp_unit, _phi,
-                      normal_cdf)
+from .model import _Value, gaussian_pdf
+from .special import (_SQRT2PI, QuadratureError, _check_nonneg, _check_positive,
+                      _clamp_unit, _phi, normal_cdf)
 
 __all__ = [
     "SliceParams", "ErrorBudget", "TruncationBound", "McEstimate",
@@ -68,40 +68,33 @@ def _gauss_legendre(n):
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(_GL_ORDER)
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive refinement failed to converge (oracle infrastructure)."""
-
-
-@dataclass(frozen=True)
-class SliceParams:
+class SliceParams(_Value):
     """Gaussian profile of one diagonal slice x2 = x1 + delta.
 
     The product density restricted to the slice is Gaussian in x1 with
     mean mu12 and width sigma12 <= min(sigma1, sigma2).
     """
 
-    mu12: float
-    sigma12: float
+    __slots__ = ("mu12", "sigma12")
+
+    def __init__(self, mu12: float, sigma12: float):
+        self.__setstate__((mu12, sigma12))
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(_Value):
     """Absolute uncertainties of d, sigma1, sigma2 (years each)."""
 
-    d_err: float
-    sigma1_err: float
-    sigma2_err: float
+    __slots__ = ("d_err", "sigma1_err", "sigma2_err")
 
-    def __post_init__(self):
-        for name in ("d_err", "sigma1_err", "sigma2_err"):
-            _check_nonneg(getattr(self, name), name)
+    def __init__(self, d_err: float, sigma1_err: float, sigma2_err: float):
+        _check_nonneg(d_err, "d_err")
+        _check_nonneg(sigma1_err, "sigma1_err")
+        _check_nonneg(sigma2_err, "sigma2_err")
+        self.__setstate__((d_err, sigma1_err, sigma2_err))
 
 
-class TruncationBound(NamedTuple):
-    """Per-slice certificate and its looser closed-form majorant."""
-
-    worst_slice: float
-    loose: float
+TruncationBound = namedtuple("TruncationBound", "worst_slice loose")
+TruncationBound.__doc__ = "Per-slice certificate and its looser closed-form majorant."
 
 
 def slice_params(g1, g2, delta: float) -> SliceParams:
@@ -248,11 +241,8 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
     return _clamp_unit(integrate(f, a, b, tol=tol, breakpoints=cuts))
 
 
-class McEstimate(NamedTuple):
-    """Monte-Carlo estimate with its binomial standard error."""
-
-    estimate: float
-    stderr: float
+McEstimate = namedtuple("McEstimate", "estimate stderr")
+McEstimate.__doc__ = "Monte-Carlo estimate with its binomial standard error."
 
 
 def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:

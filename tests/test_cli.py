@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -317,6 +318,47 @@ class TestCliContract:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("age1,")
 
+    def test_subcommand_loads_only_what_it_runs(self):
+        # compat needs neither the oracles, nor the binomial tails, nor the
+        # dataclasses/typing machinery (which pulls in inspect, ast, dis and
+        # tokenize).  New modules are compared, not absent ones, because a
+        # site .pth file may preload typing.
+        script = (
+            "import json, runpy, sys\n"
+            "before = set(sys.modules)\n"
+            "sys.argv = ['agecompat', 'compat', '--age1', '30', '--age2', '32']\n"
+            "try:\n"
+            "    runpy.run_module('agecompat', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+        assert "agecompat.compat" in loaded
+        assert not loaded & {"dataclasses", "inspect", "typing",
+                             "agecompat.verify", "agecompat.expect"}
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("compat", "--age1", "18", "--age2", "14", "--s1", "0.1", "--s2", "0.1",
+          "--t", "1", "--error-budget", "0.1,0.05,0.05"),
+         "age1,age2,s1,s2,d,t,p,delta_p\n18,14,0.1,0.1,1.4,1,0.118166,0.0157385\n"),
+        (("expect", "--n1", "50", "--n2", "200", "--age1", "20", "--age2", "16",
+          "--at-least-k", "15"),
+         "n1,n2,age1,age2,s1,s2,d,p,pairs,mean_counterparts_1,mean_counterparts_2,"
+         "with_match_1,with_match_2,k,k_tail_exact_1,k_tail_exact_2,k_tail_normal_1,"
+         "k_tail_normal_2,normal_valid_1,normal_valid_2\n"
+         "50,200,20,16,0.15,0.15,2.70811,0.327934,3279.34,16.3967,65.5869,50,200,15,"
+         "1,0.711859,1,0.663031,true,true\n"),
+    ], ids=["compat-error-budget", "expect-at-least-k"])
+    def test_lazily_imported_paths_keep_their_bytes(self, argv, expected):
+        # verify (for --error-budget) and expect load inside the command
+        proc = subprocess.run([sys.executable, "-m", "agecompat", *argv],
+                              env=_src_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
     def test_seed_flag_rejected(self, capsys):
         code, out, _ = run_cli(capsys, "--seed", "7", "tables")
         assert code == 2 and out == ""
@@ -358,6 +400,25 @@ class TestCliContract:
         assert code == 2 and out == ""
         assert err == f"error: {name} must be finite and positive, got inf\n" or \
             err == f"error: {name} must be finite and nonnegative, got inf\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("compat", "--age1", "-1", "--age2", "14"),
+         "age1 must be finite and positive, got -1.0"),
+        (("compat", "--age1", "18", "--age2", "nan"),
+         "age2 must be finite and positive, got nan"),
+        (("compat", "--age1", "18", "--age2", "14", "--s1", "-0.1"),
+         "s1 must be finite and positive, got -0.1"),
+        # a negative age times a negative s used to make a positive sigma
+        (("compat", "--age1", "-10", "--age2", "14", "--s1", "-0.1"),
+         "age1 must be finite and positive, got -10.0"),
+        (("expect", "--n1", "100", "--n2", "100", "--age1", "-30", "--age2", "-30",
+          "--s1", "-0.1", "--s2", "-0.1"), "age1 must be finite and positive, got -30.0"),
+        (("expect", "--n1", "100", "--n2", "100", "--age1", "30", "--age2", "30",
+          "--s2", "0"), "s2 must be finite and positive, got 0.0"),
+    ])
+    def test_age_and_ratio_flags_rejected_by_name(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_grid_point_cap_is_inclusive(self):
         from agecompat.cli import _MAX_GRID_POINTS, _parse_range
