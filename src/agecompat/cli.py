@@ -71,14 +71,6 @@ def _parse_range(text):
     return [v for v in values if v <= hi + 1e-9 * max(1.0, abs(hi))]
 
 
-def _parse_budget(text):
-    from .verify import ErrorBudget
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected dd,dsigma1,dsigma2, got {text!r}")
-    return ErrorBudget(*map(float, parts))
-
-
 def _query_from_args(args):
     for name in ("age1", "age2", "s1", "s2"):  # by flag name, before sigma = s * age
         _check_positive(getattr(args, name), name)
@@ -98,9 +90,12 @@ def _cmd_compat(args):
         columns += ["p0", "p0_denominator", "p0_swapped"]
         row += [norm.value, norm.denominator, norm.swapped]
     if args.error_budget is not None:
-        from .verify import error_propagation
+        from .verify import ErrorBudget, error_propagation
+        parts = args.error_budget.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"expected dd,dsigma1,dsigma2, got {args.error_budget!r}")
         columns.append("delta_p")
-        row.append(error_propagation(q, _parse_budget(args.error_budget)))
+        row.append(error_propagation(q, ErrorBudget(*map(float, parts))))
     _emit(columns, [row], args.digits)
     return 0
 

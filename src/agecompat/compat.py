@@ -64,7 +64,7 @@ class CompatQuery(_Value):
         return cls(p1.gaussian, p2.gaussian, d=d, t=t)
 
 
-# a pair grid builds one per pair, so skip the __setstate__ loop
+# a pair grid builds one per pair, so skip the _store loop
 _set_g1, _set_g2, _set_d, _set_t = CompatQuery._stores
 
 NormalizedProb = namedtuple("NormalizedProb", "value swapped denominator")

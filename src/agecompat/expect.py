@@ -30,7 +30,7 @@ class Cohort(_Value):
 
     def __init__(self, n: int, profile: AgeProfile):
         _check_nonneg(n, "n")
-        self.__setstate__((n, profile))
+        self._store((n, profile))
 
 
 def _check_prob(p):

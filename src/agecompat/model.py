@@ -37,11 +37,13 @@ class _Value:
     """Immutable slotted record: the base of the package's value types.
 
     A subclass lists its fields in ``__slots__``, in constructor order, and
-    its ``__init__`` stores them with ``__setstate__`` or the slot setters
-    in ``_stores``, since ``__setattr__`` refuses every assignment with a
-    frozen dataclass's message.  ``==``, ``hash`` and ``repr`` go by the
-    field tuple.  Pickle and copy rebuild through the slots, never the
-    constructor: ``CompatQuery`` refuses d and t together.
+    its ``__init__`` stores them with ``_store`` (or, for ``CompatQuery``,
+    the slot setters in ``_stores``), since ``__setattr__`` refuses every
+    assignment with a frozen dataclass's message.  ``==``, ``hash`` and
+    ``repr`` go by the field tuple.  Pickle and copy rebuild through the
+    slots, never the constructor: ``CompatQuery`` refuses d and t together.
+    ``__setstate__`` takes only a tuple of every field, so a state of
+    another shape fails loudly instead of filling the slots with junk.
     """
 
     __slots__ = ()
@@ -55,7 +57,13 @@ class _Value:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setstate__(self, state):
-        for store, value in zip(self._stores, state):
+        if not isinstance(state, tuple) or len(state) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} state must be a tuple of "
+                            f"its {len(self.__slots__)} fields, got {state!r}")
+        self._store(state)
+
+    def _store(self, values):
+        for store, value in zip(self._stores, values):
             store(self, value)
 
     def __eq__(self, other):
@@ -85,12 +93,7 @@ class Gaussian(_Value):
     def __init__(self, mu: float, sigma: float):
         _check_finite(mu, "mu")
         _check_positive(sigma, "sigma")
-        _set_mu(self, mu)
-        _set_sigma(self, sigma)
-
-
-# a pair grid builds one per age, so skip the __setstate__ loop
-_set_mu, _set_sigma = Gaussian._stores
+        self._store((mu, sigma))
 
 
 class AgeProfile(_Value):
@@ -107,7 +110,7 @@ class AgeProfile(_Value):
     def __init__(self, mu: float, s: float):
         _check_positive(mu, "mu")
         _check_positive(s, "s")
-        self.__setstate__((mu, s))
+        self._store((mu, s))
 
     @classmethod
     def from_sigma(cls, mu: float, sigma: float) -> "AgeProfile":
@@ -139,7 +142,7 @@ class DiffStats(_Value):
     __slots__ = ("sigma_d", "mean_d", "disp_d")
 
     def __init__(self, sigma_d: float, mean_d: float, disp_d: float):
-        self.__setstate__((sigma_d, mean_d, disp_d))
+        self._store((sigma_d, mean_d, disp_d))
 
 
 def gaussian_pdf(x: float, g: Gaussian) -> float:

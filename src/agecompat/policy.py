@@ -50,7 +50,7 @@ class AgeLimitSpec(_Value):
         if not 0.0 < p_limit < 1.0:
             raise ValueError(f"p_limit must lie in (0, 1), got {p_limit!r}")
         _check_positive(s, "s")
-        self.__setstate__((kind, x_limit, p_limit, s))
+        self._store((kind, x_limit, p_limit, s))
 
 
 def _chrono_from_mental(x_limit, s, quantile_arg):
@@ -141,7 +141,7 @@ class RuleAuditPoint(_Value):
 
     def __init__(self, mu: float, delta: float, p_min: float, err_term: float,
                  flagged: bool):
-        self.__setstate__((mu, delta, p_min, err_term, flagged))
+        self._store((mu, delta, p_min, err_term, flagged))
 
 
 def audit_hyaps(mu_grid: Iterable[float], s1: float, s2: float,

@@ -78,7 +78,7 @@ class SliceParams(_Value):
     __slots__ = ("mu12", "sigma12")
 
     def __init__(self, mu12: float, sigma12: float):
-        self.__setstate__((mu12, sigma12))
+        self._store((mu12, sigma12))
 
 
 class ErrorBudget(_Value):
@@ -90,7 +90,7 @@ class ErrorBudget(_Value):
         _check_nonneg(d_err, "d_err")
         _check_nonneg(sigma1_err, "sigma1_err")
         _check_nonneg(sigma2_err, "sigma2_err")
-        self.__setstate__((d_err, sigma1_err, sigma2_err))
+        self._store((d_err, sigma1_err, sigma2_err))
 
 
 TruncationBound = namedtuple("TruncationBound", "worst_slice loose")

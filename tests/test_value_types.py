@@ -4,10 +4,13 @@ Each record behaves as a frozen dataclass would: keyword construction,
 ``repr``, ``==`` and ``hash`` by the field tuple, ``__match_args__`` in
 field order, and pickle and copy round trips that rebuild the instance
 without calling its constructor (``CompatQuery`` refuses d and t
-together, yet every instance holds both).
+together, yet every instance holds both).  A record unpickles only from
+the tuple of all its fields: a dict state, as a dataclass pickled before
+the records had slots, or a tuple of the wrong length is refused.
 """
 
 import copy
+import copyreg
 import pickle
 
 import pytest
@@ -87,3 +90,25 @@ def test_records_are_frozen(cls, kwargs, fields):
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(obj, name)
     assert obj == cls(**kwargs)
+
+
+class _Pickled:
+    """Pickles as an instance of ``cls`` rebuilt from ``state``."""
+
+    def __init__(self, cls, state):
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return copyreg._reconstructor, (self.cls, object, None), self.state
+
+
+@pytest.mark.parametrize("cls, kwargs, fields", RECORDS, ids=_ids(RECORDS))
+def test_unpickling_a_foreign_state_fails_loudly(cls, kwargs, fields):
+    values = tuple(getattr(cls(**kwargs), name) for name in fields)
+    foreign = [dict(zip(fields, values)), values[:-1], values + (None,), list(values)]
+    for state in foreign:
+        blob = pickle.dumps(_Pickled(cls, state))
+        with pytest.raises(TypeError, match=f"^{cls.__name__} state must be a tuple "
+                                            f"of its {len(fields)} fields, got "):
+            pickle.loads(blob)
+    assert pickle.loads(pickle.dumps(_Pickled(cls, values))) == cls(**kwargs)
