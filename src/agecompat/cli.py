@@ -104,12 +104,18 @@ def _cmd_expect(args):
     from . import expect as expect_mod
     columns, row = ["n1", "n2"], [args.n1, args.n2]
     if args.p is not None:
-        if args.age1 is not None or args.age2 is not None:
-            raise ValueError("give either --p or the age/s flags, not both")
+        for name in ("age1", "age2", "s1", "s2", "d", "t"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"give either --p or the age/s flags, not both: got --{name}")
         p = args.p
     else:
         if args.age1 is None or args.age2 is None:
             raise ValueError("need --p or both --age1 and --age2")
+        # None marks an s flag left out, so that --p can reject a given one
+        if args.s1 is None:
+            args.s1 = DEFAULT_S
+        if args.s2 is None:
+            args.s2 = DEFAULT_S
         q = _query_from_args(args)
         p = compat_mod.compat_prob(q)
         columns += ["age1", "age2", "s1", "s2", "d"]
@@ -256,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="pair probability; alternatively give age/s flags")
     p_expect.add_argument("--age1", type=float, default=None)
     p_expect.add_argument("--age2", type=float, default=None)
-    p_expect.add_argument("--s1", type=float, default=DEFAULT_S)
-    p_expect.add_argument("--s2", type=float, default=DEFAULT_S)
+    p_expect.add_argument("--s1", type=float, default=None)
+    p_expect.add_argument("--s2", type=float, default=None)
     p_expect.add_argument("--d", type=float, default=None)
     p_expect.add_argument("--t", type=float, default=None)
     p_expect.add_argument("--at-least-k", type=int, default=None, metavar="K",

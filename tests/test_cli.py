@@ -162,6 +162,28 @@ class TestExpectCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--s1", "-1"), ("--s1", "0.15"), ("--s2", "0.2"), ("--d", "3"), ("--t", "1.5"),
+    ])
+    def test_p_rejects_each_model_flag_by_name(self, capsys, flag, value):
+        # with --p the model flags have no effect, so giving one is an error
+        code, out, err = run_cli(capsys, "expect", "--n1", "100", "--n2", "100",
+                                 "--p", "0.1", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error:") and err.rstrip().endswith(flag)
+
+    def test_s_flags_default_when_ages_given(self, capsys):
+        _, implicit, _ = run_cli(capsys, "expect", "--n1", "100", "--n2", "100",
+                                 "--age1", "18", "--age2", "14")
+        _, explicit, _ = run_cli(capsys, "expect", "--n1", "100", "--n2", "100",
+                                 "--age1", "18", "--age2", "14",
+                                 "--s1", "0.15", "--s2", "0.15")
+        assert implicit == explicit
+        _, rows = parse_csv(implicit)
+        assert rows[0]["s1"] == rows[0]["s2"] == "0.15"
+
 
 class TestLimitsCommand:
     def test_half_probability_identity(self, capsys):

@@ -4,8 +4,15 @@ Every interval probability is a difference of two normal cdfs.  Far
 from the median both cdfs sit near 1, so differencing them directly
 cancels to a multiple of the float spacing near 1 (2.2e-16); these tests
 pin relative, not absolute, accuracy on a far-gap grid where that
-cancellation would show.  The references evaluate the same closed forms
-from the same float inputs in 40-digit arithmetic.
+cancellation would show.
+
+All five interval functions compute the same pair probability,
+Phi((g + d)/S) - Phi((g - d)/S) with g = |a1 - a2|, d = t*s*min(a1, a2)
+and S = s*hypot(a1, a2), each through its own closed form.  One 40-digit
+reference per grid point, built from the exact grid inputs, serves all
+five checks.  The functions see those inputs after float rounding (of
+s*a, d, a ratio), which moves p by about z**2 * 1e-16 relative: a few
+times 1e-15 on this grid, far inside the tolerance.
 """
 
 import itertools
@@ -41,16 +48,30 @@ def _mp_interval(hi, lo):
     return mpmath.ncdf(hi) - mpmath.ncdf(lo)
 
 
-def _worst_rel_error(value_and_reference):
-    """Largest |value/reference - 1| over the grid, with its grid point."""
+@pytest.fixture(scope="module")
+def references():
+    """The exact pair probability at every grid point, to 40 digits."""
+    refs = {}
+    with mpmath.workdps(40):
+        for a1, a2, s, t in GRID:
+            s_mp = mpmath.mpf(s)
+            gap = abs(mpmath.mpf(a1) - a2)
+            half = mpmath.mpf(t) * s_mp * min(a1, a2)
+            scale = s_mp * mpmath.sqrt(mpmath.mpf(a1) ** 2 + mpmath.mpf(a2) ** 2)
+            refs[a1, a2, s, t] = _mp_interval((gap + half) / scale, (gap - half) / scale)
+    return refs
+
+
+def _assert_rel_error(value_of, references):
+    """Largest |value/reference - 1| over the grid is at most REL_TOL."""
     worst, worst_at = 0.0, None
     with mpmath.workdps(40):
         for point in GRID:
-            value, reference = value_and_reference(*point)
-            err = float(abs(mpmath.mpf(value) - reference) / reference)
+            reference = references[point]
+            err = float(abs(mpmath.mpf(value_of(*point)) - reference) / reference)
             if err > worst:
                 worst, worst_at = err, point
-    return worst, worst_at
+    assert worst <= REL_TOL, f"rel error {worst:.3g} at (a1, a2, s, t) = {worst_at}"
 
 
 def _young_old(a1, a2):
@@ -64,64 +85,38 @@ def _pair_law(a2, a1, s):
 
 
 class TestIntervalProbabilities:
-    def test_compat_prob(self):
-        def case(a1, a2, s, t):
-            q = CompatQuery(Gaussian(a1, s * a1), Gaussian(a2, s * a2), t=t)
-            gap = abs(mpmath.mpf(q.g1.mu) - q.g2.mu)
-            scale = mpmath.sqrt(mpmath.mpf(q.g1.sigma) ** 2 + mpmath.mpf(q.g2.sigma) ** 2)
-            return compat_prob(q), _mp_interval((gap + q.d) / scale,
-                                                (gap - q.d) / scale)
+    def test_compat_prob(self, references):
+        def value(a1, a2, s, t):
+            return compat_prob(CompatQuery(Gaussian(a1, s * a1), Gaussian(a2, s * a2), t=t))
 
-        worst, at = _worst_rel_error(case)
-        assert worst <= REL_TOL, f"rel error {worst:.3g} at (a1, a2, s, t) = {at}"
+        _assert_rel_error(value, references)
 
-    def test_compat_prob_known(self):
-        def case(a1, a2, s, t):
-            g = _pair_law(a2, a1, s)
+    def test_compat_prob_known(self, references):
+        def value(a1, a2, s, t):
+            return compat_prob_known(t * s * min(a1, a2), a1, _pair_law(a2, a1, s))
+
+        _assert_rel_error(value, references)
+
+    def test_range_prob(self, references):
+        def value(a1, a2, s, t):
             d = t * s * min(a1, a2)
-            off = mpmath.mpf(a1) - g.mu
-            sigma = mpmath.mpf(g.sigma)
-            return compat_prob_known(d, a1, g), _mp_interval((off + d) / sigma,
-                                                             (off - d) / sigma)
+            return range_prob(a1 - d, a1 + d, _pair_law(a2, a1, s))
 
-        worst, at = _worst_rel_error(case)
-        assert worst <= REL_TOL, f"rel error {worst:.3g} at (a1, a2, s, t) = {at}"
+        _assert_rel_error(value, references)
 
-    def test_range_prob(self):
-        def case(a1, a2, s, t):
-            g = _pair_law(a2, a1, s)
-            d = t * s * min(a1, a2)
-            x_lo, x_hi = a1 - d, a1 + d
-            mu, sigma = mpmath.mpf(g.mu), mpmath.mpf(g.sigma)
-            return range_prob(x_lo, x_hi, g), _mp_interval((x_hi - mu) / sigma,
-                                                           (x_lo - mu) / sigma)
-
-        worst, at = _worst_rel_error(case)
-        assert worst <= REL_TOL, f"rel error {worst:.3g} at (a1, a2, s, t) = {at}"
-
-    def test_compat_prob_ratio_form(self):
-        def case(a1, a2, s, t):
+    def test_compat_prob_ratio_form(self, references):
+        def value(a1, a2, s, t):
             young, old = _young_old(a1, a2)
-            r = old / young
-            den = mpmath.sqrt((mpmath.mpf(s) * r) ** 2 + mpmath.mpf(s) ** 2)
-            gap, half = mpmath.mpf(r) - 1, mpmath.mpf(s) * t
-            return compat_prob_ratio_form(r, s, s, t), _mp_interval((gap + half) / den,
-                                                                     (gap - half) / den)
+            return compat_prob_ratio_form(old / young, s, s, t)
 
-        worst, at = _worst_rel_error(case)
-        assert worst <= REL_TOL, f"rel error {worst:.3g} at (a1, a2, s, t) = {at}"
+        _assert_rel_error(value, references)
 
-    def test_rule_probability(self):
-        def case(a1, a2, s, t):
+    def test_rule_probability(self, references):
+        def value(a1, a2, s, t):
             young, old = _young_old(a1, a2)
-            rho = mpmath.mpf(old - young) / young
-            den = mpmath.sqrt(mpmath.mpf(s) ** 2 + (mpmath.mpf(s) * (1 + rho)) ** 2)
-            half = mpmath.mpf(s) * t
-            return (rule_probability(young, old - young, s, s, t),
-                    _mp_interval((rho + half) / den, (rho - half) / den))
+            return rule_probability(young, old - young, s, s, t)
 
-        worst, at = _worst_rel_error(case)
-        assert worst <= REL_TOL, f"rel error {worst:.3g} at (a1, a2, s, t) = {at}"
+        _assert_rel_error(value, references)
 
 
 @pytest.mark.parametrize("k, n, p", [(900, 1000, 0.5), (5000, 10000, 0.4),
