@@ -7,19 +7,22 @@ and its gap-slope solver, and ``tables`` for the two reference tables.
 
 All record output is CSV (header row, comma separator, LF endings,
 quoting only when needed) and byte-deterministic for identical flags.
-Exit codes: 0 success, 2 usage or domain error, 3 numerical failure.
+Each command computes its whole output and returns it as text; ``main``
+writes that text to stdout once, after the command has returned, so a
+non-zero exit writes nothing there.  Exit codes: 0 success, 2 usage or
+domain error, 3 numerical failure.
 """
 
 import argparse
 import csv
+import io
 import math
 import sys
 import warnings
 
 from . import compat as compat_mod
-from . import policy
 from .compat import CompatQuery
-from .model import D_SCOPE_UPPER_COEF, Gaussian
+from .model import D_SCOPE_UPPER_COEF, MEAN_DIFF_COEF, Gaussian
 from .special import QuadratureError, _check_positive
 
 DEFAULT_S = 0.15
@@ -39,11 +42,13 @@ def _fmt(value, digits):
     return format(float(value), f".{digits}g")
 
 
-def _emit(columns, rows, digits, out=None):
-    writer = csv.writer(out or sys.stdout, lineterminator="\n")
+def _csv(columns, rows, digits):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(v, digits) for v in row])
+    return buf.getvalue()
 
 
 def _digits(text):
@@ -72,11 +77,15 @@ def _parse_range(text):
 
 
 def _query_from_args(args):
+    if args.age1 is None or args.age2 is None:
+        raise ValueError("need both --age1 and --age2")
+    args.s1 = DEFAULT_S if args.s1 is None else args.s1
+    args.s2 = DEFAULT_S if args.s2 is None else args.s2
     for name in ("age1", "age2", "s1", "s2"):  # by flag name, before sigma = s * age
         _check_positive(getattr(args, name), name)
     g1 = Gaussian(args.age1, args.s1 * args.age1)
     g2 = Gaussian(args.age2, args.s2 * args.age2)
-    t = policy.DEFAULT_T if args.d is None and args.t is None else args.t
+    t = MEAN_DIFF_COEF if args.d is None and args.t is None else args.t
     return CompatQuery(g1, g2, d=args.d, t=t)
 
 
@@ -96,8 +105,7 @@ def _cmd_compat(args):
             raise ValueError(f"expected dd,dsigma1,dsigma2, got {args.error_budget!r}")
         columns.append("delta_p")
         row.append(error_propagation(q, ErrorBudget(*map(float, parts))))
-    _emit(columns, [row], args.digits)
-    return 0
+    return _csv(columns, [row], args.digits)
 
 
 def _cmd_expect(args):
@@ -111,11 +119,6 @@ def _cmd_expect(args):
     else:
         if args.age1 is None or args.age2 is None:
             raise ValueError("need --p or both --age1 and --age2")
-        # None marks an s flag left out, so that --p can reject a given one
-        if args.s1 is None:
-            args.s1 = DEFAULT_S
-        if args.s2 is None:
-            args.s2 = DEFAULT_S
         q = _query_from_args(args)
         p = compat_mod.compat_prob(q)
         columns += ["age1", "age2", "s1", "s2", "d"]
@@ -151,11 +154,11 @@ def _cmd_expect(args):
     if pairs > _FLOAT_EXACT_LIMIT:
         columns.append("note")
         row.append("pairs exceed 2^53; value carries float64 precision only")
-    _emit(columns, [row], args.digits)
-    return 0
+    return _csv(columns, [row], args.digits)
 
 
 def _cmd_limits(args):
+    from . import policy
     if (args.mental is None) == (args.chrono is None):
         raise ValueError("give exactly one of --mental and --chrono")
     if args.sweep is not None:
@@ -164,68 +167,62 @@ def _cmd_limits(args):
         rows = [(pv, args.s,
                  policy.mental_limit_from_chrono(args.chrono, args.s, pv, args.kind))
                 for pv in _parse_range(args.sweep)]
-        _emit(["p_limit", "s", "mental_limit"], rows, args.digits)
-        return 0
+        return _csv(["p_limit", "s", "mental_limit"], rows, args.digits)
     if args.p is None:
         raise ValueError("need --p for a single conversion")
     if args.mental is not None:
         spec = policy.AgeLimitSpec(args.kind, args.mental, args.p, args.s)
         chrono = (policy.chrono_min_age(spec) if args.kind == "min"
                   else policy.chrono_max_age(spec))
-        _emit(["kind", "mental_limit", "p_limit", "s", "chrono_age"],
-              [[args.kind, args.mental, args.p, args.s, chrono]], args.digits)
-    else:
-        mental = policy.mental_limit_from_chrono(args.chrono, args.s, args.p, args.kind)
-        _emit(["kind", "chrono_age", "p_limit", "s", "mental_limit"],
-              [[args.kind, args.chrono, args.p, args.s, mental]], args.digits)
-    return 0
+        return _csv(["kind", "mental_limit", "p_limit", "s", "chrono_age"],
+                    [[args.kind, args.mental, args.p, args.s, chrono]], args.digits)
+    mental = policy.mental_limit_from_chrono(args.chrono, args.s, args.p, args.kind)
+    return _csv(["kind", "chrono_age", "p_limit", "s", "mental_limit"],
+                [[args.kind, args.chrono, args.p, args.s, mental]], args.digits)
 
 
 def _cmd_rule(args):
-    t = args.t if args.t is not None else policy.DEFAULT_T
+    from . import policy
     if args.solve_m:
         if args.p is None:
             raise ValueError("--solve-m needs a target --p")
-        m = policy.solve_m(args.p, args.s1, args.s2, t)
-        _emit(["p_min", "s1", "s2", "t", "m"],
-              [[args.p, args.s1, args.s2, t, m]], args.digits)
-        return 0
+        m = policy.solve_m(args.p, args.s1, args.s2, args.t)
+        return _csv(["p_min", "s1", "s2", "t", "m"],
+                    [[args.p, args.s1, args.s2, args.t, m]], args.digits)
     if args.mu_grid is None:
         raise ValueError("need --mu-grid for audit mode (or --solve-m)")
     grid = _parse_range(args.mu_grid)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        points = policy.audit_hyaps(grid, args.s1, args.s2, t)
+        points = policy.audit_hyaps(grid, args.s1, args.s2, args.t)
     for w in caught:
         print(w.message, file=sys.stderr)
     rows = [(pt.mu, pt.delta, pt.delta / pt.mu, pt.p_min, pt.err_term, pt.flagged)
             for pt in points]
-    _emit(["mu", "delta", "delta_over_mu", "p_min", "err_term", "flagged"],
-          rows, args.digits)
-    return 0
+    return _csv(["mu", "delta", "delta_over_mu", "p_min", "err_term", "flagged"],
+                rows, args.digits)
 
 
 def _cmd_tables(args):
-    out = sys.stdout
+    from . import policy
     t_values = [("sigma", 1.0),
-                ("(2/sqrt(pi))*sigma", policy.DEFAULT_T),
+                ("(2/sqrt(pi))*sigma", MEAN_DIFF_COEF),
                 ("sqrt(2)*sigma", math.sqrt(2.0)),
                 ("(mean+disp)*sigma", D_SCOPE_UPPER_COEF)]
-    out.write("Same-age compatibility p = erf(t/2) at reference differences d\n")
-    out.write("  d: " + "  ".join(label for label, _ in t_values) + "\n")
-    out.write("  p: " + "  ".join(
-        f"{compat_mod.same_age_prob(t):.2f}" for _, t in t_values) + "\n")
-    out.write("\n")
-    out.write("Gap slope m (delta = m*mu) for constant minimum probability, "
-              "t = 2/sqrt(pi)\n")
     p_mins = (0.05, 0.1, 0.15)
-    out.write(("          " + "".join(f"p_min={p:<6g}" for p in p_mins)).rstrip()
-              + "\n")
+    lines = [
+        "Same-age compatibility p = erf(t/2) at reference differences d",
+        "  d: " + "  ".join(label for label, _ in t_values),
+        "  p: " + "  ".join(f"{compat_mod.same_age_prob(t):.2f}" for _, t in t_values),
+        "",
+        "Gap slope m (delta = m*mu) for constant minimum probability, t = 2/sqrt(pi)",
+        ("          " + "".join(f"p_min={p:<6g}" for p in p_mins)).rstrip(),
+    ]
     for s in (0.1, 0.15, 0.2):
         cells = "".join(
-            f"{policy.solve_m(p, s, s, policy.DEFAULT_T):<12.2f}" for p in p_mins)
-        out.write(f"  s={s:<5g} {cells}".rstrip() + "\n")
-    return 0
+            f"{policy.solve_m(p, s, s, MEAN_DIFF_COEF):<12.2f}" for p in p_mins)
+        lines.append(f"  s={s:<5g} {cells}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,16 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compat = sub.add_parser("compat", help="pair compatibility probability")
-    p_compat.add_argument("--age1", type=float, required=True)
-    p_compat.add_argument("--age2", type=float, required=True)
-    p_compat.add_argument("--s1", type=float, default=DEFAULT_S)
-    p_compat.add_argument("--s2", type=float, default=DEFAULT_S)
-    p_compat.add_argument("--d", type=float, default=None,
-                          help="allowed mental-age difference in years")
-    p_compat.add_argument("--t", type=float, default=None,
-                          help="difference as a multiple of min(sigma1, sigma2); "
-                               "default 2/sqrt(pi)")
+    # compat and expect share the pair flags.  Every default is None, so that
+    # expect --p can reject a given one; _query_from_args fills in DEFAULT_S.
+    pair = argparse.ArgumentParser(add_help=False)
+    for flag in ("--age1", "--age2", "--s1", "--s2"):
+        pair.add_argument(flag, type=float, default=None)
+    pair.add_argument("--d", type=float, default=None,
+                      help="allowed mental-age difference in years")
+    pair.add_argument("--t", type=float, default=None,
+                      help="difference as a multiple of min(sigma1, sigma2); "
+                           "default 2/sqrt(pi)")
+
+    p_compat = sub.add_parser("compat", parents=[pair],
+                              help="pair compatibility probability")
     p_compat.add_argument("--normalized", action="store_true",
                           help="also report p divided by the younger cohort's "
                                "same-age probability")
@@ -255,17 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="first-order uncertainty budget; adds a delta_p column")
     p_compat.set_defaults(func=_cmd_compat)
 
-    p_expect = sub.add_parser("expect", help="population expectations")
+    p_expect = sub.add_parser("expect", parents=[pair], help="population expectations")
     p_expect.add_argument("--n1", type=int, required=True)
     p_expect.add_argument("--n2", type=int, required=True)
     p_expect.add_argument("--p", type=float, default=None,
                           help="pair probability; alternatively give age/s flags")
-    p_expect.add_argument("--age1", type=float, default=None)
-    p_expect.add_argument("--age2", type=float, default=None)
-    p_expect.add_argument("--s1", type=float, default=None)
-    p_expect.add_argument("--s2", type=float, default=None)
-    p_expect.add_argument("--d", type=float, default=None)
-    p_expect.add_argument("--t", type=float, default=None)
     p_expect.add_argument("--at-least-k", type=int, default=None, metavar="K",
                           help="also report P(at least K matches) per member")
     group = p_expect.add_mutually_exclusive_group()
@@ -294,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="audit the inverted rule over this age grid")
     p_rule.add_argument("--s1", type=float, default=DEFAULT_S)
     p_rule.add_argument("--s2", type=float, default=DEFAULT_S)
-    p_rule.add_argument("--t", type=float, default=None,
+    p_rule.add_argument("--t", type=float, default=MEAN_DIFF_COEF,
                         help="difference multiple; default 2/sqrt(pi)")
     p_rule.add_argument("--solve-m", action="store_true",
                         help="solve for the gap slope m with delta = m*mu")
@@ -315,7 +309,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text = args.func(args)
     except (ValueError, OverflowError) as exc:
         # OverflowError: finite inputs whose intermediates leave float range
         print(f"error: {exc}", file=sys.stderr)
@@ -323,6 +317,8 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ import math
 from collections import namedtuple
 
 from .model import Gaussian, _Value
-from .special import (_cdf_diff, _check_finite, _check_nonneg, _check_positive,
-                      erf, normal_cdf)
+from .special import (_SQRT2, _cdf_diff, _check_finite, _check_nonneg,
+                      _check_positive, erf, normal_cdf)
 
 __all__ = [
     "CompatQuery", "NormalizedProb",
@@ -28,9 +28,6 @@ __all__ = [
     "same_age_prob", "range_prob", "symmetric_range_prob",
     "prob_at_least", "prob_at_most", "compat_prob_ratio_form",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
 
 class CompatQuery(_Value):
     """Two mental-age densities plus an allowed difference.
@@ -139,11 +136,13 @@ def symmetric_range_prob(d: float, g: Gaussian) -> float:
 
 def prob_at_least(x0: float, g: Gaussian) -> float:
     """P(X >= x0); complements :func:`prob_at_most` exactly."""
+    _check_finite(x0, "x0")
     return normal_cdf((g.mu - x0) / g.sigma)
 
 
 def prob_at_most(x0: float, g: Gaussian) -> float:
     """P(X <= x0)."""
+    _check_finite(x0, "x0")
     return normal_cdf((x0 - g.mu) / g.sigma)
 
 

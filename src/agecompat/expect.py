@@ -11,7 +11,8 @@ import math
 from collections import namedtuple
 
 from .model import AgeProfile, _Value
-from .special import _check_nonneg, _clamp_unit, normal_cdf
+from .special import (_check_nonneg, _check_open_prob, _check_prob, _clamp_unit,
+                      normal_cdf)
 
 __all__ = [
     "Cohort", "NormalTail",
@@ -33,11 +34,6 @@ class Cohort(_Value):
         self._store((n, profile))
 
 
-def _check_prob(p):
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-
-
 def expected_pairs(n1: int, n2: int, p: float) -> float:
     """Expected number of compatible cross pairs, N1*N2*p.
 
@@ -47,14 +43,14 @@ def expected_pairs(n1: int, n2: int, p: float) -> float:
     """
     _check_nonneg(n1, "n1")
     _check_nonneg(n2, "n2")
-    _check_prob(p)
+    _check_prob(p, "p")
     return float(n1) * float(n2) * p
 
 
 def mean_counterparts(n: int, p: float) -> float:
     """Mean number of compatible members of an n-person cohort, n*p."""
     _check_nonneg(n, "n")
-    _check_prob(p)
+    _check_prob(p, "p")
     return float(n) * p
 
 
@@ -66,7 +62,7 @@ def expected_with_at_least_one(n_self: int, n_other: int, p: float) -> float:
     """
     _check_nonneg(n_self, "n_self")
     _check_nonneg(n_other, "n_other")
-    _check_prob(p)
+    _check_prob(p, "p")
     if p == 1.0:
         return float(n_self) if n_other > 0 else 0.0
     return float(n_self) * -math.expm1(n_other * math.log1p(-p))
@@ -130,7 +126,7 @@ def at_least_k_exact(k: int, n: int, p: float) -> float:
         raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}")
     if n > _MAX_N:
         raise ValueError(f"n={n!r} exceeds the supported bound {_MAX_N}")
-    _check_prob(p)
+    _check_prob(p, "p")
     if k == 0:
         return 1.0
     if p == 0.0:
@@ -189,8 +185,7 @@ so the caller can see how far off it lands.
 def normal_approx_valid(n: int, p: float) -> bool:
     """Applicability condition n > 9 * max(p/(1-p), (1-p)/p), strictly."""
     _check_nonneg(n, "n")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
+    _check_open_prob(p, "p")
     return n > 9.0 * max(p / (1.0 - p), (1.0 - p) / p)
 
 
@@ -206,8 +201,7 @@ def at_least_k_normal(k: int, n: int, p: float) -> NormalTail:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
+    _check_open_prob(p, "p")
     if n == 0:
         # then k = 0, where Phi(a) + Phi(-a) below is 1 for every n
         return NormalTail(1.0, False)

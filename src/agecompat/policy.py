@@ -18,8 +18,8 @@ import warnings
 from collections.abc import Iterable
 
 from .compat import _ratio_prob
-from .model import _Value
-from .special import _check_nonneg, _check_positive, normal_quantile
+from .model import MEAN_DIFF_COEF, _Value
+from .special import _check_nonneg, _check_open_prob, _check_positive, normal_quantile
 
 __all__ = [
     "DEFAULT_T", "AgeLimitSpec", "RuleAuditPoint",
@@ -29,7 +29,7 @@ __all__ = [
 
 # Benchmark multiple of sigma for the allowed difference: the mean of
 # the same-cohort half-normal difference law, 2/sqrt(pi) ~ 1.128.
-DEFAULT_T = 2.0 / math.sqrt(math.pi)
+DEFAULT_T = MEAN_DIFF_COEF
 
 # Relative age error 14/mu of the inverted rule flagged above this.
 RULE_ERR_TOLERANCE = 0.05
@@ -47,8 +47,7 @@ class AgeLimitSpec(_Value):
         if kind not in ("min", "max"):
             raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
         _check_positive(x_limit, "x_limit")
-        if not 0.0 < p_limit < 1.0:
-            raise ValueError(f"p_limit must lie in (0, 1), got {p_limit!r}")
+        _check_open_prob(p_limit, "p_limit")
         _check_positive(s, "s")
         self._store((kind, x_limit, p_limit, s))
 
@@ -97,6 +96,7 @@ def mental_limit_from_chrono(mu_limit: float, s: float, p_limit: float,
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
     _check_positive(mu_limit, "mu_limit")
     _check_positive(s, "s")
+    _check_open_prob(p_limit, "p_limit")
     arg = 1.0 - p_limit if kind == "min" else p_limit
     return mu_limit * (1.0 + s * normal_quantile(arg))
 
@@ -191,7 +191,6 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
         if hi > _SOLVE_M_HI_CAP:
             raise ValueError(f"no bracket below m = {_SOLVE_M_HI_CAP}")
     lo = 0.0
-    mid = 0.5 * hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)

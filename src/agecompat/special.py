@@ -12,10 +12,12 @@ whichever tail keeps the result relatively accurate.  All functions are
 pure and safe for concurrent use.
 
 Inputs are validated once, at the public boundary, and the whole
-package states its domain rule through three checks defined here:
+package states its domain rule through five checks defined here:
 ``_check_finite`` (any finite value), ``_check_positive`` (finite and
-> 0: ages, dispersions, ratios) and ``_check_nonneg`` (finite and
->= 0: allowed differences, gaps, error budgets, counts).  Each raises
+> 0: ages, dispersions, ratios), ``_check_nonneg`` (finite and >= 0:
+allowed differences, gaps, error budgets, counts), ``_check_prob`` (in
+[0, 1]: pair probabilities) and ``_check_open_prob`` (strictly inside
+(0, 1): quantile arguments and limit probabilities).  Each raises
 ``ValueError`` with a message that names the argument, so NaN and +-inf
 are rejected by name everywhere.  The public functions ``erf``,
 ``erfc``, ``normal_pdf``, ``normal_cdf`` and ``normal_quantile`` reject
@@ -65,6 +67,16 @@ def _check_positive(x, name):
 def _check_nonneg(x, name):
     if not 0.0 <= x < _INF:
         raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
+
+
+def _check_prob(x, name):
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
+
+
+def _check_open_prob(x, name):
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {x!r}")
 
 
 def _phi(z):
@@ -170,8 +182,7 @@ def normal_quantile(p: float) -> float:
         ValueError: for p outside the open interval (0, 1); the
             quantile is unbounded at the endpoints.
     """
-    if math.isnan(p) or not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
+    _check_open_prob(p, "p")
     x = _quantile_rational(p)
     pdf = _pdf(x)
     if pdf > 0.0:

@@ -342,9 +342,9 @@ class TestCliContract:
 
     def test_subcommand_loads_only_what_it_runs(self):
         # compat needs neither the oracles, nor the binomial tails, nor the
-        # dataclasses/typing machinery (which pulls in inspect, ast, dis and
-        # tokenize).  New modules are compared, not absent ones, because a
-        # site .pth file may preload typing.
+        # limit and rule solvers, nor the dataclasses/typing machinery (which
+        # pulls in inspect, ast, dis and tokenize).  New modules are compared,
+        # not absent ones, because a site .pth file may preload typing.
         script = (
             "import json, runpy, sys\n"
             "before = set(sys.modules)\n"
@@ -360,8 +360,8 @@ class TestCliContract:
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stderr.splitlines()[-1]))
         assert "agecompat.compat" in loaded
-        assert not loaded & {"dataclasses", "inspect", "typing",
-                             "agecompat.verify", "agecompat.expect"}
+        assert not loaded & {"dataclasses", "inspect", "typing", "agecompat.verify",
+                             "agecompat.expect", "agecompat.policy"}
 
     @pytest.mark.parametrize("argv, expected", [
         (("compat", "--age1", "18", "--age2", "14", "--s1", "0.1", "--s2", "0.1",
@@ -437,6 +437,15 @@ class TestCliContract:
           "--s1", "-0.1", "--s2", "-0.1"), "age1 must be finite and positive, got -30.0"),
         (("expect", "--n1", "100", "--n2", "100", "--age1", "30", "--age2", "30",
           "--s2", "0"), "s2 must be finite and positive, got 0.0"),
+        (("compat", "--age1", "18"), "need both --age1 and --age2"),
+        (("compat", "--age2", "14", "--s1", "nan"), "need both --age1 and --age2"),
+        # the limit probability is checked by name, not as the quantile's 1 - p
+        (("limits", "--kind", "min", "--chrono", "18", "--p", "1.5"),
+         "p_limit must lie strictly inside (0, 1), got 1.5"),
+        (("limits", "--kind", "min", "--chrono", "18", "--p", "0"),
+         "p_limit must lie strictly inside (0, 1), got 0.0"),
+        (("limits", "--kind", "min", "--chrono", "18", "--sweep", "0.5:1.5:0.5"),
+         "p_limit must lie strictly inside (0, 1), got 1.0"),
     ])
     def test_age_and_ratio_flags_rejected_by_name(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -465,6 +474,16 @@ class TestCliContract:
         code, _, err = run_cli(capsys, "tables")
         assert code == 3
         assert "numerical failure" in err
+
+    def test_failure_after_first_table_writes_nothing(self, capsys, monkeypatch):
+        # the same-age table is complete before the gap-slope table calls solve_m
+        from agecompat import policy
+
+        def boom(*args):
+            raise ValueError("no root")
+
+        monkeypatch.setattr(policy, "solve_m", boom)
+        assert run_cli(capsys, "tables") == (2, "", "error: no root\n")
 
 
 # Values for numeric flags: ordinary, negative, zero, huge and non-finite.

@@ -1,11 +1,11 @@
 """Non-finite arguments at every public entry point that takes a float.
 
 Each entry point states its domain through the shared checks in
-``special`` (``_check_finite``, ``_check_positive``, ``_check_nonneg``) or
-a chained range check, before any arithmetic; ``special._cdf_diff``'s own
-guard is only a safety net behind them.  This table pins, for NaN, +inf
-and -inf in each argument, that the call raises ``ValueError`` with a
-message naming that argument.  The one exception returns a value: an age
+``special`` (``_check_finite``, ``_check_positive``, ``_check_nonneg``,
+``_check_prob``, ``_check_open_prob``) or a chained range check, before
+any arithmetic; ``special._cdf_diff``'s own guard is only a safety net
+behind them.  This table pins, for NaN, +inf and -inf in each argument,
+that the call raises ``ValueError`` with a message naming that argument.  The one exception returns a value: an age
 of -inf in the rule audit lies below the rule's fixed point and is
 skipped with a warning, like every other age at or below 14.
 """
@@ -21,6 +21,8 @@ from agecompat.compat import (
     compat_prob,
     compat_prob_known,
     compat_prob_ratio_form,
+    prob_at_least,
+    prob_at_most,
     range_prob,
     same_age_prob,
     symmetric_range_prob,
@@ -47,6 +49,8 @@ CALLS = {
     "compat_prob_known(1, x, g)": ("x1", lambda x: compat_prob_known(1.0, x, G2)),
     "range_prob(x, 15, g)": ("x_lo", lambda x: range_prob(x, 15.0, G2)),
     "range_prob(13, x, g)": ("x_hi", lambda x: range_prob(13.0, x, G2)),
+    "prob_at_least(x, g)": ("x0", lambda x: prob_at_least(x, G2)),
+    "prob_at_most(x, g)": ("x0", lambda x: prob_at_most(x, G2)),
     "compat_prob_ratio_form(x, .1, .1, 1)": (
         "r", lambda x: compat_prob_ratio_form(x, .1, .1, 1.0)),
     "compat_prob_ratio_form(1.2, x, .1, 1)": (
@@ -84,11 +88,14 @@ CALLS = {
     "symmetric_range_prob(x, g)": ("d", lambda x: symmetric_range_prob(x, G2)),
     "hyaps_bounds(x)": ("mu", hyaps_bounds),
     "AgeLimitSpec('min', x, .3, .15)": ("x_limit", lambda x: AgeLimitSpec("min", x, .3, .15)),
+    "AgeLimitSpec('min', 18, x, .15)": ("p_limit", lambda x: AgeLimitSpec("min", 18.0, x, .15)),
     "AgeLimitSpec('min', 18, .3, x)": ("s", lambda x: AgeLimitSpec("min", 18.0, .3, x)),
     "mental_limit_from_chrono(x, .15, .3, 'max')": (
         "mu_limit", lambda x: mental_limit_from_chrono(x, .15, .3, "max")),
     "mental_limit_from_chrono(18, x, .3, 'max')": (
         "s", lambda x: mental_limit_from_chrono(18.0, x, .3, "max")),
+    "mental_limit_from_chrono(18, .15, x, 'min')": (
+        "p_limit", lambda x: mental_limit_from_chrono(18.0, .15, x, "min")),
     "ErrorBudget(x, .1, .1)": ("d_err", lambda x: ErrorBudget(x, .1, .1)),
     "ErrorBudget(.1, x, .1)": ("sigma1_err", lambda x: ErrorBudget(.1, x, .1)),
     "ErrorBudget(.1, .1, x)": ("sigma2_err", lambda x: ErrorBudget(.1, .1, x)),
