@@ -164,6 +164,8 @@ def _cmd_limits(args):
     if args.sweep is not None:
         if args.chrono is None:
             raise ValueError("--sweep converts a chronological limit; give --chrono")
+        if args.p is not None:
+            raise ValueError("--sweep takes no single limit probability: got --p")
         rows = [(pv, args.s,
                  policy.mental_limit_from_chrono(args.chrono, args.s, pv, args.kind))
                 for pv in _parse_range(args.sweep)]
@@ -184,6 +186,8 @@ def _cmd_limits(args):
 def _cmd_rule(args):
     from . import policy
     if args.solve_m:
+        if args.mu_grid is not None:
+            raise ValueError("--solve-m takes no audit grid: got --mu-grid")
         if args.p is None:
             raise ValueError("--solve-m needs a target --p")
         m = policy.solve_m(args.p, args.s1, args.s2, args.t)
@@ -191,6 +195,8 @@ def _cmd_rule(args):
                     [[args.p, args.s1, args.s2, args.t, m]], args.digits)
     if args.mu_grid is None:
         raise ValueError("need --mu-grid for audit mode (or --solve-m)")
+    if args.p is not None:
+        raise ValueError("audit mode takes no target probability (that is for --solve-m): got --p")
     grid = _parse_range(args.mu_grid)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

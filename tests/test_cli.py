@@ -222,6 +222,13 @@ class TestLimitsCommand:
         assert code == 2
         assert "error" in err
 
+    def test_sweep_rejects_p(self, capsys):
+        # the sweep supplies its own limit probabilities, so --p has no effect
+        code, out, err = run_cli(capsys, "limits", "--kind", "min", "--chrono", "18",
+                                 "--sweep", "0.1:0.2:0.1", "--p", "0.3")
+        assert (code, out) == (2, "")
+        assert err == "error: --sweep takes no single limit probability: got --p\n"
+
 
 class TestRuleCommand:
     def test_solve_m_reference_cell(self, capsys):
@@ -254,6 +261,19 @@ class TestRuleCommand:
         code, _, err = run_cli(capsys, "rule", "--solve-m")
         assert code == 2
         assert "error" in err
+
+    # each mode rejects the other mode's flag instead of ignoring it
+    def test_audit_rejects_p(self, capsys):
+        code, out, err = run_cli(capsys, "rule", "--mu-grid", "15:17:1", "--p", "0.05")
+        assert (code, out) == (2, "")
+        assert err == ("error: audit mode takes no target probability "
+                       "(that is for --solve-m): got --p\n")
+
+    def test_solve_m_rejects_mu_grid(self, capsys):
+        code, out, err = run_cli(capsys, "rule", "--solve-m", "--p", "0.05",
+                                 "--mu-grid", "15:17:1")
+        assert (code, out) == (2, "")
+        assert err == "error: --solve-m takes no audit grid: got --mu-grid\n"
 
 
 class TestTablesCommand:

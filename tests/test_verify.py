@@ -9,6 +9,7 @@ from agecompat.compat import CompatQuery, compat_prob, same_age_prob
 from agecompat.model import Gaussian
 from agecompat.verify import (
     ErrorBudget,
+    McEstimate,
     QuadratureError,
     error_propagation,
     error_ratio,
@@ -19,13 +20,37 @@ from agecompat.verify import (
     slice_params,
     truncation_bound,
 )
-from agecompat.verify import _GL_NODES, _GL_WEIGHTS, _panel
+from agecompat.verify import _GL_NODES, _GL_WEIGHTS, _MC_CHUNK, _panel, _sin_from_cos
 
 PHI_MINUS_4 = 3.1671241833119924e-05
 
 
 def _query(mu1, s1, mu2, s2, d):
     return CompatQuery(Gaussian(mu1, s1), Gaussian(mu2, s2), d=d)
+
+
+def _two_call_mc(q, samples, seed):
+    """Reference sampler: the Box-Muller transform with numpy.cos and numpy.sin."""
+    np = pytest.importorskip("numpy")
+    hits = 0
+    done = 0
+    chunk_idx = 0
+    while done < samples:
+        n = min(_MC_CHUNK, samples - done)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,))))
+        u1 = 1.0 - rng.random(n)
+        u2 = rng.random(n)
+        r = np.sqrt(-2.0 * np.log(u1))
+        z1 = r * np.cos(2.0 * np.pi * u2)
+        z2 = r * np.sin(2.0 * np.pi * u2)
+        x1 = q.g1.mu + q.g1.sigma * z1
+        x2 = q.g2.mu + q.g2.sigma * z2
+        hits += int(np.count_nonzero(np.abs(x1 - x2) <= q.d))
+        done += n
+        chunk_idx += 1
+    est = hits / samples
+    return McEstimate(est, math.sqrt(est * (1.0 - est) / samples))
 
 
 class TestSliceParams:
@@ -280,5 +305,61 @@ class TestMcOracle:
 
     def test_sample_floor(self):
         q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^samples must be >= 10000, got 9999$"):
             mc_oracle(q, 9999, seed=1)
+
+    @pytest.mark.parametrize("samples, seed, message", [
+        (math.nan, 1, "samples must be an integer, got nan"),
+        # at a sample count of inf the chunk loop would never end
+        (math.inf, 1, "samples must be an integer, got inf"),
+        (1e5, 1, "samples must be an integer, got 100000.0"),
+        ("20000", 1, "samples must be an integer, got '20000'"),
+        (20_000, None, "seed must be an integer, got None"),
+        (20_000, 1.5, "seed must be an integer, got 1.5"),
+        (20_000, -1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_arguments_by_name(self, samples, seed, message):
+        q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
+        with pytest.raises(ValueError) as info:
+            mc_oracle(q, samples, seed)
+        assert str(info.value) == message
+
+    def test_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
+        assert (mc_oracle(q, np.int64(10 ** 5), np.uint32(42))
+                == mc_oracle(q, 10 ** 5, 42))
+
+
+class TestDerivedSine:
+    """The oracle derives sin(theta) from cos(theta) instead of calling sin."""
+
+    def test_same_estimates_as_two_call_transform(self):
+        rng = random.Random(90210)
+        for _ in range(60):
+            mu1 = rng.uniform(15.0, 80.0)
+            mu2 = min(80.0, max(15.0, mu1 + rng.uniform(-10.0, 10.0)))
+            s1, s2 = rng.uniform(0.1, 0.2) * mu1, rng.uniform(0.1, 0.2) * mu2
+            q = _query(mu1, s1, mu2, s2, d=rng.uniform(1.0, 2.0) * min(s1, s2))
+            seed = rng.getrandbits(32)
+            assert mc_oracle(q, 20_000, seed) == _two_call_mc(q, 20_000, seed)
+
+    def test_same_estimate_across_a_chunk_boundary(self):
+        q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
+        samples = _MC_CHUNK + 1000
+        assert mc_oracle(q, samples, 9) == _two_call_mc(q, samples, 9)
+
+    def test_against_numpy_sin_on_one_chunk(self):
+        np = pytest.importorskip("numpy")
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=42, spawn_key=(0,))))
+        rng.random(_MC_CHUNK)                      # u1 comes first in the stream
+        theta = 2.0 * np.pi * rng.random(_MC_CHUNK)
+        cos = np.cos(theta)
+        sin = _sin_from_cos(cos, np.pi - theta)
+        ref = np.sin(theta)
+        away = np.abs(cos) < 0.9
+        assert np.max(np.abs(sin[away] - ref[away]) / np.abs(ref[away])) <= 1e-15
+        assert np.max(np.abs(sin - ref)) <= 2e-8
+        both = (sin != 0.0) & (ref != 0.0)
+        assert np.array_equal(np.sign(sin[both]), np.sign(ref[both]))
