@@ -44,7 +44,8 @@ class CompatQuery(_Value):
                  t: float | None = None):
         if (d is None) == (t is None):
             raise ValueError("give exactly one of d (years) or t (sigma multiple)")
-        anchor = min(g1.sigma, g2.sigma)
+        s1, s2 = g1.sigma, g2.sigma
+        anchor = s1 if s1 <= s2 else s2     # min(s1, s2) without the call
         if d is None:
             _check_nonneg(t, "t")
             d = t * anchor
@@ -63,6 +64,8 @@ class CompatQuery(_Value):
 
 # a pair grid builds one per pair, so skip the _store loop
 _set_g1, _set_g2, _set_d, _set_t = CompatQuery._stores
+# one global read per compat_prob call instead of a global and an attribute
+_hypot = math.hypot
 
 NormalizedProb = namedtuple("NormalizedProb", "value swapped denominator")
 NormalizedProb.__doc__ = ("Pair probability over the younger cohort's same-age probability;"
@@ -76,9 +79,10 @@ def compat_prob(q: CompatQuery) -> float:
     d grows.  The gap enters via its absolute value, which makes the
     swap symmetry exact in floating point as well.
     """
-    gap = abs(q.g1.mu - q.g2.mu)
-    scale = math.hypot(q.g1.sigma, q.g2.sigma)
-    return _cdf_diff((gap + q.d) / scale, (gap - q.d) / scale)
+    g1, g2, d = q.g1, q.g2, q.d
+    gap = abs(g1.mu - g2.mu)
+    scale = _hypot(g1.sigma, g2.sigma)
+    return _cdf_diff((gap + d) / scale, (gap - d) / scale)
 
 
 def compat_prob_known(d: float, x1: float, g: Gaussian) -> float:
@@ -101,12 +105,19 @@ def compat_prob_normalized(q: CompatQuery) -> NormalizedProb:
     profiles coincide (value 1).  Inputs are reordered internally so the
     denominator always belongs to the younger profile; the returned
     record reports whether that swap happened.
+
+    Raises:
+        ValueError: d = 0, or d so small against the younger sigma that
+            the denominator underflows to 0; the message names d.
     """
     if q.d == 0:
         raise ValueError("normalization is undefined at d = 0 (0/0)")
     swapped = q.g1.mu < q.g2.mu
     younger = q.g1 if swapped else q.g2
     denom = erf(q.d / (2.0 * younger.sigma))
+    if denom == 0.0:
+        raise ValueError(f"d={q.d!r} is too small to normalize by: the younger "
+                         f"cohort's same-age probability underflows to 0")
     return NormalizedProb(compat_prob(q) / denom, swapped, denom)
 
 

@@ -37,8 +37,9 @@ class _Value:
     """Immutable slotted record: the base of the package's value types.
 
     A subclass lists its fields in ``__slots__``, in constructor order, and
-    its ``__init__`` stores them with ``_store`` (or, for ``CompatQuery``,
-    the slot setters in ``_stores``), since ``__setattr__`` refuses every
+    its ``__init__`` stores them with ``_store`` (or, for the per-pair
+    records ``Gaussian`` and ``CompatQuery``, the slot setters in
+    ``_stores``), since ``__setattr__`` refuses every
     assignment with a frozen dataclass's message.  ``==``, ``hash`` and
     ``repr`` go by the field tuple.  Pickle and copy rebuild through the
     slots, never the constructor: ``CompatQuery`` refuses d and t together.
@@ -93,7 +94,12 @@ class Gaussian(_Value):
     def __init__(self, mu: float, sigma: float):
         _check_finite(mu, "mu")
         _check_positive(sigma, "sigma")
-        self._store((mu, sigma))
+        _set_mu(self, mu)
+        _set_sigma(self, sigma)
+
+
+# a pair grid builds two per age, so skip the _store loop
+_set_mu, _set_sigma = Gaussian._stores
 
 
 class AgeProfile(_Value):

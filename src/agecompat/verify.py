@@ -27,9 +27,9 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .compat import CompatQuery
-from .model import _Value, gaussian_pdf
-from .special import (_SQRT2PI, QuadratureError, _check_nonneg, _check_positive,
-                      _clamp_unit, _phi, normal_cdf)
+from .model import _Value
+from .special import (_SQRT2, _SQRT2PI, QuadratureError, _check_finite, _check_nonneg,
+                      _check_positive, _clamp_unit, normal_cdf)
 
 __all__ = [
     "SliceParams", "ErrorBudget", "TruncationBound", "McEstimate",
@@ -42,6 +42,9 @@ _GL_ORDER = 15
 _MAX_DEPTH = 48
 _MC_CHUNK = 1 << 19
 _MC_MIN_SAMPLES = 10 ** 4
+# the quadrature integrand calls these some 600 times per quad_oracle
+_exp = math.exp
+_erfc = math.erfc
 
 
 def _gauss_legendre(n):
@@ -192,8 +195,13 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     mass is far narrower than the interval).
 
     Raises:
+        ValueError: a or b is not finite, or tol is not finite and
+            positive (named), or a > b.
         QuadratureError: refinement depth exhausted without convergence.
     """
+    _check_finite(a, "a")
+    _check_finite(b, "b")
+    _check_positive(tol, "tol")
     if a == b:
         return 0.0
     if a > b:
@@ -225,20 +233,26 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
     Integrates g1(x1) times the exact inner cdf difference of g2 over
     x1; the outer interval spans 10 standard deviations beyond both
     means (omitted tail mass < 1e-23).  Independent of the closed form
-    it is used to check, and never calls it.
+    it is used to check, and never calls it.  ``tol`` goes to
+    :func:`integrate`, which rejects one that is not finite and positive.
     """
     g1, g2, d = q.g1, q.g2, q.d
+    mu1, s1, mu2, s2 = g1.mu, g1.sigma, g2.mu, g2.sigma
 
+    # gaussian_pdf(x1, g1) * (_phi(hi) - _phi(lo)), operation for operation
     def f(x1):
-        inner = _phi((x1 - g2.mu + d) / g2.sigma) - _phi((x1 - g2.mu - d) / g2.sigma)
-        return gaussian_pdf(x1, g1) * inner
+        z = (x1 - mu1) / s1
+        hi = (x1 - mu2 + d) / s2
+        lo = (x1 - mu2 - d) / s2
+        return (_exp(-0.5 * z * z) / _SQRT2PI / s1
+                * (0.5 * _erfc(-hi / _SQRT2) - 0.5 * _erfc(-lo / _SQRT2)))
 
-    smax = max(g1.sigma, g2.sigma)
-    a = min(g1.mu, g2.mu) - 10.0 * smax
-    b = max(g1.mu, g2.mu) + 10.0 * smax
+    smax = max(s1, s2)
+    a = min(mu1, mu2) - 10.0 * smax
+    b = max(mu1, mu2) + 10.0 * smax
     # seed panels at the bump of g1 and the kinks of the inner factor
-    cuts = [g1.mu + j * g1.sigma for j in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)]
-    cuts += [g2.mu - d, g2.mu, g2.mu + d]
+    cuts = [mu1 + j * s1 for j in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)]
+    cuts += [mu2 - d, mu2, mu2 + d]
     return _clamp_unit(integrate(f, a, b, tol=tol, breakpoints=cuts))
 
 

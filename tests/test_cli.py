@@ -74,6 +74,13 @@ class TestCompatCommand:
         assert float(rows[0]["p0"]) == pytest.approx(0.227, abs=1e-3)
         assert rows[0]["p0_swapped"] == "false"
 
+    def test_normalized_underflow_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "compat", "--age1", "30", "--age2", "35",
+                                 "--d", "5e-324", "--normalized")
+        assert (code, out) == (2, "")
+        assert err == ("error: d=5e-324 is too small to normalize by: the younger "
+                       "cohort's same-age probability underflows to 0\n")
+
     def test_error_budget_column(self, capsys):
         code, out, _ = run_cli(capsys, "compat", "--age1", "18", "--age2", "14",
                                "--s1", "0.1", "--s2", "0.1", "--d", "1.4",

@@ -1,6 +1,7 @@
 """Pair-probability closed forms and their invariances."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from agecompat.compat import (
     symmetric_range_prob,
 )
 from agecompat.model import AgeProfile, Gaussian
+from agecompat.special import _cdf_diff
 
 T_BENCH = 2.0 / math.sqrt(math.pi)
 
@@ -106,6 +108,52 @@ class TestCompatQuery:
                                       AgeProfile(14.0, 0.1), t=1.0)
         assert q.g1 == Gaussian(18.0, 1.8)
         assert q.d == pytest.approx(1.4, rel=1e-15)
+
+
+def _reference_pair(g1, g2, d=None, t=None):
+    """(d, t, p) of a pair computed with min(), math.hypot and _cdf_diff."""
+    anchor = min(g1.sigma, g2.sigma)
+    if d is None:
+        d = t * anchor
+    else:
+        t = d / anchor
+    gap = abs(g1.mu - g2.mu)
+    scale = math.hypot(g1.sigma, g2.sigma)
+    return d, t, _cdf_diff((gap + d) / scale, (gap - d) / scale)
+
+
+class TestHotPathBitIdentical:
+    """CompatQuery and compat_prob give exactly the reference's floats."""
+
+    AGES = [float(a) for a in range(15, 81)]
+
+    def _grid(self, s1, s2):
+        return ([Gaussian(a, s1 * a) for a in self.AGES],
+                [Gaussian(a, s2 * a) for a in self.AGES])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_t_form_over_the_age_grid(self, seed):
+        rng = random.Random(seed)
+        s1, t = rng.uniform(0.1, 0.2), rng.uniform(1.0, 2.0)
+        # odd seeds share one s, so every diagonal pair has equal sigmas
+        s2 = s1 if seed % 2 else rng.uniform(0.1, 0.2)
+        rows, cols = self._grid(s1, s2)
+        for g1 in rows:
+            for g2 in cols:
+                q = CompatQuery(g1, g2, t=t)
+                assert (q.d, q.t, compat_prob(q)) == _reference_pair(g1, g2, t=t)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_d_form_over_the_age_grid(self, seed):
+        rng = random.Random(100 + seed)
+        s1 = rng.uniform(0.1, 0.2)
+        s2 = s1 if seed % 2 else rng.uniform(0.1, 0.2)
+        rows, cols = self._grid(s1, s2)
+        for g1 in rows:
+            for g2 in cols:
+                d = rng.uniform(0.0, 20.0)
+                q = CompatQuery(g1, g2, d=d)
+                assert (q.d, q.t, compat_prob(q)) == _reference_pair(g1, g2, d=d)
 
 
 class TestCompatProb:
@@ -218,6 +266,17 @@ class TestCompatProbNormalized:
     def test_zero_d_rejected(self):
         with pytest.raises(ValueError):
             compat_prob_normalized(_query(18.0, 0.1, 14.0, 0.1, d=0.0))
+
+    @pytest.mark.parametrize("d", [5e-324, 2e-323])
+    def test_underflowing_denominator_rejected_by_name(self, d):
+        # erf(d / 9) underflows to 0 for both; at d = 5e-323 it is 5e-324
+        q = CompatQuery(Gaussian(30.0, 4.5), Gaussian(35.0, 5.25), d=d)
+        with pytest.raises(ValueError, match=f"^d={d!r} is too small"):
+            compat_prob_normalized(q)
+
+    def test_smallest_nonzero_denominator_divides(self):
+        q = CompatQuery(Gaussian(30.0, 4.5), Gaussian(35.0, 5.25), d=5e-323)
+        assert compat_prob_normalized(q).denominator == 5e-324
 
     @given(st.floats(min_value=14.0, max_value=90.0), ratios,
            st.floats(min_value=0.1, max_value=3.0))

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from agecompat import verify
 from agecompat.compat import CompatQuery, compat_prob, same_age_prob
-from agecompat.model import Gaussian
+from agecompat.model import Gaussian, gaussian_pdf
+from agecompat.special import _clamp_unit, _phi
 from agecompat.verify import (
     ErrorBudget,
     McEstimate,
@@ -231,7 +233,6 @@ class TestIntegrate:
 
     def test_breakpoints_capture_narrow_bump(self):
         g = Gaussian(500.0, 0.5)
-        from agecompat.model import gaussian_pdf
         got = integrate(lambda x: gaussian_pdf(x, g), 0.0, 1000.0, tol=1e-12,
                         breakpoints=[g.mu - 4 * g.sigma, g.mu, g.mu + 4 * g.sigma])
         assert got == pytest.approx(1.0, abs=1e-11)
@@ -239,6 +240,21 @@ class TestIntegrate:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, 1.0, 0.0)
+
+    @pytest.mark.parametrize("a, b, tol, message", [
+        (0.0, math.nan, 1e-12, "b must be finite"),
+        (math.nan, 1.0, 1e-12, "a must be finite"),
+        (-math.inf, 0.0, 1e-12, "a must be finite"),
+        (0.0, math.inf, 1e-12, "b must be finite"),
+        (0.0, 1.0, math.nan, "tol must be finite and positive"),
+        (0.0, 1.0, -1.0, "tol must be finite and positive"),
+        (0.0, 1.0, 0.0, "tol must be finite and positive"),
+        (0.0, 1.0, math.inf, "tol must be finite and positive"),
+        (1.0, 1.0, math.nan, "tol must be finite and positive"),
+    ])
+    def test_rejects_arguments_by_name(self, a, b, tol, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            integrate(lambda x: x, a, b, tol=tol)
 
     def test_divergent_integrand_raises(self):
         with pytest.raises(QuadratureError):
@@ -265,6 +281,45 @@ class TestQuadOracle:
             s2 = rng.uniform(0.05, 0.3) * mu2
             q = _query(mu1, s1, mu2, s2, d=rng.uniform(0.0, 3.0) * min(s1, s2))
             assert abs(quad_oracle(q) - compat_prob(q)) <= 1e-9
+
+
+def _closure_integrand(q):
+    """quad_oracle's integrand as it was first written: gaussian_pdf times _phi(hi) - _phi(lo)."""
+    g1, g2, d = q.g1, q.g2, q.d
+
+    def f(x1):
+        inner = _phi((x1 - g2.mu + d) / g2.sigma) - _phi((x1 - g2.mu - d) / g2.sigma)
+        return gaussian_pdf(x1, g1) * inner
+    return f
+
+
+class TestQuadOracleIntegrand:
+    """The written-out integrand gives the closure's estimates bit for bit."""
+
+    def test_same_estimates_as_closure(self, monkeypatch):
+        calls = []
+
+        def recording(f, a, b, tol=1e-12, breakpoints=()):
+            calls.append((a, b, tol, tuple(breakpoints)))
+            return integrate(f, a, b, tol=tol, breakpoints=breakpoints)
+
+        monkeypatch.setattr(verify, "integrate", recording)
+        rng = random.Random(2024)
+        for _ in range(60):
+            a1, a2 = rng.uniform(15.0, 80.0), rng.uniform(15.0, 80.0)
+            s1, s2 = rng.uniform(0.1, 0.2), rng.uniform(0.1, 0.2)
+            q = CompatQuery(Gaussian(a1, s1 * a1), Gaussian(a2, s2 * a2),
+                            t=rng.uniform(0.5, 2.5))
+            got = quad_oracle(q)
+            a, b, tol, cuts = calls.pop()
+            assert got == _clamp_unit(integrate(_closure_integrand(q), a, b, tol=tol,
+                                                breakpoints=cuts))
+
+    def test_rejects_bad_tol_by_name(self):
+        q = _query(20.0, 2.0, 18.0, 1.5, d=1.0)
+        for tol in (math.nan, -1.0, 0.0):
+            with pytest.raises(ValueError, match="^tol must be finite and positive"):
+                quad_oracle(q, tol=tol)
 
 
 class TestMcOracle:
