@@ -17,7 +17,7 @@ import math
 import warnings
 from collections.abc import Iterable
 
-from .compat import _ratio_prob
+from .compat import _ratio_prob, _ratio_prob_slope
 from .model import MEAN_DIFF_COEF, _Value
 from .special import _check_nonneg, _check_open_prob, _check_positive, normal_quantile
 
@@ -35,7 +35,6 @@ DEFAULT_T = MEAN_DIFF_COEF
 RULE_ERR_TOLERANCE = 0.05
 
 _SOLVE_M_HI_CAP = 64.0
-_SOLVE_M_TOL = 1e-10
 
 
 class AgeLimitSpec(_Value):
@@ -175,8 +174,13 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
     """Gap slope m such that delta = m*mu yields the target probability.
 
     The map m -> p is strictly decreasing from the same-age value at
-    m = 0 toward 0, so the root is unique.  Bisection on [0, m_hi] with
-    m_hi doubled until it brackets (capped at 64), tolerance 1e-10 on p.
+    m = 0 toward 0, so the root is unique.  It is bracketed in [0, m_hi],
+    m_hi doubled until it brackets (capped at 64), and found by Newton
+    steps on log p with the analytic slope, each replaced by a bisection
+    of the bracket if it would leave it.  The iteration stops once
+    |p(m) - p_min| <= 4e-16 * p_min, or once the bracket or the Newton
+    step has shrunk below the spacing of floats at m, so the residual is
+    relative to p_min even for tail targets.
     """
     ceiling = rule_probability(1.0, 0.0, s1, s2, t)   # validates s1, s2, t
     if not 0.0 < p_min < ceiling:
@@ -184,22 +188,32 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
             f"p_min must lie in (0, {ceiling:.6g}) (the same-age value) "
             f"for a positive root to exist, got {p_min!r}")
 
-    f = lambda m: _ratio_prob(m, s2, s1, t) - p_min
     hi = 1.0
-    while f(hi) > 0.0:
+    while _ratio_prob(hi, s2, s1, t) > p_min:
         hi *= 2.0
         if hi > _SOLVE_M_HI_CAP:
             raise ValueError(f"no bracket below m = {_SOLVE_M_HI_CAP}")
     lo = 0.0
+    m = 0.5 * hi
+    log_target = math.log(p_min)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= _SOLVE_M_TOL:
-            return mid
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * (1.0 + mid):
+        p = _ratio_prob(m, s2, s1, t)
+        if abs(p - p_min) <= 4e-16 * p_min:       # a few ulp of p_min
             break
-    return mid
+        if p > p_min:
+            lo = m
+        else:
+            hi = m
+        # Newton on log p, which is close to quadratic in m in the tail;
+        # p decreases, so the step heads into the bracket
+        slope = _ratio_prob_slope(m, s2, s1, t)
+        nxt = m - (math.log(p) - log_target) * p / slope if p > 0.0 > slope else None
+        if nxt == m:
+            break                       # the correction is below one ulp of m
+        if nxt is None or not lo < nxt < hi:
+            # p or its slope underflowed, or the step overshot: bisect
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break                   # the bracket has collapsed
+        m = nxt
+    return m

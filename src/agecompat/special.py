@@ -8,7 +8,8 @@ Newton step.  The test suite checks all three against a 40-digit
 reference.  The one interval kernel built on them, ``_cdf_diff`` for
 Phi(hi) - Phi(lo), also lives here: every closed-form interval
 probability in the package goes through it, and it differences
-whichever tail keeps the result relatively accurate.  All functions are
+whichever tail keeps the result relatively accurate (erf terms for an
+interval that contains 0).  All functions are
 pure and safe for concurrent use.
 
 Inputs are validated once, at the public boundary, and the whole
@@ -119,13 +120,17 @@ def normal_cdf(z: float) -> float:
 def _cdf_diff(hi: float, lo: float) -> float:
     # Phi(hi) - Phi(lo) for finite lo <= hi, clamped to [0, 1]; above the
     # median the upper tails are differenced, so far-tail intervals keep
-    # their relative accuracy instead of cancelling against 1.  The guard
-    # is the only check between the public callers and the kernel.
+    # their relative accuracy instead of cancelling against 1, and an
+    # interval around 0 adds two erf terms of opposite sign instead of
+    # differencing two values near 1/2.  The guard is the only check
+    # between the public callers and the kernel.
     if not -_INF < lo <= hi < _INF:
         raise ValueError(
             f"interval needs finite bounds lo <= hi, got lo={lo!r}, hi={hi!r}")
     if lo > 0.0:
         v = 0.5 * (math.erfc(lo / _SQRT2) - math.erfc(hi / _SQRT2))
+    elif hi >= 0.0:
+        v = 0.5 * (math.erf(hi / _SQRT2) - math.erf(lo / _SQRT2))
     else:
         v = 0.5 * (math.erfc(-hi / _SQRT2) - math.erfc(-lo / _SQRT2))
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)

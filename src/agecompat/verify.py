@@ -42,6 +42,9 @@ _GL_ORDER = 15
 _MAX_DEPTH = 48
 _MC_CHUNK = 1 << 19
 _MC_MIN_SAMPLES = 10 ** 4
+# twice the worst |cos32 - cos| and |sin32 - derived sin| at
+# float32(theta), theta in [0, 2 pi); mc_oracle's screen margin rests on it
+_TRIG32_ERR = 1e-6
 # the quadrature integrand calls these some 600 times per quad_oracle
 _exp = math.exp
 _erfc = math.erfc
@@ -235,9 +238,22 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
     means (omitted tail mass < 1e-23).  Independent of the closed form
     it is used to check, and never calls it.  ``tol`` goes to
     :func:`integrate`, which rejects one that is not finite and positive.
+
+    Raises:
+        ValueError: the outer interval or its width overflows (finite
+            ages or sigmas near the float limit); the message describes
+            the query.
     """
     g1, g2, d = q.g1, q.g2, q.d
     mu1, s1, mu2, s2 = g1.mu, g1.sigma, g2.mu, g2.sigma
+    smax = max(s1, s2)
+    a = min(mu1, mu2) - 10.0 * smax
+    b = max(mu1, mu2) + 10.0 * smax
+    if not b - a < math.inf:
+        raise ValueError(
+            f"quad_oracle cannot integrate this query: its outer interval, 10 "
+            f"sigma beyond both means (mu1={mu1!r}, mu2={mu2!r}, largest "
+            f"sigma={smax!r}), is [{a!r}, {b!r}], whose width overflows")
 
     # gaussian_pdf(x1, g1) * (_phi(hi) - _phi(lo)), operation for operation
     def f(x1):
@@ -247,9 +263,6 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
         return (_exp(-0.5 * z * z) / _SQRT2PI / s1
                 * (0.5 * _erfc(-hi / _SQRT2) - 0.5 * _erfc(-lo / _SQRT2)))
 
-    smax = max(s1, s2)
-    a = min(mu1, mu2) - 10.0 * smax
-    b = max(mu1, mu2) + 10.0 * smax
     # seed panels at the bump of g1 and the kinks of the inner factor
     cuts = [mu1 + j * s1 for j in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0)]
     cuts += [mu2 - d, mu2, mu2 + d]
@@ -288,14 +301,31 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     substreams derive from (seed, chunk index), making the result
     independent of evaluation order.
 
-    The transform makes one trigonometric pass: with theta = 2 pi u2,
-    sin(theta) is taken as sqrt((1 - cos)(1 + cos)) with the sign of
-    pi - theta.  Over 10**7 seeded draws this lies within 4.4e-16
-    relative of numpy.sin wherever |cos(theta)| < 0.9; its absolute error
-    is at most 1.5e-8, a bound approached only for theta within about
-    1e-8 of 0 or pi.  A pair's hit could therefore differ from that of
-    a transform calling numpy.sin only where |x1 - x2| lies within that
-    distance of d.
+    The exact transform makes one trigonometric pass: with
+    theta = 2 pi u2, sin(theta) is taken as sqrt((1 - cos)(1 + cos)) with
+    the sign of pi - theta.  Over 10**7 seeded draws this lies within
+    4.4e-16 relative of numpy.sin wherever |cos(theta)| < 0.9; its
+    absolute error is at most 1.5e-8, a bound approached only for theta
+    within about 1e-8 of 0 or pi.  A pair's hit could therefore differ
+    from that of a transform calling numpy.sin only where |x1 - x2| lies
+    within that distance of d.
+
+    Each chunk first screens its pairs with float32 cos and sin of
+    float32(theta), the rest in float64, giving e = |x1 - x2| - d to
+    within a margin
+
+        8.6 * 1e-6 * (sigma1 + sigma2) + 1e-12 * (|mu1| + |mu2| + d).
+
+    It holds because r = sqrt(-2 log u1) < 8.6 for every u1 >= 2**-53;
+    rounding theta to float32 moves it by at most 2**-22 and float32
+    trig is within a few ulp (6e-8), so each screened sine and cosine is
+    within 5e-7, half of 1e-6, of the exact transform's, derived sine
+    included; and the 1e-12 term covers the float64 rounding of the
+    affine steps in both transforms.  A pair with e below -margin is a
+    hit and one above +margin a miss, exactly as the exact transform
+    decides them.  Only the rest, typically none or a few per chunk and
+    NaN included, go through the exact transform, so every estimate is
+    the one the exact transform alone gives, for every seed.
 
     ``samples`` and ``seed`` must be integers (Python or NumPy), with
     ``samples >= 10000`` and ``seed >= 0``; anything else raises
@@ -313,6 +343,9 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     import numpy as np
 
     g1, g2, d = q.g1, q.g2, q.d
+    mu1, s1, mu2, s2 = g1.mu, g1.sigma, g2.mu, g2.sigma
+    # may overflow to inf, which refines every sample: still exact
+    margin = 8.6 * _TRIG32_ERR * (s1 + s2) + 1e-12 * (abs(mu1) + abs(mu2) + d)
     hits = 0
     done = 0
     chunk_idx = 0
@@ -320,11 +353,6 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         n = min(_MC_CHUNK, samples - done)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,))))
-        # Each step writes in place into the uniform arrays a and b; only
-        # cos and sin get arrays of their own, because b must carry the
-        # sign of sin until sin is made.  Every value but sin is computed
-        # in the order of a transform that calls both numpy.cos and
-        # numpy.sin, so the two differ only by the derived sine's error.
         a = rng.random(n)
         np.subtract(1.0, a, out=a)     # u1 in (0, 1]: keeps log finite
         b = rng.random(n)              # u2
@@ -332,18 +360,32 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         a *= -2.0
         np.sqrt(a, out=a)              # r
         b *= 2.0 * np.pi               # theta
-        cos = np.cos(b)
-        np.subtract(np.pi, b, out=b)   # pi - theta
-        sin = _sin_from_cos(cos, b)
-        np.multiply(a, cos, out=b)     # z1
-        a *= sin                       # z2
-        b *= g1.sigma
-        b += g1.mu                     # x1
-        a *= g2.sigma
-        a += g2.mu                     # x2
-        b -= a
-        np.abs(b, out=b)
-        hits += int(np.count_nonzero(b <= d))
+        # screen: e = |x1 - x2| - d with float32 trig, in float64 otherwise
+        theta32 = b.astype(np.float32)
+        e = np.cos(theta32, out=np.empty(n))   # float32 loop, widened on store
+        e *= a
+        e *= s1
+        e += mu1                       # x1, screened
+        x2 = np.sin(theta32, out=np.empty(n))
+        x2 *= a
+        x2 *= s2
+        x2 += mu2                      # x2, screened
+        e -= x2
+        np.abs(e, out=e)
+        e -= d
+        inside = int(np.count_nonzero(e < -margin))
+        outside = int(np.count_nonzero(e > margin))
+        hits += inside
+        if inside + outside < n:
+            # the undecided samples, NaN included, get the exact transform,
+            # operation for operation as on the whole chunk
+            keep = np.flatnonzero(~(np.abs(e, out=e) > margin))
+            r, theta = a[keep], b[keep]
+            cos = np.cos(theta)
+            sin = _sin_from_cos(cos, np.pi - theta)
+            x1 = r * cos * s1 + mu1
+            x2 = r * sin * s2 + mu2
+            hits += int(np.count_nonzero(np.abs(x1 - x2) <= d))
         done += n
         chunk_idx += 1
     est = hits / samples

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -243,6 +244,15 @@ class TestCompatProbNormalized:
         out = compat_prob_normalized(q)
         assert out.value == pytest.approx(1.0, rel=1e-12)
         assert not out.swapped
+
+    @pytest.mark.parametrize("d", [1e-300, 1e-200, 1e-100, 1e-30, 1e-15, 1e-12,
+                                   1e-8, 1e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("mu, sigma", [(20.0, 3.0), (45.0, 6.75), (15.0, 1.5)])
+    def test_identical_profiles_give_one_for_any_d(self, mu, sigma, d):
+        # the interval straddles 0; differencing two cdf values near 1/2
+        # gave 1.0000457 at d = 1e-12 and 0 at d = 1e-300
+        q = CompatQuery(Gaussian(mu, sigma), Gaussian(mu, sigma), d=d)
+        assert abs(compat_prob_normalized(q).value - 1.0) <= 4 * sys.float_info.epsilon
 
     def test_denominator_is_same_age_form(self):
         q = _query(18.0, 0.1, 14.0, 0.1, d=1.4)

@@ -17,6 +17,7 @@ times 1e-15 on this grid, far inside the tolerance.
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -29,7 +30,8 @@ from agecompat.compat import (
 )
 from agecompat.expect import at_least_k_normal
 from agecompat.model import Gaussian
-from agecompat.policy import DEFAULT_T, rule_probability
+from agecompat.policy import DEFAULT_T, rule_probability, solve_m
+from agecompat.special import _cdf_diff
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -129,3 +131,43 @@ def test_at_least_k_normal_far_tail(k, n, p):
                      + mpmath.ncdf(-mpmath.sqrt(mean / (1 - mpmath.mpf(p)))))
         value = at_least_k_normal(k, n, p).value
         assert float(abs(mpmath.mpf(value) - reference) / reference) <= REL_TOL
+
+
+def test_cdf_diff_straddling_zero():
+    # lo <= 0 <= hi: the two cdf values sit on either side of 1/2, so their
+    # difference cancelled (relative error up to 0.1 over this sample)
+    rng = random.Random(20211)
+    worst, worst_at = 0.0, None
+    with mpmath.workdps(40):
+        for _ in range(4000):
+            width = 10.0 ** rng.uniform(-15.0, 1.0)
+            lo = -rng.random() * width
+            hi = lo + width
+            reference = (mpmath.erf(hi / mpmath.sqrt(2)) - mpmath.erf(lo / mpmath.sqrt(2))) / 2
+            err = float(abs(mpmath.mpf(_cdf_diff(hi, lo)) - reference) / reference)
+            if err > worst:
+                worst, worst_at = err, (hi, lo)
+    assert worst <= 1e-14, f"rel error {worst:.3g} at (hi, lo) = {worst_at}"
+
+
+def _mp_ratio_prob(m, s1, s2, t):
+    # the rule probability at slope m: young sigma s1, old s2 * (1 + m)
+    m, s1, s2, t = (mpmath.mpf(x) for x in (m, s1, s2, t))
+    den = mpmath.sqrt(s1 ** 2 + (s2 * (1 + m)) ** 2)
+    return _mp_interval((m + t * s1) / den, (m - t * s1) / den)
+
+
+@pytest.mark.parametrize("s1, s2, t", [(0.1, 0.1, 1.0), (0.1, 0.1, DEFAULT_T),
+                                       (0.15, 0.15, DEFAULT_T), (0.2, 0.12, 1.5)])
+def test_solve_m_relative_residual(s1, s2, t):
+    # solve_m stops at |p(m) - p_min| <= 4e-16 p_min in floats; what is
+    # left is the closed form's own rounding, about 2e-14 at worst here.
+    # An absolute stopping test gave 6.4% at 1e-9 and 136% at 1e-11.
+    worst, worst_at = 0.0, None
+    with mpmath.workdps(40):
+        for p_min in (0.2, 0.1, 0.05, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11):
+            m = solve_m(p_min, s1, s2, t)
+            err = float(abs(_mp_ratio_prob(m, s1, s2, t) - p_min) / p_min)
+            if err > worst:
+                worst, worst_at = err, p_min
+    assert worst <= 1e-13, f"rel residual {worst:.3g} at p_min = {worst_at}"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -31,8 +32,12 @@ def _query(mu1, s1, mu2, s2, d):
     return CompatQuery(Gaussian(mu1, s1), Gaussian(mu2, s2), d=d)
 
 
-def _two_call_mc(q, samples, seed):
-    """Reference sampler: the Box-Muller transform with numpy.cos and numpy.sin."""
+def _reference_mc(q, samples, seed, derived_sine):
+    """Reference sampler: the Box-Muller transform in float64 throughout.
+
+    sin(theta) is numpy.sin, or with ``derived_sine`` the exact
+    transform's sqrt((1 - cos)(1 + cos)) with the sign of pi - theta.
+    """
     np = pytest.importorskip("numpy")
     hits = 0
     done = 0
@@ -44,15 +49,26 @@ def _two_call_mc(q, samples, seed):
         u1 = 1.0 - rng.random(n)
         u2 = rng.random(n)
         r = np.sqrt(-2.0 * np.log(u1))
-        z1 = r * np.cos(2.0 * np.pi * u2)
-        z2 = r * np.sin(2.0 * np.pi * u2)
-        x1 = q.g1.mu + q.g1.sigma * z1
-        x2 = q.g2.mu + q.g2.sigma * z2
+        theta = 2.0 * np.pi * u2
+        cos = np.cos(theta)
+        sin = _sin_from_cos(cos, np.pi - theta) if derived_sine else np.sin(theta)
+        x1 = q.g1.mu + q.g1.sigma * (r * cos)
+        x2 = q.g2.mu + q.g2.sigma * (r * sin)
         hits += int(np.count_nonzero(np.abs(x1 - x2) <= q.d))
         done += n
         chunk_idx += 1
     est = hits / samples
     return McEstimate(est, math.sqrt(est * (1.0 - est) / samples))
+
+
+def _two_call_mc(q, samples, seed):
+    """Reference sampler: the Box-Muller transform with numpy.cos and numpy.sin."""
+    return _reference_mc(q, samples, seed, derived_sine=False)
+
+
+def _exact_mc(q, samples, seed):
+    """Reference sampler: the exact transform alone, with no float32 screen."""
+    return _reference_mc(q, samples, seed, derived_sine=True)
 
 
 class TestSliceParams:
@@ -283,6 +299,20 @@ class TestQuadOracle:
             assert abs(quad_oracle(q) - compat_prob(q)) <= 1e-9
 
 
+class TestQuadOracleBounds:
+    @pytest.mark.parametrize("g1, g2, bounds", [
+        (Gaussian(1e308, 1e307), Gaussian(1.5e308, 1e307), "[0.0, inf]"),
+        (Gaussian(1.0, 1e307), Gaussian(1.5, 1.7e307), "[-1.7e+308, 1.7e+308]"),
+    ])
+    def test_overflowing_interval_describes_the_query(self, g1, g2, bounds):
+        # integrate would reject the bound b, which the caller never passed
+        message = (f"quad_oracle cannot integrate this query: its outer interval, "
+                   f"10 sigma beyond both means (mu1={g1.mu!r}, mu2={g2.mu!r}, "
+                   f"largest sigma={g2.sigma!r}), is {bounds}, whose width overflows")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quad_oracle(CompatQuery(g1, g2, t=1.0))
+
+
 def _closure_integrand(q):
     """quad_oracle's integrand as it was first written: gaussian_pdf times _phi(hi) - _phi(lo)."""
     g1, g2, d = q.g1, q.g2, q.d
@@ -418,3 +448,81 @@ class TestDerivedSine:
         assert np.max(np.abs(sin - ref)) <= 2e-8
         both = (sin != 0.0) & (ref != 0.0)
         assert np.array_equal(np.sign(sin[both]), np.sign(ref[both]))
+
+
+class TestFloat32Screen:
+    """The oracle decides most hits with float32 trig and redoes the rest exactly."""
+
+    def test_every_sample_refined_matches_exact_transform(self, monkeypatch):
+        # an infinite margin decides nothing in the screen, so the exact
+        # refinement runs on every sample of every chunk
+        monkeypatch.setattr(verify, "_TRIG32_ERR", math.inf)
+        rng = random.Random(4711)
+        for _ in range(100):
+            mu1 = rng.uniform(15.0, 80.0)
+            mu2 = min(80.0, max(15.0, mu1 + rng.uniform(-10.0, 10.0)))
+            s1, s2 = rng.uniform(0.1, 0.2) * mu1, rng.uniform(0.1, 0.2) * mu2
+            q = _query(mu1, s1, mu2, s2, d=rng.uniform(1.0, 2.0) * min(s1, s2))
+            seed = rng.getrandbits(32)
+            assert mc_oracle(q, 20_000, seed) == _exact_mc(q, 20_000, seed)
+
+    @pytest.mark.parametrize("q, samples", [
+        (_query(20.0, 2.0, 18.0, 1.5, d=0.0), 20_000),
+        # the margin's 1e-12 * |mu| term exceeds the spread: all refined
+        (_query(1e300, 3.0, 1e300, 2.4, d=2.7), 20_000),
+        (_query(1e300, 1e299, 1.1e300, 2e299, d=1e299), 20_000),
+        # about 2% of these samples fall inside the margin
+        (_query(20.0, 1e-9, 20.0 + 1e-9, 2e-9, d=1.5e-9), 20_000),
+        (_query(20.0, 2e3, 30.0, 2e3, d=2e3), 20_000),
+        (_query(20.0, 3.0, 16.0, 2.4, d=2.7), 10 ** 6),
+        # the margin overflows to inf; some x1, x2 overflow, and inf - inf is NaN
+        (_query(1.5e308, 1e307, 1.5e308, 1e307, d=1e307), 10 ** 5),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_edge_queries_match_exact_transform(self, q, samples):
+        for seed in (0, 1, 2):
+            assert mc_oracle(q, samples, seed) == _exact_mc(q, samples, seed)
+
+    def test_pairs_on_the_boundary_decided_as_exact_transform(self, monkeypatch):
+        # draws crafted so that every exact |x1 - x2| lies within rounding
+        # of d: the float32 screen alone would get about half of them wrong
+        np = pytest.importorskip("numpy")
+        q = _query(20.0, 3.0, 20.0, 2.4, d=2.7)
+        n = 20_000
+        rng = np.random.default_rng(7)
+        u2 = rng.random(4 * n)
+        theta = 2.0 * np.pi * u2
+        cos = np.cos(theta)
+        r = q.d / np.abs(cos * 3.0 - _sin_from_cos(cos, np.pi - theta) * 2.4)
+        keep = (0.5 < r) & (r < 8.0)
+        u2 = u2[keep][:n]
+        u1 = np.exp(-0.5 * r[keep][:n] ** 2)
+        assert u2.size == n
+
+        class Draws:
+            # stands in for numpy's Generator: the chunk's 1 - u1, then u2
+            def __init__(self, bit_generator):
+                self.draws = iter((1.0 - u1, u2))
+
+            def random(self, size):
+                return next(self.draws).copy()
+
+        monkeypatch.setattr(np.random, "Generator", Draws)
+        exact = _exact_mc(q, n, 0)
+        assert 0.1 < exact.estimate < 0.9
+        assert mc_oracle(q, n, 0) == exact
+
+    def test_float32_trig_within_half_the_bound(self):
+        # the margin allows _TRIG32_ERR per unit r * sigma; half of it must
+        # cover float32 trig on this platform, the derived sine included
+        np = pytest.importorskip("numpy")
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=2021, spawn_key=(0,))))
+        theta = 2.0 * np.pi * rng.random(1 << 19)
+        theta[:5] = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, np.nextafter(2.0 * np.pi, 0.0))
+        theta32 = theta.astype(np.float32)
+        cos = np.cos(theta)
+        sin = _sin_from_cos(cos, np.pi - theta)
+        assert np.max(np.abs(np.cos(theta32) - cos)) <= verify._TRIG32_ERR / 2
+        assert np.max(np.abs(np.sin(theta32) - sin)) <= verify._TRIG32_ERR / 2
