@@ -34,8 +34,6 @@ DEFAULT_T = MEAN_DIFF_COEF
 # Relative age error 14/mu of the inverted rule flagged above this.
 RULE_ERR_TOLERANCE = 0.05
 
-_SOLVE_M_HI_CAP = 64.0
-
 
 class AgeLimitSpec(_Value):
     """A mental-age limit: kind ('min' or 'max'), threshold, probability, s."""
@@ -175,12 +173,17 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
 
     The map m -> p is strictly decreasing from the same-age value at
     m = 0 toward 0, so the root is unique.  It is bracketed in [0, m_hi],
-    m_hi doubled until it brackets (capped at 64), and found by Newton
+    m_hi doubled from 1 until p(m_hi) <= p_min, and found by Newton
     steps on log p with the analytic slope, each replaced by a bisection
     of the bracket if it would leave it.  The iteration stops once
     |p(m) - p_min| <= 4e-16 * p_min, or once the bracket or the Newton
     step has shrunk below the spacing of floats at m, so the residual is
     relative to p_min even for tail targets.
+
+    Far out p falls only as 1/m, so tail targets need large slopes:
+    p_min = 1e-11 at s1 = s2 = 0.15 and t = 1.981 needs m > 64.  The
+    doubling gives up, with a ValueError naming p_min, where m_hi
+    overflows or where p(m_hi) rounds to 0.
     """
     ceiling = rule_probability(1.0, 0.0, s1, s2, t)   # validates s1, s2, t
     if not 0.0 < p_min < ceiling:
@@ -189,10 +192,15 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
             f"for a positive root to exist, got {p_min!r}")
 
     hi = 1.0
-    while _ratio_prob(hi, s2, s1, t) > p_min:
+    while (p := _ratio_prob(hi, s2, s1, t)) > p_min:
         hi *= 2.0
-        if hi > _SOLVE_M_HI_CAP:
-            raise ValueError(f"no bracket below m = {_SOLVE_M_HI_CAP}")
+        if hi == math.inf:
+            raise ValueError(f"p_min = {p_min!r} is not reached at any finite gap slope m")
+    if p == 0.0:
+        # p itself never reaches 0; its bounds (m +- t*s1)/den round together
+        # once t*s1 is below half an ulp of m, and no root is resolved there
+        raise ValueError(f"p_min = {p_min!r} is below every p the closed form "
+                         f"resolves: p rounds to 0 at m = {hi!r}")
     lo = 0.0
     m = 0.5 * hi
     log_target = math.log(p_min)

@@ -245,6 +245,22 @@ class TestRuleCommand:
         _, rows = parse_csv(out)
         assert float(rows[0]["m"]) == pytest.approx(0.39, abs=0.01)
 
+    def test_solve_m_tail_target(self, capsys):
+        # the root lies past m = 64, where p has fallen to 1.08e-11
+        code, out, _ = run_cli(capsys, "--digits", "17", "rule", "--solve-m", "--p", "1e-11",
+                               "--s1", "0.15", "--s2", "0.15", "--t", "1.981")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 1
+        m = float(rows[0]["m"])
+        assert m > 64.0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            s1, s2, t = (mpmath.mpf(x) for x in (0.15, 0.15, 1.981))
+            den = mpmath.sqrt(s1 ** 2 + (s2 * (1 + m)) ** 2)
+            p = mpmath.ncdf((m + t * s1) / den) - mpmath.ncdf((m - t * s1) / den)
+            assert float(abs(p - 1e-11) / 1e-11) <= 1e-14
+
     def test_audit_grid(self, capsys):
         code, out, _ = run_cli(capsys, "rule", "--mu-grid", "15:80:1",
                                "--s1", "0.15", "--s2", "0.15", "--t", "1.1284")

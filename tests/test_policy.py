@@ -244,6 +244,19 @@ class TestSolveM:
         m = solve_m(ceiling - 1e-6, 0.15, 0.15, DEFAULT_T)
         assert 0.0 <= m < 1e-4
 
+    def test_tail_target_past_slope_64(self):
+        # far out p falls only as 1/m, so this root lies between 64 and 128;
+        # the closed form's own rounding here is about 1.5e-14 relative
+        m = solve_m(1e-11, 0.15, 0.15, 1.981)
+        assert 64.0 < m < 128.0
+        assert rule_probability(1.0, m, 0.15, 0.15, 1.981) == pytest.approx(1e-11, rel=1e-13)
+
+    def test_target_below_every_resolved_p_rejected(self):
+        # p(m) rounds to 0 near m = 2**53 at these parameters; its root is far beyond
+        with pytest.raises(ValueError, match=r"^p_min = 1e-30 is below every p the closed "
+                                             r"form resolves: p rounds to 0 at m = "):
+            solve_m(1e-30, 0.15, 0.15, 1.981)
+
     def test_unreachable_targets_rejected(self):
         ceiling = same_age_prob(DEFAULT_T)
         with pytest.raises(ValueError):

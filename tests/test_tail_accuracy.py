@@ -157,8 +157,10 @@ def _mp_ratio_prob(m, s1, s2, t):
     return _mp_interval((m + t * s1) / den, (m - t * s1) / den)
 
 
+# at t = 1.981 the root for p_min = 1e-11 lies past m = 64
 @pytest.mark.parametrize("s1, s2, t", [(0.1, 0.1, 1.0), (0.1, 0.1, DEFAULT_T),
-                                       (0.15, 0.15, DEFAULT_T), (0.2, 0.12, 1.5)])
+                                       (0.15, 0.15, DEFAULT_T), (0.2, 0.12, 1.5),
+                                       (0.15, 0.15, 1.981)])
 def test_solve_m_relative_residual(s1, s2, t):
     # solve_m stops at |p(m) - p_min| <= 4e-16 p_min in floats; what is
     # left is the closed form's own rounding, about 2e-14 at worst here.

@@ -23,7 +23,9 @@ from agecompat.verify import (
     slice_params,
     truncation_bound,
 )
-from agecompat.verify import _GL_NODES, _GL_WEIGHTS, _MC_CHUNK, _panel, _sin_from_cos
+from agecompat.verify import (_G10_NODES, _G10_WEIGHTS, _K21_CENTER_WEIGHT,
+                              _K21_GAUSS_WEIGHTS, _K21_NODES, _K21_WEIGHTS, _MC_CHUNK,
+                              _panel, _sin_from_cos)
 
 PHI_MINUS_4 = 3.1671241833119924e-05
 
@@ -228,18 +230,72 @@ class TestErrorRatioBounds:
             assert x / (x + 1.0) < math.tanh(x) < 1.0
 
 
-class TestGaussLegendreRule:
-    def test_matches_numpy_leggauss(self):
-        import numpy as np
-        nodes, weights = np.polynomial.legendre.leggauss(len(_GL_NODES))
-        assert max(abs(a - float(b)) for a, b in zip(_GL_NODES, nodes)) <= 4e-16
-        assert max(abs(a - float(b)) for a, b in zip(_GL_WEIGHTS, weights)) <= 2e-15
+def _whole_rule(nodes, weights, center_weight=None):
+    """Ascending nodes and weights on [-1, 1] from those of positive nodes."""
+    half = sorted(zip(nodes, weights))
+    center = [] if center_weight is None else [(0.0, center_weight)]
+    rule = [(-x, w) for x, w in reversed(half)] + center + half
+    return [x for x, _ in rule], [w for _, w in rule]
 
-    @pytest.mark.parametrize("k", range(2 * len(_GL_NODES)))
+
+def _moment(k):
+    return 2.0 / (k + 1) if k % 2 == 0 else 0.0
+
+
+G10 = _whole_rule(_G10_NODES, _G10_WEIGHTS)
+K21 = _whole_rule(_G10_NODES + _K21_NODES, _K21_GAUSS_WEIGHTS + _K21_WEIGHTS,
+                  _K21_CENTER_WEIGHT)
+
+
+class TestGaussLegendreRule:
+    """The panel rule: QUADPACK's G10/K21 Gauss-Kronrod pair.
+
+    The 10-point Gauss-Legendre rule (G10) is exact through degree 19,
+    and its 21-point Kronrod extension (K21) through degree 31; a panel
+    returns the K21 estimate and |K21 - G10| as its error estimate.
+    """
+
+    def test_matches_numpy_leggauss(self):
+        np = pytest.importorskip("numpy")
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert max(abs(a - float(b)) for a, b in zip(G10[0], nodes)) <= 4e-16
+        assert max(abs(a - float(b)) for a, b in zip(G10[1], weights)) <= 2e-15
+
+    @pytest.mark.parametrize("rule", [G10, K21], ids=["G10", "K21"])
+    def test_symmetric_and_weights_sum_to_two(self, rule):
+        nodes, weights = rule
+        assert nodes == sorted(set(nodes))
+        assert nodes == [-x for x in reversed(nodes)]
+        assert weights == weights[::-1]
+        assert math.fsum(weights) == pytest.approx(2.0, abs=4e-16)
+
+    def test_kronrod_nodes_interleave_the_gauss_nodes(self):
+        # every G10 node is a K21 node, and exactly one K21 node lies
+        # between neighbors and beyond each end
+        assert K21[0][1::2] == G10[0]
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_gauss_exact_through_degree_19(self, k):
+        nodes, weights = G10
+        got = math.fsum(w * x ** k for x, w in zip(nodes, weights))
+        assert got == pytest.approx(_moment(k), abs=1e-15)
+
+    @pytest.mark.parametrize("k", range(30))
     def test_panel_exact_through_degree_29(self, k):
-        # k = 0 is the check that the weights sum to 2
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert _panel(lambda x: x ** k, -1.0, 1.0) == pytest.approx(exact, abs=1e-15)
+        assert _panel(lambda x: x ** k, -1.0, 1.0)[0] == pytest.approx(_moment(k), abs=1e-15)
+
+    @pytest.mark.parametrize("k", [30, 31])
+    def test_panel_exact_through_degree_31(self, k):
+        # K21 is exact through degree 3 * 10 + 1, two beyond the test above
+        assert _panel(lambda x: x ** k, -1.0, 1.0)[0] == pytest.approx(_moment(k), abs=1e-15)
+
+    def test_panel_error_estimate_is_the_gauss_error(self):
+        # at degree 20, where K21 is still exact and G10 no longer is
+        nodes, weights = G10
+        g10 = math.fsum(w * x ** 20 for x, w in zip(nodes, weights))
+        error = _panel(lambda x: x ** 20, -1.0, 1.0)[1]
+        assert error == pytest.approx(abs(_moment(20) - g10), rel=1e-12)
+        assert error > 1e-8
 
 
 class TestIntegrate:
@@ -278,6 +334,18 @@ class TestIntegrate:
                       0.0, 1.0, tol=1e-14)
 
 
+def _certify_queries(seed, n):
+    """Queries drawn as the certify benchmark draws them: ages 15..80 at
+    most 10 years apart, s in [0.1, 0.2], t in [1, 2]."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        a1 = rng.uniform(15.0, 80.0)
+        a2 = min(80.0, max(15.0, a1 + rng.uniform(-10.0, 10.0)))
+        s1, s2 = rng.uniform(0.1, 0.2), rng.uniform(0.1, 0.2)
+        yield CompatQuery(Gaussian(a1, s1 * a1), Gaussian(a2, s2 * a2),
+                          t=rng.uniform(1.0, 2.0))
+
+
 class TestQuadOracle:
     def test_zero_window(self):
         q = _query(20.0, 2.0, 18.0, 1.5, d=0.0)
@@ -298,6 +366,18 @@ class TestQuadOracle:
             q = _query(mu1, s1, mu2, s2, d=rng.uniform(0.0, 3.0) * min(s1, s2))
             assert abs(quad_oracle(q) - compat_prob(q)) <= 1e-9
 
+    def test_within_1e_15_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for q in _certify_queries(2718, 200):
+                # the convolution identity, exact at 40 digits
+                s = mpmath.sqrt(mpmath.mpf(q.g1.sigma) ** 2 + mpmath.mpf(q.g2.sigma) ** 2)
+                g = mpmath.mpf(q.g1.mu) - mpmath.mpf(q.g2.mu)
+                ref = mpmath.ncdf((g + q.d) / s) - mpmath.ncdf((g - q.d) / s)
+                worst = max(worst, float(abs(quad_oracle(q) - ref)))
+        assert worst <= 1e-15
+
 
 class TestQuadOracleBounds:
     @pytest.mark.parametrize("g1, g2, bounds", [
@@ -311,6 +391,29 @@ class TestQuadOracleBounds:
                    f"largest sigma={g2.sigma!r}), is {bounds}, whose width overflows")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             quad_oracle(CompatQuery(g1, g2, t=1.0))
+
+
+class TestQuadOracleCost:
+    def test_at_most_fifteen_panels_per_query(self, monkeypatch):
+        # 21 integrand calls per panel; the 13 seed panels alone take 273
+        counts = []
+
+        def counting(f, *args, **kwargs):
+            calls = 0
+
+            def counted(x):
+                nonlocal calls
+                calls += 1
+                return f(x)
+            value = integrate(counted, *args, **kwargs)
+            counts.append(calls)
+            return value
+
+        monkeypatch.setattr(verify, "integrate", counting)
+        for q in _certify_queries(3141, 50):
+            quad_oracle(q)
+        assert len(counts) == 50
+        assert max(counts) <= 315
 
 
 def _closure_integrand(q):
