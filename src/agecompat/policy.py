@@ -49,13 +49,26 @@ class AgeLimitSpec(_Value):
         self._store((kind, x_limit, p_limit, s))
 
 
-def _chrono_from_mental(x_limit, s, quantile_arg):
-    den = 1.0 + s * normal_quantile(quantile_arg)
-    if den <= 0.0:
+def _limit_factor(s, quantile_arg):
+    # 1 + s * Phi^-1(quantile_arg): mental limit = chronological limit * factor
+    factor = 1.0 + s * normal_quantile(quantile_arg)
+    if factor <= 0.0:
         raise ValueError(
             "limit probability too extreme for the given s "
-            f"(1 + s*quantile = {den!r} <= 0)")
-    return x_limit / den
+            f"(1 + s*quantile = {factor!r} <= 0)")
+    return factor
+
+
+def _age_limit(value, name):
+    # finite positive inputs and factor, so only overflow or underflow lands here
+    if not 0.0 < value < math.inf:
+        raise ValueError(
+            f"{name} is {value!r}, not a finite positive age: the inputs are too extreme")
+    return value
+
+
+def _chrono_from_mental(x_limit, s, quantile_arg):
+    return _age_limit(x_limit / _limit_factor(s, quantile_arg), "chronological age limit")
 
 
 def chrono_min_age(spec: AgeLimitSpec) -> float:
@@ -63,7 +76,9 @@ def chrono_min_age(spec: AgeLimitSpec) -> float:
 
     Solves p_min = P(X >= x_min; mu, s*mu) for mu:
     mu_min = x_min / (1 + s * Phi^-1(1 - p_min)).  At p_min = 0.5 the
-    quantile vanishes and mu_min = x_min exactly.
+    quantile vanishes and mu_min = x_min exactly.  Raises ValueError
+    where that factor is <= 0 or mu_min leaves the float range, as
+    :func:`mental_limit_from_chrono` does.
     """
     if spec.kind != "min":
         raise ValueError(f"expected a 'min' spec, got kind={spec.kind!r}")
@@ -88,6 +103,11 @@ def mental_limit_from_chrono(mu_limit: float, s: float, p_limit: float,
     x_min = mu_min * (1 + s * Phi^-1(1 - p_min)) for lower limits,
     x_max = mu_max * (1 + s * Phi^-1(p_max)) for upper ones; round-trips
     with the chrono_* functions.
+
+    Raises:
+        ValueError: the factor 1 + s * Phi^-1(...) is <= 0 (the limit
+            probability is too extreme for s: no positive age realizes
+            it), or the limit overflows or underflows the float range.
     """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
@@ -95,7 +115,7 @@ def mental_limit_from_chrono(mu_limit: float, s: float, p_limit: float,
     _check_positive(s, "s")
     _check_open_prob(p_limit, "p_limit")
     arg = 1.0 - p_limit if kind == "min" else p_limit
-    return mu_limit * (1.0 + s * normal_quantile(arg))
+    return _age_limit(mu_limit * _limit_factor(s, arg), "mental age limit")
 
 
 def hyaps_bounds(mu: float) -> tuple[float, float]:
@@ -177,8 +197,17 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
     steps on log p with the analytic slope, each replaced by a bisection
     of the bracket if it would leave it.  The iteration stops once
     |p(m) - p_min| <= 4e-16 * p_min, or once the bracket or the Newton
-    step has shrunk below the spacing of floats at m, so the residual is
-    relative to p_min even for tail targets.
+    step has shrunk below the spacing of floats at m.
+
+    So the residual is only as fine as p resolves near the root.  The
+    closed form rounds m in its bounds (m +- t*s1)/den, which moves p
+    by up to about ulp(m)/(t*s1) relative, and that grows with m.
+    |p(m) - p_min| stays within 1e-13 * p_min while m < 128 (worst 8e-14
+    over 20,000 seeded draws of s1, s2 in [0.1, 0.2] and t in [1, 2];
+    p_min down to 1e-11 at s1 = s2 = 0.15 and t = 1.981).  Beyond that
+    it is relative to p_min only loosely: at those s and t it is 1e-13
+    at p_min = 1e-12, 4.4e-11 at 1e-16, 5e-6 at 1e-20 and 9.7e-3 at
+    1e-24.
 
     Far out p falls only as 1/m, so tail targets need large slopes:
     p_min = 1e-11 at s1 = s2 = 0.15 and t = 1.981 needs m > 64.  The

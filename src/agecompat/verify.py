@@ -42,8 +42,8 @@ __all__ = [
 _MAX_DEPTH = 48
 _MC_CHUNK = 1 << 19
 _MC_MIN_SAMPLES = 10 ** 4
-# twice the worst |cos32 - cos| and |sin32 - derived sin| at
-# float32(theta), theta in [0, 2 pi); mc_oracle's screen margin rests on it
+# twice the worst |cos32 - cos| and |sin32 - sin| at float32(theta),
+# theta in [0, 2 pi); mc_oracle's screen margin rests on it
 _TRIG32_ERR = 1e-6
 # the quadrature integrand calls these 21 times per panel, about 270 to
 # 315 times per quad_oracle
@@ -301,16 +301,25 @@ def _index(value, name):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _sin_from_cos(cos, sign):
-    """sin(theta) as sqrt((1 - cos)(1 + cos)), with the sign of ``sign``.
+def _excess(r, cos, sin, mu1, s1, mu2, s2, d):
+    """|x1 - x2| - d for x1 = r*cos*s1 + mu1, x2 = r*sin*s2 + mu2, left to right.
 
-    For theta in [0, 2 pi), pi - theta has the sign of sin(theta).
+    Works in place: the result overwrites ``cos``, and ``sin`` is
+    clobbered.  A pair is a hit, |x1 - x2| <= d, exactly where the
+    result is <= 0: d >= 0, so the subtraction cannot overflow, and it
+    gives 0 only where |x1 - x2| == d.
     """
     import numpy as np
-    sin = np.subtract(1.0, cos)
-    sin *= np.add(1.0, cos)
-    np.sqrt(sin, out=sin)
-    return np.copysign(sin, sign, out=sin)
+    cos *= r
+    cos *= s1
+    cos += mu1                         # x1
+    sin *= r
+    sin *= s2
+    sin += mu2                         # x2
+    cos -= sin
+    np.abs(cos, out=cos)
+    cos -= d
+    return cos
 
 
 def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
@@ -322,31 +331,22 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     substreams derive from (seed, chunk index), making the result
     independent of evaluation order.
 
-    The exact transform makes one trigonometric pass: with
-    theta = 2 pi u2, sin(theta) is taken as sqrt((1 - cos)(1 + cos)) with
-    the sign of pi - theta.  Over 10**7 seeded draws this lies within
-    4.4e-16 relative of numpy.sin wherever |cos(theta)| < 0.9; its
-    absolute error is at most 1.5e-8, a bound approached only for theta
-    within about 1e-8 of 0 or pi.  A pair's hit could therefore differ
-    from that of a transform calling numpy.sin only where |x1 - x2| lies
-    within that distance of d.
-
     Each chunk first screens its pairs with float32 cos and sin of
-    float32(theta), the rest in float64, giving e = |x1 - x2| - d to
-    within a margin
+    float32(theta), the rest in float64.  That gives e = |x1 - x2| - d
+    to within a margin of the float64 transform's e,
 
         8.6 * 1e-6 * (sigma1 + sigma2) + 1e-12 * (|mu1| + |mu2| + d).
 
     It holds because r = sqrt(-2 log u1) < 8.6 for every u1 >= 2**-53;
     rounding theta to float32 moves it by at most 2**-22 and float32
     trig is within a few ulp (6e-8), so each screened sine and cosine is
-    within 5e-7, half of 1e-6, of the exact transform's, derived sine
-    included; and the 1e-12 term covers the float64 rounding of the
-    affine steps in both transforms.  A pair with e below -margin is a
-    hit and one above +margin a miss, exactly as the exact transform
-    decides them.  Only the rest, typically none or a few per chunk and
-    NaN included, go through the exact transform, so every estimate is
-    the one the exact transform alone gives, for every seed.
+    within 5e-7, half of 1e-6, of the float64 one; and the 1e-12 term
+    covers the float64 rounding of the affine steps in both passes.  A
+    pair with e below -margin is a hit and one above +margin a miss,
+    exactly as the float64 transform decides them.  Only the rest,
+    typically none or a few per chunk and NaN included, go through the
+    float64 transform, so every estimate is the one that transform alone
+    gives, for every seed.  Both passes compute e with one helper.
 
     ``samples`` and ``seed`` must be integers (Python or NumPy), with
     ``samples >= 10000`` and ``seed >= 0``; anything else raises
@@ -367,6 +367,11 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     mu1, s1, mu2, s2 = g1.mu, g1.sigma, g2.mu, g2.sigma
     # may overflow to inf, which refines every sample: still exact
     margin = 8.6 * _TRIG32_ERR * (s1 + s2) + 1e-12 * (abs(mu1) + abs(mu2) + d)
+    # one block holds each chunk's four float64 arrays.  glibc hands a freed
+    # heap top back to the OS once it exceeds twice the largest freed mmap'd
+    # block, so with separate arrays, depending on heap layout, every call
+    # could fault their pages in again: about 150 faults at 20,000 samples
+    scratch = np.empty((4, min(_MC_CHUNK, samples)))
     hits = 0
     done = 0
     chunk_idx = 0
@@ -374,39 +379,27 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         n = min(_MC_CHUNK, samples - done)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,))))
-        a = rng.random(n)
+        a, b, cos, sin = scratch[:, :n]
+        rng.random(out=a)
         np.subtract(1.0, a, out=a)     # u1 in (0, 1]: keeps log finite
-        b = rng.random(n)              # u2
+        rng.random(out=b)              # u2
         np.log(a, out=a)
         a *= -2.0
         np.sqrt(a, out=a)              # r
         b *= 2.0 * np.pi               # theta
-        # screen: e = |x1 - x2| - d with float32 trig, in float64 otherwise
+        # screen: float32 trig, widened on store; float64 otherwise
         theta32 = b.astype(np.float32)
-        e = np.cos(theta32, out=np.empty(n))   # float32 loop, widened on store
-        e *= a
-        e *= s1
-        e += mu1                       # x1, screened
-        x2 = np.sin(theta32, out=np.empty(n))
-        x2 *= a
-        x2 *= s2
-        x2 += mu2                      # x2, screened
-        e -= x2
-        np.abs(e, out=e)
-        e -= d
+        e = _excess(a, np.cos(theta32, out=cos), np.sin(theta32, out=sin),
+                    mu1, s1, mu2, s2, d)
         inside = int(np.count_nonzero(e < -margin))
         outside = int(np.count_nonzero(e > margin))
         hits += inside
         if inside + outside < n:
-            # the undecided samples, NaN included, get the exact transform,
-            # operation for operation as on the whole chunk
+            # the undecided samples, NaN included, get the float64 transform
             keep = np.flatnonzero(~(np.abs(e, out=e) > margin))
-            r, theta = a[keep], b[keep]
-            cos = np.cos(theta)
-            sin = _sin_from_cos(cos, np.pi - theta)
-            x1 = r * cos * s1 + mu1
-            x2 = r * sin * s2 + mu2
-            hits += int(np.count_nonzero(np.abs(x1 - x2) <= d))
+            theta = b[keep]
+            e = _excess(a[keep], np.cos(theta), np.sin(theta), mu1, s1, mu2, s2, d)
+            hits += int(np.count_nonzero(e <= 0.0))
         done += n
         chunk_idx += 1
     est = hits / samples

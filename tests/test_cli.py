@@ -236,6 +236,24 @@ class TestLimitsCommand:
         assert (code, out) == (2, "")
         assert err == "error: --sweep takes no single limit probability: got --p\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        # 1 + s * quantile <= 0 at p = 0.6, 0.7 and 0.8: no row may print
+        (("--kind", "min", "--chrono", "18", "--sweep", "0.5:0.999:0.1", "--s", "2"),
+         "limit probability too extreme for the given s "
+         "(1 + s*quantile = -0.048801025416081334 <= 0)"),
+        (("--kind", "max", "--chrono", "18", "--p", "0.001", "--s", "2"),
+         "limit probability too extreme for the given s "
+         "(1 + s*quantile = -5.180464612335627 <= 0)"),
+        (("--kind", "min", "--chrono", "1e308", "--p", "0.01", "--s", "10"),
+         "mental age limit is inf, not a finite positive age: the inputs are too extreme"),
+        (("--kind", "min", "--mental", "1e308", "--p", "0.84", "--s", "1"),
+         "chronological age limit is inf, not a finite positive age: "
+         "the inputs are too extreme"),
+    ], ids=["sweep-factor", "single-factor", "mental-overflow", "chrono-overflow"])
+    def test_impossible_limit_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "limits", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestRuleCommand:
     def test_solve_m_reference_cell(self, capsys):

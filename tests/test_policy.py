@@ -1,6 +1,7 @@
 """Age-limit inversions, the dating-rule audit, and the gap-slope solver."""
 
 import math
+import random
 
 import pytest
 
@@ -77,6 +78,11 @@ class TestChronoMinAge:
         with pytest.raises(ValueError):
             chrono_min_age(AgeLimitSpec("min", 18.0, 1.0 - 1e-9, 0.2))
 
+    def test_overflowing_age_rejected(self):
+        # 1 + s * quantile(0.16) = 0.0055, and 1e308 / 0.0055 overflows
+        with pytest.raises(ValueError, match=r"^chronological age limit is inf, not a finite"):
+            chrono_min_age(AgeLimitSpec("min", 1e308, 0.84, 1.0))
+
 
 class TestChronoMaxAge:
     def test_half_probability_is_identity(self):
@@ -117,14 +123,27 @@ class TestMentalLimitFromChrono:
             for s in (0.1, 0.15, 0.2):
                 for p in (0.05, 0.2, 0.5, 0.8, 0.95):
                     mental = mental_limit_from_chrono(mu, s, p, kind)
-                    if mental <= 0:
-                        continue
                     back = solver(AgeLimitSpec(kind, mental, p, s))
                     assert back == pytest.approx(mu, rel=1e-9)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             mental_limit_from_chrono(18.0, 0.1, 0.5, "upper")
+
+    @pytest.mark.parametrize("p, kind", [(0.7, "min"), (0.001, "max")])
+    def test_factor_not_positive_rejected(self, p, kind):
+        # 1 + s * quantile <= 0 would give a mental limit at or below 0
+        with pytest.raises(ValueError, match="limit probability too extreme"):
+            mental_limit_from_chrono(18.0, 2.0, p, kind)
+
+    @pytest.mark.parametrize("mu, s, p, shown", [
+        (1e308, 10.0, 0.01, "inf"),
+        # 5e-324 * 0.36 rounds to 0
+        (5e-324, 0.5, 0.9, "0.0"),
+    ])
+    def test_result_out_of_range_rejected(self, mu, s, p, shown):
+        with pytest.raises(ValueError, match=rf"^mental age limit is {shown}, not a finite"):
+            mental_limit_from_chrono(mu, s, p, "min")
 
     @pytest.mark.parametrize("mu, s", [(math.nan, 0.15), (18.0, math.nan)])
     def test_nan_rejected(self, mu, s):
@@ -250,6 +269,19 @@ class TestSolveM:
         m = solve_m(1e-11, 0.15, 0.15, 1.981)
         assert 64.0 < m < 128.0
         assert rule_probability(1.0, m, 0.15, 0.15, 1.981) == pytest.approx(1e-11, rel=1e-13)
+
+    def test_residual_relative_below_slope_128(self):
+        # the range the docstring promises a relative residual for
+        rng = random.Random(128)
+        checked = 0
+        for _ in range(400):
+            s1, s2, t = rng.uniform(0.1, 0.2), rng.uniform(0.1, 0.2), rng.uniform(1.0, 2.0)
+            p_min = rule_probability(1.0, 0.0, s1, s2, t) * 10.0 ** -rng.uniform(0.0, 12.0)
+            m = solve_m(p_min, s1, s2, t)
+            if m < 128.0:
+                checked += 1
+                assert rule_probability(1.0, m, s1, s2, t) == pytest.approx(p_min, rel=1e-13)
+        assert checked > 300
 
     def test_target_below_every_resolved_p_rejected(self):
         # p(m) rounds to 0 near m = 2**53 at these parameters; its root is far beyond

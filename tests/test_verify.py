@@ -25,7 +25,7 @@ from agecompat.verify import (
 )
 from agecompat.verify import (_G10_NODES, _G10_WEIGHTS, _K21_CENTER_WEIGHT,
                               _K21_GAUSS_WEIGHTS, _K21_NODES, _K21_WEIGHTS, _MC_CHUNK,
-                              _panel, _sin_from_cos)
+                              _panel)
 
 PHI_MINUS_4 = 3.1671241833119924e-05
 
@@ -34,11 +34,10 @@ def _query(mu1, s1, mu2, s2, d):
     return CompatQuery(Gaussian(mu1, s1), Gaussian(mu2, s2), d=d)
 
 
-def _reference_mc(q, samples, seed, derived_sine):
-    """Reference sampler: the Box-Muller transform in float64 throughout.
+def _two_call_mc(q, samples, seed):
+    """Reference sampler: the Box-Muller transform with numpy.cos and numpy.sin.
 
-    sin(theta) is numpy.sin, or with ``derived_sine`` the exact
-    transform's sqrt((1 - cos)(1 + cos)) with the sign of pi - theta.
+    float64 throughout, with no float32 screen.
     """
     np = pytest.importorskip("numpy")
     hits = 0
@@ -52,25 +51,13 @@ def _reference_mc(q, samples, seed, derived_sine):
         u2 = rng.random(n)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
-        cos = np.cos(theta)
-        sin = _sin_from_cos(cos, np.pi - theta) if derived_sine else np.sin(theta)
-        x1 = q.g1.mu + q.g1.sigma * (r * cos)
-        x2 = q.g2.mu + q.g2.sigma * (r * sin)
+        x1 = q.g1.mu + q.g1.sigma * (r * np.cos(theta))
+        x2 = q.g2.mu + q.g2.sigma * (r * np.sin(theta))
         hits += int(np.count_nonzero(np.abs(x1 - x2) <= q.d))
         done += n
         chunk_idx += 1
     est = hits / samples
     return McEstimate(est, math.sqrt(est * (1.0 - est) / samples))
-
-
-def _two_call_mc(q, samples, seed):
-    """Reference sampler: the Box-Muller transform with numpy.cos and numpy.sin."""
-    return _reference_mc(q, samples, seed, derived_sine=False)
-
-
-def _exact_mc(q, samples, seed):
-    """Reference sampler: the exact transform alone, with no float32 screen."""
-    return _reference_mc(q, samples, seed, derived_sine=True)
 
 
 class TestSliceParams:
@@ -519,8 +506,8 @@ class TestMcOracle:
                 == mc_oracle(q, 10 ** 5, 42))
 
 
-class TestDerivedSine:
-    """The oracle derives sin(theta) from cos(theta) instead of calling sin."""
+class TestTwoCallTransform:
+    """The oracle gives the textbook Box-Muller transform's estimates."""
 
     def test_same_estimates_as_two_call_transform(self):
         rng = random.Random(90210)
@@ -537,21 +524,6 @@ class TestDerivedSine:
         samples = _MC_CHUNK + 1000
         assert mc_oracle(q, samples, 9) == _two_call_mc(q, samples, 9)
 
-    def test_against_numpy_sin_on_one_chunk(self):
-        np = pytest.importorskip("numpy")
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=42, spawn_key=(0,))))
-        rng.random(_MC_CHUNK)                      # u1 comes first in the stream
-        theta = 2.0 * np.pi * rng.random(_MC_CHUNK)
-        cos = np.cos(theta)
-        sin = _sin_from_cos(cos, np.pi - theta)
-        ref = np.sin(theta)
-        away = np.abs(cos) < 0.9
-        assert np.max(np.abs(sin[away] - ref[away]) / np.abs(ref[away])) <= 1e-15
-        assert np.max(np.abs(sin - ref)) <= 2e-8
-        both = (sin != 0.0) & (ref != 0.0)
-        assert np.array_equal(np.sign(sin[both]), np.sign(ref[both]))
-
 
 class TestFloat32Screen:
     """The oracle decides most hits with float32 trig and redoes the rest exactly."""
@@ -567,7 +539,7 @@ class TestFloat32Screen:
             s1, s2 = rng.uniform(0.1, 0.2) * mu1, rng.uniform(0.1, 0.2) * mu2
             q = _query(mu1, s1, mu2, s2, d=rng.uniform(1.0, 2.0) * min(s1, s2))
             seed = rng.getrandbits(32)
-            assert mc_oracle(q, 20_000, seed) == _exact_mc(q, 20_000, seed)
+            assert mc_oracle(q, 20_000, seed) == _two_call_mc(q, 20_000, seed)
 
     @pytest.mark.parametrize("q, samples", [
         (_query(20.0, 2.0, 18.0, 1.5, d=0.0), 20_000),
@@ -585,7 +557,7 @@ class TestFloat32Screen:
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_edge_queries_match_exact_transform(self, q, samples):
         for seed in (0, 1, 2):
-            assert mc_oracle(q, samples, seed) == _exact_mc(q, samples, seed)
+            assert mc_oracle(q, samples, seed) == _two_call_mc(q, samples, seed)
 
     def test_pairs_on_the_boundary_decided_as_exact_transform(self, monkeypatch):
         # draws crafted so that every exact |x1 - x2| lies within rounding
@@ -596,8 +568,7 @@ class TestFloat32Screen:
         rng = np.random.default_rng(7)
         u2 = rng.random(4 * n)
         theta = 2.0 * np.pi * u2
-        cos = np.cos(theta)
-        r = q.d / np.abs(cos * 3.0 - _sin_from_cos(cos, np.pi - theta) * 2.4)
+        r = q.d / np.abs(np.cos(theta) * 3.0 - np.sin(theta) * 2.4)
         keep = (0.5 < r) & (r < 8.0)
         u2 = u2[keep][:n]
         u1 = np.exp(-0.5 * r[keep][:n] ** 2)
@@ -608,24 +579,25 @@ class TestFloat32Screen:
             def __init__(self, bit_generator):
                 self.draws = iter((1.0 - u1, u2))
 
-            def random(self, size):
-                return next(self.draws).copy()
+            def random(self, size=None, out=None):
+                if out is None:
+                    return next(self.draws).copy()
+                out[...] = next(self.draws)
+                return out
 
         monkeypatch.setattr(np.random, "Generator", Draws)
-        exact = _exact_mc(q, n, 0)
+        exact = _two_call_mc(q, n, 0)
         assert 0.1 < exact.estimate < 0.9
         assert mc_oracle(q, n, 0) == exact
 
     def test_float32_trig_within_half_the_bound(self):
         # the margin allows _TRIG32_ERR per unit r * sigma; half of it must
-        # cover float32 trig on this platform, the derived sine included
+        # cover float32 trig on this platform
         np = pytest.importorskip("numpy")
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=2021, spawn_key=(0,))))
         theta = 2.0 * np.pi * rng.random(1 << 19)
         theta[:5] = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, np.nextafter(2.0 * np.pi, 0.0))
         theta32 = theta.astype(np.float32)
-        cos = np.cos(theta)
-        sin = _sin_from_cos(cos, np.pi - theta)
-        assert np.max(np.abs(np.cos(theta32) - cos)) <= verify._TRIG32_ERR / 2
-        assert np.max(np.abs(np.sin(theta32) - sin)) <= verify._TRIG32_ERR / 2
+        assert np.max(np.abs(np.cos(theta32) - np.cos(theta))) <= verify._TRIG32_ERR / 2
+        assert np.max(np.abs(np.sin(theta32) - np.sin(theta))) <= verify._TRIG32_ERR / 2
