@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .model import AgeProfile, _Value
 from .special import (_check_nonneg, _check_open_prob, _check_prob, _clamp_unit,
-                      normal_cdf)
+                      _index, normal_cdf)
 
 __all__ = [
     "Cohort", "NormalTail",
@@ -110,6 +110,22 @@ def _binom_pmf(m, n, p, q):
     return math.exp(lc) * math.sqrt(n / (2.0 * math.pi * m * (n - m)))
 
 
+def _tail_sum(term, m, n, ratio):
+    # term + term_{m+1} + ... for term_{j+1} = term_j * (n-j)/(j+1) * ratio,
+    # stopped once terms no longer move the running sum; clamped at 1
+    terms = [term]
+    total = term
+    while m < n:
+        term *= (n - m) / (m + 1) * ratio
+        terms.append(term)
+        total += term
+        m += 1
+        if term <= total * _REL_CUTOFF:
+            break
+    total = math.fsum(terms)
+    return total if total < 1.0 else 1.0
+
+
 def at_least_k_exact(k: int, n: int, p: float) -> float:
     """Exact binomial upper tail P(X >= k) for X ~ Binomial(n, p).
 
@@ -120,8 +136,14 @@ def at_least_k_exact(k: int, n: int, p: float) -> float:
     so only the O(sqrt(n p (1-p))) significant terms near the boundary
     are visited and nothing overflows.  Whichever of the two tails is
     the smaller side is summed directly, keeping the relative error of
-    the result around 1e-13.
+    the result around 1e-13; the lower tail P(X <= k-1) is summed as the
+    upper tail P(n-X >= n-k+1) of n-X ~ Binomial(n, 1-p).
+
+    ``k`` and ``n`` must be integers (Python or NumPy) with
+    0 <= k <= n <= 10**7; anything else raises ``ValueError``.
     """
+    k = _index(k, "k")
+    n = _index(n, "n")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}")
     if n > _MAX_N:
@@ -135,42 +157,9 @@ def at_least_k_exact(k: int, n: int, p: float) -> float:
         return 1.0
 
     q = 1.0 - p
-    mean = n * p
-
-    if k > mean:
-        # upper tail is the small side: sum m = k, k+1, ... upward
-        term = _binom_pmf(k, n, p, q)
-        if term == 0.0:
-            return 0.0
-        terms = [term]
-        total = term
-        m = k
-        while m < n:
-            term *= (n - m) / (m + 1) * (p / q)
-            terms.append(term)
-            total += term
-            m += 1
-            if term <= total * _REL_CUTOFF:
-                break
-        total = math.fsum(terms)
-        return total if total < 1.0 else 1.0
-
-    # lower sum m = 0 .. k-1 is the small side; sum downward from k-1
-    term = _binom_pmf(k - 1, n, p, q)
-    if term == 0.0:
-        return 1.0
-    terms = [term]
-    total = term
-    m = k - 1
-    while m > 0:
-        term *= m / (n - m + 1) * (q / p)
-        terms.append(term)
-        total += term
-        m -= 1
-        if term <= total * _REL_CUTOFF:
-            break
-    total = math.fsum(terms)
-    return 1.0 - total if total < 1.0 else 0.0
+    if k > n * p:
+        return _tail_sum(_binom_pmf(k, n, p, q), k, n, p / q)
+    return 1.0 - _tail_sum(_binom_pmf(k - 1, n, p, q), n - k + 1, n, q / p)
 
 
 NormalTail = namedtuple("NormalTail", "value valid")
@@ -199,6 +188,8 @@ def at_least_k_normal(k: int, n: int, p: float) -> NormalTail:
     the mean.  No continuity correction is applied; the exact path is
     authoritative where they disagree.
     """
+    k = _index(k, "k")
+    n = _index(n, "n")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}")
     _check_open_prob(p, "p")

@@ -49,13 +49,14 @@ class AgeLimitSpec(_Value):
         self._store((kind, x_limit, p_limit, s))
 
 
-def _limit_factor(s, quantile_arg):
-    # 1 + s * Phi^-1(quantile_arg): mental limit = chronological limit * factor
-    factor = 1.0 + s * normal_quantile(quantile_arg)
+def _limit_factor(s, p_limit, kind):
+    # 1 + s * Phi^-1(1 - p_limit) for a lower limit, 1 + s * Phi^-1(p_limit)
+    # for an upper one: mental limit = chronological limit * factor
+    factor = 1.0 + s * normal_quantile(1.0 - p_limit if kind == "min" else p_limit)
     if factor <= 0.0:
         raise ValueError(
             "limit probability too extreme for the given s "
-            f"(1 + s*quantile = {factor!r} <= 0)")
+            f"(1 + s*quantile = {factor!r} <= 0) at p_limit={p_limit!r}")
     return factor
 
 
@@ -67,8 +68,9 @@ def _age_limit(value, name):
     return value
 
 
-def _chrono_from_mental(x_limit, s, quantile_arg):
-    return _age_limit(x_limit / _limit_factor(s, quantile_arg), "chronological age limit")
+def _chrono_from_mental(spec):
+    return _age_limit(spec.x_limit / _limit_factor(spec.s, spec.p_limit, spec.kind),
+                      "chronological age limit")
 
 
 def chrono_min_age(spec: AgeLimitSpec) -> float:
@@ -82,7 +84,7 @@ def chrono_min_age(spec: AgeLimitSpec) -> float:
     """
     if spec.kind != "min":
         raise ValueError(f"expected a 'min' spec, got kind={spec.kind!r}")
-    return _chrono_from_mental(spec.x_limit, spec.s, 1.0 - spec.p_limit)
+    return _chrono_from_mental(spec)
 
 
 def chrono_max_age(spec: AgeLimitSpec) -> float:
@@ -93,7 +95,7 @@ def chrono_max_age(spec: AgeLimitSpec) -> float:
     """
     if spec.kind != "max":
         raise ValueError(f"expected a 'max' spec, got kind={spec.kind!r}")
-    return _chrono_from_mental(spec.x_limit, spec.s, spec.p_limit)
+    return _chrono_from_mental(spec)
 
 
 def mental_limit_from_chrono(mu_limit: float, s: float, p_limit: float,
@@ -114,8 +116,7 @@ def mental_limit_from_chrono(mu_limit: float, s: float, p_limit: float,
     _check_positive(mu_limit, "mu_limit")
     _check_positive(s, "s")
     _check_open_prob(p_limit, "p_limit")
-    arg = 1.0 - p_limit if kind == "min" else p_limit
-    return _age_limit(mu_limit * _limit_factor(s, arg), "mental age limit")
+    return _age_limit(mu_limit * _limit_factor(s, p_limit, kind), "mental age limit")
 
 
 def hyaps_bounds(mu: float) -> tuple[float, float]:

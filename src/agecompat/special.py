@@ -13,14 +13,16 @@ interval that contains 0).  All functions are
 pure and safe for concurrent use.
 
 Inputs are validated once, at the public boundary, and the whole
-package states its domain rule through five checks defined here:
+package states its domain rule through six checks defined here:
 ``_check_finite`` (any finite value), ``_check_positive`` (finite and
 > 0: ages, dispersions, ratios), ``_check_nonneg`` (finite and >= 0:
 allowed differences, gaps, error budgets, counts), ``_check_prob`` (in
-[0, 1]: pair probabilities) and ``_check_open_prob`` (strictly inside
-(0, 1): quantile arguments and limit probabilities).  Each raises
-``ValueError`` with a message that names the argument, so NaN and +-inf
-are rejected by name everywhere.  The public functions ``erf``,
+[0, 1]: pair probabilities), ``_check_open_prob`` (strictly inside
+(0, 1): quantile arguments and limit probabilities) and ``_index`` (a
+Python or NumPy integer, returned as an int: binomial k and n,
+Monte-Carlo sample counts and seeds).  Each raises ``ValueError`` with a
+message that names the argument, so NaN and +-inf are rejected by name
+everywhere.  The public functions ``erf``,
 ``erfc``, ``normal_pdf``, ``normal_cdf`` and ``normal_quantile`` reject
 non-finite (and, for the quantile, out-of-range) arguments.  The
 internal kernels ``_phi`` and ``_pdf`` check nothing and expect finite
@@ -37,6 +39,7 @@ Reference:
 """
 
 import math
+import operator
 
 __all__ = ["erf", "erfc", "normal_pdf", "normal_cdf", "normal_quantile"]
 
@@ -78,6 +81,13 @@ def _check_prob(x, name):
 def _check_open_prob(x, name):
     if not 0.0 < x < 1.0:
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {x!r}")
+
+
+def _index(value, name):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _phi(z):

@@ -23,14 +23,13 @@ needs numpy, which it imports when called.
 """
 
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Callable
 
 from .compat import CompatQuery
 from .model import _Value
 from .special import (_SQRT2, _SQRT2PI, QuadratureError, _check_finite, _check_nonneg,
-                      _check_positive, _clamp_unit, normal_cdf)
+                      _check_positive, _clamp_unit, _index, normal_cdf)
 
 __all__ = [
     "SliceParams", "ErrorBudget", "TruncationBound", "McEstimate",
@@ -292,13 +291,6 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
 
 McEstimate = namedtuple("McEstimate", "estimate stderr")
 McEstimate.__doc__ = "Monte-Carlo estimate with its binomial standard error."
-
-
-def _index(value, name):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _excess(r, cos, sin, mu1, s1, mu2, s2, d):

@@ -237,13 +237,14 @@ class TestLimitsCommand:
         assert err == "error: --sweep takes no single limit probability: got --p\n"
 
     @pytest.mark.parametrize("argv, message", [
-        # 1 + s * quantile <= 0 at p = 0.6, 0.7 and 0.8: no row may print
+        # 1 + s * quantile <= 0 at p = 0.7, 0.8 and 0.9: no row may print, and
+        # the message names the first failing point
         (("--kind", "min", "--chrono", "18", "--sweep", "0.5:0.999:0.1", "--s", "2"),
          "limit probability too extreme for the given s "
-         "(1 + s*quantile = -0.048801025416081334 <= 0)"),
+         "(1 + s*quantile = -0.048801025416081334 <= 0) at p_limit=0.7"),
         (("--kind", "max", "--chrono", "18", "--p", "0.001", "--s", "2"),
          "limit probability too extreme for the given s "
-         "(1 + s*quantile = -5.180464612335627 <= 0)"),
+         "(1 + s*quantile = -5.180464612335627 <= 0) at p_limit=0.001"),
         (("--kind", "min", "--chrono", "1e308", "--p", "0.01", "--s", "10"),
          "mental age limit is inf, not a finite positive age: the inputs are too extreme"),
         (("--kind", "min", "--mental", "1e308", "--p", "0.84", "--s", "1"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from agecompat.expect import (
     Cohort,
+    _binom_pmf,
     at_least_k_exact,
     at_least_k_normal,
     expected_pairs,
@@ -94,6 +95,44 @@ class TestExpectedWithAtLeastOne:
         assert expected_with_at_least_one(n_self, n_other, p) <= n_self
 
 
+def _two_loop_tail(k, n, p):
+    # P(X >= k) summed with one hand-kept loop per tail, for valid arguments
+    if k == 0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    q = 1.0 - p
+    if k > n * p:
+        term = _binom_pmf(k, n, p, q)
+        if term == 0.0:
+            return 0.0
+        terms, total, m = [term], term, k
+        while m < n:
+            term *= (n - m) / (m + 1) * (p / q)
+            terms.append(term)
+            total += term
+            m += 1
+            if term <= total * 1e-18:
+                break
+        total = math.fsum(terms)
+        return total if total < 1.0 else 1.0
+    term = _binom_pmf(k - 1, n, p, q)
+    if term == 0.0:
+        return 1.0
+    terms, total, m = [term], term, k - 1
+    while m > 0:
+        term *= m / (n - m + 1) * (q / p)
+        terms.append(term)
+        total += term
+        m -= 1
+        if term <= total * 1e-18:
+            break
+    total = math.fsum(terms)
+    return 1.0 - total if total < 1.0 else 0.0
+
+
 class TestAtLeastKExact:
     def test_small_exact_sum(self):
         assert at_least_k_exact(3, 10, 0.5) == pytest.approx(TAIL_3_10_HALF,
@@ -136,6 +175,34 @@ class TestAtLeastKExact:
             at_least_k_exact(-1, 10, 0.5)
         with pytest.raises(ValueError):
             at_least_k_exact(1, 10**7 + 1, 0.5)
+
+    def test_same_floats_as_two_loop_form(self):
+        # one loop sums both tails; each result must be the same float the
+        # two mirror-image loops gave, on both branches and at the edges
+        rng = random.Random(1914)
+        points = []
+        for _ in range(1500):
+            n = round(10.0 ** rng.uniform(0.0, 7.0))
+            p = rng.choice((rng.random(), 10.0 ** rng.uniform(-12.0, 0.0),
+                            1.0 - 10.0 ** rng.uniform(-12.0, -1.0)))
+            sd = math.sqrt(n * p * (1.0 - p))
+            k = round(n * p + rng.uniform(-6.0, 6.0) * sd)
+            points.append((min(n, max(0, k)), n, p))
+        for n in (1, 2, 7, 1000, 10**7):
+            for p in (5e-324, 1e-12, 0.3, 0.5, 1.0 - 1e-12):
+                points += [(k, n, p) for k in {0, 1, n - 1, n}]
+        lower = 0
+        for k, n, p in points:
+            assert at_least_k_exact(k, n, p) == _two_loop_tail(k, n, p), (k, n, p)
+            lower += 0 < k <= n * p < n
+        assert 300 < lower < len(points) - 300
+
+    @pytest.mark.parametrize("tail", [at_least_k_exact, at_least_k_normal])
+    @pytest.mark.parametrize("k, n, name", [(2.5, 10, "k"), (0.5, 10, "k"),
+                                            (2, 10.0, "n"), (2, "10", "n")])
+    def test_non_integer_k_or_n_rejected_by_name(self, tail, k, n, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            tail(k, n, 0.3)
 
     @given(st.integers(min_value=1, max_value=25),
            st.data())

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -135,6 +136,15 @@ class TestMentalLimitFromChrono:
         # 1 + s * quantile <= 0 would give a mental limit at or below 0
         with pytest.raises(ValueError, match="limit probability too extreme"):
             mental_limit_from_chrono(18.0, 2.0, p, kind)
+
+    @pytest.mark.parametrize("p, kind", [(0.7, "min"), (0.001, "max")])
+    def test_factor_not_positive_names_p_limit_both_ways(self, p, kind):
+        solver = chrono_min_age if kind == "min" else chrono_max_age
+        tail = re.escape(f") at p_limit={p!r}") + "$"
+        with pytest.raises(ValueError, match=tail):
+            mental_limit_from_chrono(18.0, 2.0, p, kind)
+        with pytest.raises(ValueError, match=tail):
+            solver(AgeLimitSpec(kind, 18.0, p, 2.0))
 
     @pytest.mark.parametrize("mu, s, p, shown", [
         (1e308, 10.0, 0.01, "inf"),
