@@ -112,14 +112,20 @@ def _binom_pmf(m, n, p, q):
 
 def _tail_sum(term, m, n, ratio):
     # term + term_{m+1} + ... for term_{j+1} = term_j * (n-j)/(j+1) * ratio,
-    # stopped once terms no longer move the running sum; clamped at 1
+    # stopped once terms no longer move the running sum; clamped at 1.
+    # above = n - j and below = j + 1 are kept as floats: every integer up
+    # to _MAX_N < 2**53 is exact in float64, so each quotient is the
+    # correctly rounded one the integers give, without int arithmetic
     terms = [term]
     total = term
-    while m < n:
-        term *= (n - m) / (m + 1) * ratio
+    above = float(n - m)
+    below = float(m + 1)
+    while above > 0.0:
+        term *= above / below * ratio
         terms.append(term)
         total += term
-        m += 1
+        above -= 1.0
+        below += 1.0
         if term <= total * _REL_CUTOFF:
             break
     total = math.fsum(terms)

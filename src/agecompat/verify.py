@@ -41,9 +41,15 @@ __all__ = [
 _MAX_DEPTH = 48
 _MC_CHUNK = 1 << 19
 _MC_MIN_SAMPLES = 10 ** 4
-# twice the worst |cos32 - cos| and |sin32 - sin| at float32(theta),
-# theta in [0, 2 pi); mc_oracle's screen margin rests on it
+# twice the worst |cos32 - cos| at float32(x), x = theta + phi in
+# [0, 2 pi + pi/2); mc_oracle's screen margin rests on it
 _TRIG32_ERR = 1e-6
+# the screen runs only where R is at least the least normal float32 and its
+# scale and margin stay below _F32_LIMIT; its float32 rounding is at most
+# 5.25 * 2**-24 of that scale, and _F32_ERR is more than twice that
+_F32_TINY = 2.0 ** -126
+_F32_LIMIT = 2.0 ** 127
+_F32_ERR = 7.2e-7
 # the quadrature integrand calls these 21 times per panel, about 270 to
 # 315 times per quad_oracle
 _exp = math.exp
@@ -314,6 +320,39 @@ def _excess(r, cos, sin, mu1, s1, mu2, s2, d):
     return cos
 
 
+def _screen_margin(mu1, s1, mu2, s2, d):
+    """Margin of mc_oracle's float32 screen, or inf where it cannot run.
+
+    The screen needs R = hypot(s1, s2) to be a normal float32 and its
+    scale and margin to stay below 2**127; an overflowing margin is inf
+    as well.  See :func:`mc_oracle` for the bound.
+    """
+    scale = 8.6 * (s1 + s2) + abs(mu1 - mu2) + d
+    margin = (8.6 * _TRIG32_ERR * (s1 + s2) + _F32_ERR * scale
+              + 1e-12 * (abs(mu1) + abs(mu2) + d))
+    if _F32_TINY <= math.hypot(s1, s2) and scale + margin < _F32_LIMIT:
+        return margin
+    return math.inf
+
+
+def _screen(r, theta, mu1, s1, mu2, s2, cos, out):
+    """|x1 - x2| = |r * R * cos(theta + phi) + (mu1 - mu2)| in float32, into out.
+
+    R = hypot(s1, s2) and phi = atan2(s2, s1); ``r`` and ``theta`` are
+    float64, ``cos`` and ``out`` float32 arrays of their size, and
+    ``cos`` is clobbered.  theta + phi is summed in float64 and rounded
+    to float32 once; every later step is float32.
+    """
+    import numpy as np
+    np.add(theta, math.atan2(s2, s1), out=cos)
+    np.cos(cos, out=cos)
+    out[...] = r
+    out *= cos
+    out *= np.float32(math.hypot(s1, s2))
+    out += np.float32(mu1 - mu2)
+    return np.abs(out, out=out)
+
+
 def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     """Estimate the pair probability by seeded sampling.
 
@@ -323,22 +362,39 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     substreams derive from (seed, chunk index), making the result
     independent of evaluation order.
 
-    Each chunk first screens its pairs with float32 cos and sin of
-    float32(theta), the rest in float64.  That gives e = |x1 - x2| - d
-    to within a margin of the float64 transform's e,
+    A pair is a hit where the float64 transform, x1 = r*cos(theta)*sigma1
+    + mu1 and x2 = r*sin(theta)*sigma2 + mu2, gives |x1 - x2| <= d.  Each
+    chunk first screens its pairs in float32 with one cosine, from
 
-        8.6 * 1e-6 * (sigma1 + sigma2) + 1e-12 * (|mu1| + |mu2| + d).
+        x1 - x2 = r * R * cos(theta + phi) + (mu1 - mu2),
 
-    It holds because r = sqrt(-2 log u1) < 8.6 for every u1 >= 2**-53;
-    rounding theta to float32 moves it by at most 2**-22 and float32
-    trig is within a few ulp (6e-8), so each screened sine and cosine is
-    within 5e-7, half of 1e-6, of the float64 one; and the 1e-12 term
-    covers the float64 rounding of the affine steps in both passes.  A
-    pair with e below -margin is a hit and one above +margin a miss,
-    exactly as the float64 transform decides them.  Only the rest,
-    typically none or a few per chunk and NaN included, go through the
-    float64 transform, so every estimate is the one that transform alone
-    gives, for every seed.  Both passes compute e with one helper.
+    R = hypot(sigma1, sigma2) and phi = atan2(sigma2, sigma1): the screen
+    forms |r * c * R + (mu1 - mu2)| with c the float32 cos of
+    float32(theta + phi), every step in float32.  That is |x1 - x2| to
+    within a margin,
+
+        8.6 * 1e-6 * (sigma1 + sigma2)
+        + 7.2e-7 * (8.6 * (sigma1 + sigma2) + |mu1 - mu2| + d)
+        + 1e-12 * (|mu1| + |mu2| + d).
+
+    It holds because r = sqrt(-2 log u1) < 8.6 for every u1 >= 2**-53
+    and R <= sigma1 + sigma2.  Rounding theta + phi to float32 moves it
+    by at most 2**-22 and float32 cos is within a few ulp (6e-8), so c
+    is within 5e-7, half of 1e-6, of the exact cosine.  The screen
+    rounds six times to float32: r, R and mu1 - mu2, its two products and
+    its sum.  Each rounding errs by at most 2**-24 relative, or by 2**-150
+    below the least normal float32, which is at most 2**-24 * R while R
+    is normal.  Together they move it by at most 5.25 * 2**-24 of the
+    second term's scale, under half of 7.2e-7 of it.  The 1e-12 term
+    covers the float64 rounding of both forms.  So a pair whose
+    screened value lies below float32(d - margin), nudged one ulp down,
+    is a hit, and one above float32(d + margin), nudged one ulp up, a
+    miss, exactly as the float64 transform decides them.  Only the rest,
+    typically none or one per call, go through the float64 transform, so
+    every estimate is the one that transform alone gives, for every
+    seed.  A query whose R is below the least normal float32, or whose
+    scales and margin reach 2**127, skips the screen and sends every
+    pair through the float64 transform, as does an overflowing margin.
 
     ``samples`` and ``seed`` must be integers (Python or NumPy), with
     ``samples >= 10000`` and ``seed >= 0``; anything else raises
@@ -357,21 +413,25 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
 
     g1, g2, d = q.g1, q.g2, q.d
     mu1, s1, mu2, s2 = g1.mu, g1.sigma, g2.mu, g2.sigma
-    # may overflow to inf, which refines every sample: still exact
-    margin = 8.6 * _TRIG32_ERR * (s1 + s2) + 1e-12 * (abs(mu1) + abs(mu2) + d)
-    # one block holds each chunk's four float64 arrays.  glibc hands a freed
-    # heap top back to the OS once it exceeds twice the largest freed mmap'd
-    # block, so with separate arrays, depending on heap layout, every call
-    # could fault their pages in again: about 150 faults at 20,000 samples
-    scratch = np.empty((4, min(_MC_CHUNK, samples)))
+    margin = _screen_margin(mu1, s1, mu2, s2, d)
+    screened = margin < math.inf
+    if screened:
+        lo = np.nextafter(np.float32(d - margin), np.float32(-np.inf))
+        hi = np.nextafter(np.float32(d + margin), np.float32(np.inf))
+    # one block holds each chunk's arrays: r, theta and, viewed as two
+    # float32 rows, the screen's.  glibc hands a freed heap top back to the
+    # OS once it exceeds twice the largest freed mmap'd block, so with
+    # separate arrays, depending on heap layout, every call could fault
+    # their pages in again: about 150 faults at 20,000 samples
+    width = min(_MC_CHUNK, samples)
+    scratch = np.empty((3, width))
+    cos32, x32 = scratch[2].view(np.float32).reshape(2, width)
     hits = 0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
+    for chunk_idx, done in enumerate(range(0, samples, _MC_CHUNK)):
         n = min(_MC_CHUNK, samples - done)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,))))
-        a, b, cos, sin = scratch[:, :n]
+        a, b = scratch[:2, :n]
         rng.random(out=a)
         np.subtract(1.0, a, out=a)     # u1 in (0, 1]: keeps log finite
         rng.random(out=b)              # u2
@@ -379,20 +439,20 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         a *= -2.0
         np.sqrt(a, out=a)              # r
         b *= 2.0 * np.pi               # theta
-        # screen: float32 trig, widened on store; float64 otherwise
-        theta32 = b.astype(np.float32)
-        e = _excess(a, np.cos(theta32, out=cos), np.sin(theta32, out=sin),
-                    mu1, s1, mu2, s2, d)
-        inside = int(np.count_nonzero(e < -margin))
-        outside = int(np.count_nonzero(e > margin))
-        hits += inside
-        if inside + outside < n:
+        keep = slice(None)
+        if screened:
+            x = _screen(a, b, mu1, s1, mu2, s2, cos32[:n], x32[:n])
+            inside = x < lo
+            outside = x > hi
+            decided = int(np.count_nonzero(inside))
+            hits += decided
+            decided += int(np.count_nonzero(outside))
+            if decided == n:
+                continue
             # the undecided samples, NaN included, get the float64 transform
-            keep = np.flatnonzero(~(np.abs(e, out=e) > margin))
-            theta = b[keep]
-            e = _excess(a[keep], np.cos(theta), np.sin(theta), mu1, s1, mu2, s2, d)
-            hits += int(np.count_nonzero(e <= 0.0))
-        done += n
-        chunk_idx += 1
+            keep = np.flatnonzero(~(inside | outside))
+        theta = b[keep]
+        e = _excess(a[keep], np.cos(theta), np.sin(theta), mu1, s1, mu2, s2, d)
+        hits += int(np.count_nonzero(e <= 0.0))
     est = hits / samples
     return McEstimate(est, math.sqrt(est * (1.0 - est) / samples))

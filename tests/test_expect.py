@@ -191,6 +191,8 @@ class TestAtLeastKExact:
         for n in (1, 2, 7, 1000, 10**7):
             for p in (5e-324, 1e-12, 0.3, 0.5, 1.0 - 1e-12):
                 points += [(k, n, p) for k in {0, 1, n - 1, n}]
+        # the longest loops: n at its bound and p = 1/2, above and below the mean
+        points += [(5 * 10**6 + 1, 10**7, 0.5), (5 * 10**6 - 1, 10**7, 0.5)]
         lower = 0
         for k, n, p in points:
             assert at_least_k_exact(k, n, p) == _two_loop_tail(k, n, p), (k, n, p)

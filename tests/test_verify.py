@@ -552,6 +552,13 @@ class TestFloat32Screen:
         (_query(20.0, 3.0, 16.0, 2.4, d=2.7), 10 ** 6),
         # the margin overflows to inf; some x1, x2 overflow, and inf - inf is NaN
         (_query(1.5e308, 1e307, 1.5e308, 1e307, d=1e307), 10 ** 5),
+        # R = hypot(sigma1, sigma2) just above and just below the least
+        # normal float32: screened, then all refined
+        (_query(1e-37, 1e-38, 1.2e-37, 1e-38, d=1e-38), 20_000),
+        (_query(1e-37, 8e-39, 1.2e-37, 8e-39, d=1e-38), 20_000),
+        # the screen's scale just below and just above 2**127
+        (_query(1e37, 9e36, 1.2e37, 9e36, d=4e36), 20_000),
+        (_query(1e37, 1e37, 1.2e37, 1e37, d=4e36), 20_000),
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
@@ -591,13 +598,41 @@ class TestFloat32Screen:
         assert mc_oracle(q, n, 0) == exact
 
     def test_float32_trig_within_half_the_bound(self):
-        # the margin allows _TRIG32_ERR per unit r * sigma; half of it must
-        # cover float32 trig on this platform
+        # the margin allows _TRIG32_ERR per unit r * R; half of it must cover
+        # float32 cos of float32(theta + phi), theta + phi in [0, 2 pi + pi/2),
+        # on this platform
         np = pytest.importorskip("numpy")
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=2021, spawn_key=(0,))))
-        theta = 2.0 * np.pi * rng.random(1 << 19)
-        theta[:5] = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, np.nextafter(2.0 * np.pi, 0.0))
-        theta32 = theta.astype(np.float32)
-        assert np.max(np.abs(np.cos(theta32) - np.cos(theta))) <= verify._TRIG32_ERR / 2
-        assert np.max(np.abs(np.sin(theta32) - np.sin(theta))) <= verify._TRIG32_ERR / 2
+        x = 2.5 * np.pi * rng.random(1 << 19)
+        x[:7] = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi, 2.5 * np.pi,
+                 np.nextafter(2.5 * np.pi, 0.0))
+        x32 = x.astype(np.float32)
+        assert np.max(np.abs(np.cos(x32) - np.cos(x))) <= verify._TRIG32_ERR / 2
+
+    @pytest.mark.parametrize("mu1, s1, mu2, s2, d", [
+        (20.0, 3.0, 16.0, 2.4, 2.7),
+        # mu1 - mu2 is not a float32 and dwarfs the spread, so the float32
+        # rounding far exceeds the margin's other terms
+        (80.3, 0.01, 15.1, 0.01, 65.2),
+        (20.0, 1e-9, 20.0 + 1e-9, 2e-9, 1.5e-9),
+        # R just above the least normal float32, and the scale just below 2**127
+        (1e-37, 1e-38, 1.2e-37, 1e-38, 1e-38),
+        (1e37, 9e36, 1.2e37, 9e36, 4e36),
+    ])
+    def test_screen_within_half_the_margin(self, mu1, s1, mu2, s2, d):
+        # the float32 screen's |x1 - x2| - d lies within half the margin of
+        # the float64 transform's, on draws as mc_oracle makes them
+        np = pytest.importorskip("numpy")
+        margin = verify._screen_margin(mu1, s1, mu2, s2, d)
+        assert margin < math.inf
+        n = 1 << 19
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=1958, spawn_key=(0,))))
+        r = np.sqrt(-2.0 * np.log(1.0 - rng.random(n)))
+        theta = 2.0 * np.pi * rng.random(n)
+        r[0] = math.sqrt(-2.0 * math.log(2.0 ** -53))     # the largest r drawn
+        cos, out = np.empty((2, n), np.float32)
+        screened = verify._screen(r, theta, mu1, s1, mu2, s2, cos, out)
+        exact = verify._excess(r, np.cos(theta), np.sin(theta), mu1, s1, mu2, s2, d)
+        assert np.max(np.abs(screened.astype(np.float64) - d - exact)) <= margin / 2
