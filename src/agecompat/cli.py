@@ -5,8 +5,9 @@ Subcommands mirror the library: ``compat`` for pair probabilities,
 conversions and sweeps, ``rule`` for the half-your-age-plus-seven audit
 and its gap-slope solver, and ``tables`` for the two reference tables.
 
-All record output is CSV (header row, comma separator, LF endings,
-quoting only when needed) and byte-deterministic for identical flags.
+All record output is CSV (header row, comma separator, LF endings; no
+field can hold a comma, quote or newline, so none is quoted) and
+byte-deterministic for identical flags.
 Each command computes its whole output and returns it as text; ``main``
 writes that text to stdout once, after the command has returned, so a
 non-zero exit writes nothing there.  Exit codes: 0 success, 2 usage or
@@ -14,8 +15,6 @@ domain error, 3 numerical failure.
 """
 
 import argparse
-import csv
-import io
 import math
 import sys
 import warnings
@@ -43,12 +42,11 @@ def _fmt(value, digits):
 
 
 def _csv(columns, rows, digits):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v, digits) for v in row])
-    return buf.getvalue()
+    # every field is a formatted number, true/false, an argparse choice or
+    # fixed text, none of which holds a comma, quote or newline to quote
+    lines = [",".join(columns)]
+    lines += [",".join([_fmt(v, digits) for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _digits(text):

@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from .model import Gaussian, _Value
 from .special import (_SQRT2, _cdf_diff, _check_finite, _check_nonneg,
-                      _check_positive, _pdf, erf, normal_cdf)
+                      _check_positive, erf, normal_cdf)
 
 __all__ = [
     "CompatQuery", "NormalizedProb",
@@ -183,12 +183,3 @@ def _ratio_prob(rho, s_old, s_young, t):
     den = math.hypot(s_young, s_old * (1.0 + rho))
     return _cdf_diff((rho + t * s_young) / den, (rho - t * s_young) / den)
 
-
-def _ratio_prob_slope(rho, s_old, s_young, t):
-    # d/drho of _ratio_prob: pdf(u) * du/drho at both bounds u = (rho +- a)/den,
-    # with du/drho = (1 - u * dden) / den and dden = d(den)/drho
-    den = math.hypot(s_young, s_old * (1.0 + rho))
-    dden = s_old * s_old * (1.0 + rho) / den
-    hi = (rho + t * s_young) / den
-    lo = (rho - t * s_young) / den
-    return (_pdf(hi) * (1.0 - hi * dden) - _pdf(lo) * (1.0 - lo * dden)) / den

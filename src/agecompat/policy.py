@@ -17,7 +17,7 @@ import math
 import warnings
 from collections.abc import Iterable
 
-from .compat import _ratio_prob, _ratio_prob_slope
+from .compat import _ratio_prob
 from .model import MEAN_DIFF_COEF, _Value
 from .special import _check_nonneg, _check_open_prob, _check_positive, normal_quantile
 
@@ -51,8 +51,11 @@ class AgeLimitSpec(_Value):
 
 def _limit_factor(s, p_limit, kind):
     # 1 + s * Phi^-1(1 - p_limit) for a lower limit, 1 + s * Phi^-1(p_limit)
-    # for an upper one: mental limit = chronological limit * factor
-    factor = 1.0 + s * normal_quantile(1.0 - p_limit if kind == "min" else p_limit)
+    # for an upper one: mental limit = chronological limit * factor.
+    # Phi^-1(1 - p) is taken as -Phi^-1(p): 1 - p_limit rounds, and to 1.0
+    # below p_limit = 2**-54
+    z = normal_quantile(p_limit)
+    factor = 1.0 + s * (-z if kind == "min" else z)
     if factor <= 0.0:
         raise ValueError(
             "limit probability too extreme for the given s "
@@ -193,22 +196,24 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
     """Gap slope m such that delta = m*mu yields the target probability.
 
     The map m -> p is strictly decreasing from the same-age value at
-    m = 0 toward 0, so the root is unique.  It is bracketed in [0, m_hi],
-    m_hi doubled from 1 until p(m_hi) <= p_min, and found by Newton
-    steps on log p with the analytic slope, each replaced by a bisection
-    of the bracket if it would leave it.  The iteration stops once
-    |p(m) - p_min| <= 4e-16 * p_min, or once the bracket or the Newton
-    step has shrunk below the spacing of floats at m.
+    m = 0 toward 0, so the root is unique.  It is bracketed by doubling
+    m_hi from 1 until p(m_hi) <= p_min, and found by secant steps on
+    log p - log p_min through the last two iterates, started from the
+    doubling's last two points.  A step that would leave the bracket, a
+    repeated log p and a p that underflows each take a bisection of the
+    bracket instead.  The iteration stops once |p(m) - p_min| <=
+    4e-16 * p_min, or once the bracket has shrunk below the spacing of
+    floats at m.
 
     So the residual is only as fine as p resolves near the root.  The
     closed form rounds m in its bounds (m +- t*s1)/den, which moves p
     by up to about ulp(m)/(t*s1) relative, and that grows with m.
-    |p(m) - p_min| stays within 1e-13 * p_min while m < 128 (worst 8e-14
-    over 20,000 seeded draws of s1, s2 in [0.1, 0.2] and t in [1, 2];
-    p_min down to 1e-11 at s1 = s2 = 0.15 and t = 1.981).  Beyond that
-    it is relative to p_min only loosely: at those s and t it is 1e-13
-    at p_min = 1e-12, 4.4e-11 at 1e-16, 5e-6 at 1e-20 and 9.7e-3 at
-    1e-24.
+    |p(m) - p_min| stays within about 1e-13 * p_min while m < 128 (worst
+    1.1e-13 over 20,000 seeded draws of s1, s2 in [0.1, 0.2] and t in
+    [1, 2]; p_min down to 1e-11 at s1 = s2 = 0.15 and t = 1.981).
+    Beyond that it is relative to p_min only loosely: at those s and t
+    it is 2.4e-14 at p_min = 1e-12, 4.4e-11 at 1e-16, 6.3e-6 at 1e-20
+    and 0.1 at 1e-24.
 
     Far out p falls only as 1/m, so tail targets need large slopes:
     p_min = 1e-11 at s1 = s2 = 0.15 and t = 1.981 needs m > 64.  The
@@ -221,8 +226,9 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
             f"p_min must lie in (0, {ceiling:.6g}) (the same-age value) "
             f"for a positive root to exist, got {p_min!r}")
 
-    hi = 1.0
+    lo, p_lo, hi = 0.0, ceiling, 1.0
     while (p := _ratio_prob(hi, s2, s1, t)) > p_min:
+        lo, p_lo = hi, p
         hi *= 2.0
         if hi == math.inf:
             raise ValueError(f"p_min = {p_min!r} is not reached at any finite gap slope m")
@@ -231,10 +237,18 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
         # once t*s1 is below half an ulp of m, and no root is resolved there
         raise ValueError(f"p_min = {p_min!r} is below every p the closed form "
                          f"resolves: p rounds to 0 at m = {hi!r}")
-    lo = 0.0
-    m = 0.5 * hi
+    # secant steps on f(m) = log p - log p_min, close to quadratic in m in the tail
     log_target = math.log(p_min)
+    a, fa = lo, math.log(p_lo) - log_target
+    b, fb = hi, math.log(p) - log_target
     for _ in range(200):
+        nxt = b - fb * (b - a) / (fb - fa) if fb != fa else lo
+        if not lo < nxt < hi:
+            # the step overshot, or f repeated: bisect
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break                   # the bracket has collapsed
+        m = nxt
         p = _ratio_prob(m, s2, s1, t)
         if abs(p - p_min) <= 4e-16 * p_min:       # a few ulp of p_min
             break
@@ -242,16 +256,8 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
             lo = m
         else:
             hi = m
-        # Newton on log p, which is close to quadratic in m in the tail;
-        # p decreases, so the step heads into the bracket
-        slope = _ratio_prob_slope(m, s2, s1, t)
-        nxt = m - (math.log(p) - log_target) * p / slope if p > 0.0 > slope else None
-        if nxt == m:
-            break                       # the correction is below one ulp of m
-        if nxt is None or not lo < nxt < hi:
-            # p or its slope underflowed, or the step overshot: bisect
-            nxt = 0.5 * (lo + hi)
-            if not lo < nxt < hi:
-                break                   # the bracket has collapsed
-        m = nxt
+        if p > 0.0:
+            a, fa, b, fb = b, fb, m, math.log(p) - log_target
+        # else p underflowed: the unchanged iterates step to an end of the
+        # bracket again, so the next step bisects
     return m

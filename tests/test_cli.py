@@ -207,6 +207,15 @@ class TestLimitsCommand:
         _, rows = parse_csv(out)
         assert float(rows[0]["mental_limit"]) == pytest.approx(72.0, abs=5e-3)
 
+    def test_lower_limit_below_float_complement(self, capsys):
+        # 1 - 1e-17 rounds to 1.0, so the lower limit must not be taken from it
+        code, out, err = run_cli(capsys, "limits", "--kind", "min",
+                                 "--chrono", "18", "--p", "1e-17", "--s", "0.1")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 1
+        assert float(rows[0]["mental_limit"]) == pytest.approx(33.2888, abs=5e-5)
+
     def test_sweep_rows(self, capsys):
         code, out, _ = run_cli(capsys, "limits", "--kind", "min",
                                "--chrono", "18", "--sweep", "0.05:0.95:0.05",

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from agecompat import policy
 from agecompat.compat import CompatQuery, compat_prob, same_age_prob
 from agecompat.model import Gaussian
 from agecompat.policy import (
@@ -34,6 +35,11 @@ GAP_SLOPE_TABLE = {
     0.15: {0.05: 0.64, 0.10: 0.51, 0.15: 0.43},
     0.20: {0.05: 0.92, 0.10: 0.71, 0.15: 0.59},
 }
+
+# ratio-form calls per solve_m on the budget test's targets: the secant
+# iteration measures a mean of 15.8 and a maximum of 52 there
+MEAN_CALLS_BOUND = 20.0
+MAX_CALLS_BOUND = 70
 
 
 class TestAgeLimitSpec:
@@ -292,6 +298,33 @@ class TestSolveM:
                 checked += 1
                 assert rule_probability(1.0, m, s1, s2, t) == pytest.approx(p_min, rel=1e-13)
         assert checked > 300
+
+    def test_kernel_call_budget(self, monkeypatch):
+        # the nine table cells and 400 targets in the paper's range; bisection
+        # alone would take about 52 ratio-form calls per solve
+        calls = 0
+        kernel = policy._ratio_prob
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(policy, "_ratio_prob", counted)
+        rng = random.Random(52)
+        targets = [(p_min, s, s, DEFAULT_T) for s in GAP_SLOPE_TABLE
+                   for p_min in GAP_SLOPE_TABLE[s]]
+        for _ in range(400):
+            s1, s2, t = rng.uniform(0.1, 0.2), rng.uniform(0.1, 0.2), rng.uniform(1.0, 2.0)
+            p_min = kernel(0.0, s2, s1, t) * 10.0 ** -rng.uniform(0.0, 12.0)
+            targets.append((p_min, s1, s2, t))
+        per_solve = []
+        for target in targets:
+            calls = 0
+            solve_m(*target)
+            per_solve.append(calls)
+        assert sum(per_solve) / len(per_solve) <= MEAN_CALLS_BOUND
+        assert max(per_solve) <= MAX_CALLS_BOUND
 
     def test_target_below_every_resolved_p_rejected(self):
         # p(m) rounds to 0 near m = 2**53 at these parameters; its root is far beyond

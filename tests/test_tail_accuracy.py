@@ -30,7 +30,15 @@ from agecompat.compat import (
 )
 from agecompat.expect import at_least_k_normal
 from agecompat.model import Gaussian
-from agecompat.policy import DEFAULT_T, rule_probability, solve_m
+from agecompat.policy import (
+    DEFAULT_T,
+    AgeLimitSpec,
+    chrono_max_age,
+    chrono_min_age,
+    mental_limit_from_chrono,
+    rule_probability,
+    solve_m,
+)
 from agecompat.special import _cdf_diff
 
 mpmath = pytest.importorskip("mpmath")
@@ -173,3 +181,46 @@ def test_solve_m_relative_residual(s1, s2, t):
             if err > worst:
                 worst, worst_at = err, p_min
     assert worst <= 1e-13, f"rel residual {worst:.3g} at p_min = {worst_at}"
+
+
+def _mp_lower_quantile(p):
+    # Phi^-1(p) for p <= 1/2 as the root of log Phi(z) = log p, by Newton
+    # steps (log Phi is concave, so they converge from the asymptotic start);
+    # unlike erfinv(1 - 2p), this needs no more digits as p shrinks
+    p = mpmath.mpf(p)
+    target = mpmath.log(p)
+    z = -mpmath.sqrt(2 * mpmath.log(1 / p))
+    for _ in range(50):
+        cdf = mpmath.ncdf(z)
+        step = (mpmath.log(cdf) - target) * cdf / mpmath.npdf(z)
+        z -= step
+        if abs(step) < mpmath.mpf(10) ** -30 * (1 + abs(z)):
+            return z
+    raise AssertionError(f"no reference quantile at p = {p}")
+
+
+def test_limit_conversions_relative_error():
+    # p_limit log-uniform in [1e-300, 0.5] puts each limit in a far tail: a
+    # lower limit takes Phi^-1(1 - p_limit) = -Phi^-1(p_limit), where
+    # 1 - p_limit rounds (to 1.0 below 2**-54), and an upper limit takes
+    # Phi^-1(p_limit) itself.  The upper factor 1 + s * Phi^-1(p_limit) stays
+    # above 0.5 for s <= 0.013, so no cancellation hides the quantile's error.
+    rng = random.Random(300)
+    worst, worst_at = 0.0, None
+    with mpmath.workdps(40):
+        for _ in range(200):
+            p = 10.0 ** -rng.uniform(math.log10(2.0), 300.0)
+            z = _mp_lower_quantile(p)
+            for kind, s in (("min", rng.uniform(0.05, 0.5)), ("max", rng.uniform(0.001, 0.013))):
+                factor = 1 + mpmath.mpf(s) * (-z if kind == "min" else z)
+                mu, x = rng.uniform(10.0, 90.0), rng.uniform(10.0, 90.0)
+                spec = AgeLimitSpec(kind, x, p, s)
+                solver = chrono_min_age if kind == "min" else chrono_max_age
+                for name, value, reference in (
+                        ("mental_limit_from_chrono", mental_limit_from_chrono(mu, s, p, kind),
+                         mu * factor),
+                        (solver.__name__, solver(spec), x / factor)):
+                    err = float(abs(mpmath.mpf(value) - reference) / reference)
+                    if err > worst:
+                        worst, worst_at = err, (name, kind, p, s)
+    assert worst <= 2e-15, f"rel error {worst:.3g} at (function, kind, p_limit, s) = {worst_at}"
