@@ -82,20 +82,26 @@ def _stirlerr(n):
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 * z) * z) * z) * z) / n
 
 
+def _deviance_series(x, d, s):
+    # x*log(x/m) + m - x for d = x - m and s = x + m with |d| < 0.1*s, as
+    # the series in v = d/s that cancels nothing (Loader)
+    v = d / s
+    total = d * v
+    ej = 2.0 * x * v
+    j = 1
+    while True:
+        ej *= v * v
+        t = total + ej / (2 * j + 1)
+        if t == total:
+            return t
+        total = t
+        j += 1
+
+
 def _bd0(x, m):
     # binomial deviance x*log(x/m) + m - x without cancellation (Loader)
     if abs(x - m) < 0.1 * (x + m):
-        v = (x - m) / (x + m)
-        s = (x - m) * v
-        ej = 2.0 * x * v
-        j = 1
-        while True:
-            ej *= v * v
-            s1 = s + ej / (2 * j + 1)
-            if s1 == s:
-                return s1
-            s = s1
-            j += 1
+        return _deviance_series(x, x - m, x + m)
     return x * math.log(x / m) + m - x
 
 
@@ -132,18 +138,152 @@ def _tail_sum(term, m, n, ratio):
     return total if total < 1.0 else 1.0
 
 
+# Temme's uniform expansion of I_x(a, b) (SIAM J. Math. Anal. 18, 1987) as
+# DiDonato & Morris evaluate it in BASYM (ACM TOMS 18, 1992, Algorithm 708)
+_SPLIT = 134217729.0            # 2**27 + 1, Dekker's splitting constant
+_E0 = 2.0 / math.sqrt(math.pi)
+_E1 = 2.0 ** -1.5
+_BASYM_EPS = 1e-15
+_BASYM_ORDER = 20               # highest coefficient index; even
+_BASYM_MIN_NPQ = 2000.0         # n*p*q above which the expansion costs less than the sum
+
+
+def _lambda(k, n, p):
+    # k - (n+1)*p with (n+1)*p taken as Dekker's exact two-product: n+1 < 2**26
+    # needs no split, so only p is split.  Where k is within a factor 2 of
+    # (n+1)*p, k - hi is exact and the result is k - (n+1)*p correctly rounded.
+    c = _SPLIT * p
+    p_hi = c - (c - p)
+    p_lo = p - p_hi
+    n1 = float(n + 1)
+    hi = n1 * p
+    lo = (n1 * p_hi - hi) + n1 * p_lo
+    return (k - hi) - lo
+
+
+def _erfcx(z):
+    # exp(z*z) * erfc(z) for z >= 0; from z = 4 on by 12 levels of the even
+    # continued fraction of erfc, which leave less than 1e-16 there and need
+    # no exp(z*z), which overflows beyond z = 26.6
+    if z < 4.0:
+        return math.exp(z * z) * math.erfc(z)
+    z2 = z * z
+    k = z2 + 24.5
+    for j in range(12, 0, -1):
+        k = z2 + 2 * j - 1.5 - j * (j - 0.5) / k
+    return 0.5 * _E0 * z / k
+
+
+def _basym(a, b, lam):
+    # I_x(a, b) for lam = a - (a + b)*x >= 0 and large a, b, following BASYM.
+    # The exponent is bd0(a, a - lam) + bd0(b, b + lam) in terms of lam, and
+    # BCORR is stirlerr(a) + stirlerr(b) - stirlerr(a + b).
+    f = _deviance_series(a, lam, a + a - lam) + _deviance_series(b, -lam, b + b + lam)
+    t = math.exp(-(f + _stirlerr(a) + _stirlerr(b) - _stirlerr(a + b)))
+    z0 = math.sqrt(f)
+    z2 = f + f
+    z = math.sqrt(z2)
+    if a < b:
+        h = a / b
+        r1 = (b - a) / b
+        w0 = 1.0 / math.sqrt(a * (h + 1.0))
+    else:
+        h = b / a
+        r1 = (b - a) / a
+        w0 = 1.0 / math.sqrt(b * (h + 1.0))
+    r0 = 1.0 / (h + 1.0)
+
+    size = _BASYM_ORDER + 1
+    a0, b0, c, d = [0.0] * size, [0.0] * size, [0.0] * size, [0.0] * size
+    a0[0] = r1 * (2.0 / 3.0)
+    c[0] = -0.5 * a0[0]
+    d[0] = -c[0]
+    j0 = 0.5 / _E0 * _erfcx(z0)
+    j1 = _E1
+    total = j0 + d[0] * w0 * j1
+
+    s, h2, hn, w, znm1, zn = 1.0, h * h, 1.0, w0, z, z2
+    for n in range(2, size, 2):
+        hn *= h2
+        a0[n - 1] = 2.0 * r0 * (h * hn + 1.0) / (n + 2.0)
+        s += hn
+        a0[n] = 2.0 * r1 * s / (n + 3.0)
+        for i in (n, n + 1):
+            # b0: the series of (1 + a0[0] x + a0[1] x**2 + ...)**r, by
+            # J. C. P. Miller's power recurrence
+            r = -0.5 * (i + 1.0)
+            b0[0] = r * a0[0]
+            for m in range(2, i + 1):
+                bsum = 0.0
+                for j in range(1, m):
+                    bsum += (j * r - (m - j)) * a0[j - 1] * b0[m - j - 1]
+                b0[m - 1] = r * a0[m - 1] + bsum / m
+            c[i - 1] = b0[i - 1] / (i + 1.0)
+            dsum = 0.0
+            for j in range(1, i):
+                dsum += d[i - j - 1] * c[j - 1]
+            d[i - 1] = -(dsum + c[i - 1])
+
+        j0 = _E1 * znm1 + (n - 1.0) * j0
+        j1 = _E1 * zn + n * j1
+        znm1 *= z2
+        zn *= z2
+        w *= w0
+        t0 = d[n - 1] * w * j0
+        w *= w0
+        t1 = d[n] * w * j1
+        total += t0 + t1
+        if abs(t0) + abs(t1) <= _BASYM_EPS * total:
+            break
+    return _E0 * t * total
+
+
+def _summed_tail(k, n, p):
+    # P(X >= k) summed from the boundary term on the smaller side
+    if k == 0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    q = 1.0 - p
+    if k > n * p:
+        return _tail_sum(_binom_pmf(k, n, p, q), k, n, p / q)
+    return 1.0 - _tail_sum(_binom_pmf(k - 1, n, p, q), n - k + 1, n, q / p)
+
+
 def at_least_k_exact(k: int, n: int, p: float) -> float:
     """Exact binomial upper tail P(X >= k) for X ~ Binomial(n, p).
 
-    The boundary term is anchored in log space via the saddle-point
-    density (Loader 2000: stirlerr plus binomial deviance, which avoids
-    the lgamma cancellation that would cap accuracy near n ~ 1e7) and
-    neighbors are accumulated with the term ratio (n-m)/(m+1) * p/(1-p),
-    so only the O(sqrt(n p (1-p))) significant terms near the boundary
-    are visited and nothing overflows.  Whichever of the two tails is
-    the smaller side is summed directly, keeping the relative error of
-    the result around 1e-13; the lower tail P(X <= k-1) is summed as the
-    upper tail P(n-X >= n-k+1) of n-X ~ Binomial(n, 1-p).
+    Two methods, chosen from the input:
+
+    * Where n*p*(1-p) >= 2000 and |lam| <= 0.03 * min(k, n-k+1), with
+      lam = k - (n+1)*p, P(X >= k) = I_p(k, n-k+1) is evaluated in
+      constant time by Temme's uniform asymptotic expansion (Temme, SIAM
+      J. Math. Anal. 18, 1987), as DiDonato & Morris implement it in
+      BASYM (ACM TOMS 18, 1992, Algorithm 708).  That is BASYM's own
+      domain in TOMS 708's BRATIO (the variance bound already makes
+      min(k, n-k+1) > 100); the bound 2000 is where the expansion
+      becomes cheaper than the sum.  lam is formed from an exact
+      two-product, so it carries no rounding of n*p or of 1 - p.
+    * Everywhere else the boundary term is anchored in log space via the
+      saddle-point density (Loader 2000: stirlerr plus binomial deviance,
+      which avoids the lgamma cancellation that would cap accuracy near
+      n ~ 1e7) and neighbors are accumulated with the term ratio
+      (n-m)/(m+1) * p/(1-p), so only the O(sqrt(n p (1-p))) significant
+      terms near the boundary are visited and nothing overflows.
+      Whichever of the two tails is the smaller side is summed directly;
+      the lower tail P(X <= k-1) is summed as the upper tail
+      P(n-X >= n-k+1) of n-X ~ Binomial(n, 1-p).
+
+    An absolute error in the exponent is the same relative error in P,
+    so accuracy is stated per unit of 1 + |ln P|.  Against 40-digit
+    references on a seeded grid of 800 draws with n up to 10**7
+    (``tests/test_tail_accuracy.py``), the worst relative error is
+    5.3e-16 * (1 + |ln P|) on the expansion's side (1.4e-13 at
+    P = 6e-116; 2.9e-15 within 6 sd of the mean) and
+    5.3e-14 * (1 + |ln P|) on the sum's (4.1e-12 at n = 7.7e6, where
+    the sum's deviances take n*p and 1 - p rounded).
 
     ``k`` and ``n`` must be integers (Python or NumPy) with
     0 <= k <= n <= 10**7; anything else raises ``ValueError``.
@@ -155,17 +295,13 @@ def at_least_k_exact(k: int, n: int, p: float) -> float:
     if n > _MAX_N:
         raise ValueError(f"n={n!r} exceeds the supported bound {_MAX_N}")
     _check_prob(p, "p")
-    if k == 0:
-        return 1.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-
-    q = 1.0 - p
-    if k > n * p:
-        return _tail_sum(_binom_pmf(k, n, p, q), k, n, p / q)
-    return 1.0 - _tail_sum(_binom_pmf(k - 1, n, p, q), n - k + 1, n, q / p)
+    if n * p * (1.0 - p) >= _BASYM_MIN_NPQ:
+        lam = _lambda(k, n, p)
+        if abs(lam) <= 0.03 * min(k, n - k + 1):
+            if lam >= 0.0:
+                return _basym(k, n - k + 1, lam)
+            return 1.0 - _basym(n - k + 1, k, -lam)
+    return _summed_tail(k, n, p)
 
 
 NormalTail = namedtuple("NormalTail", "value valid")

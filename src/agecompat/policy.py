@@ -202,18 +202,19 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
     doubling's last two points.  A step that would leave the bracket, a
     repeated log p and a p that underflows each take a bisection of the
     bracket instead.  The iteration stops once |p(m) - p_min| <=
-    4e-16 * p_min, or once the bracket has shrunk below the spacing of
-    floats at m.
+    4e-16 * p_min, returning that m, or once the bracket has shrunk
+    below the spacing of floats at m, returning whichever end of the
+    bracket has the smaller |p - p_min|.
 
     So the residual is only as fine as p resolves near the root.  The
     closed form rounds m in its bounds (m +- t*s1)/den, which moves p
     by up to about ulp(m)/(t*s1) relative, and that grows with m.
-    |p(m) - p_min| stays within about 1e-13 * p_min while m < 128 (worst
-    1.1e-13 over 20,000 seeded draws of s1, s2 in [0.1, 0.2] and t in
+    |p(m) - p_min| stays within about 5e-14 * p_min while m < 128 (worst
+    4.5e-14 over 20,000 seeded draws of s1, s2 in [0.1, 0.2] and t in
     [1, 2]; p_min down to 1e-11 at s1 = s2 = 0.15 and t = 1.981).
     Beyond that it is relative to p_min only loosely: at those s and t
-    it is 2.4e-14 at p_min = 1e-12, 4.4e-11 at 1e-16, 6.3e-6 at 1e-20
-    and 0.1 at 1e-24.
+    it is 2.4e-14 at p_min = 1e-12, 4.4e-11 at 1e-16, 5.0e-6 at 1e-20
+    and 9.7e-3 at 1e-24 (0.095 against a 40-digit p(m)).
 
     Far out p falls only as 1/m, so tail targets need large slopes:
     p_min = 1e-11 at s1 = s2 = 0.15 and t = 1.981 needs m > 64.  The
@@ -227,12 +228,12 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
             f"for a positive root to exist, got {p_min!r}")
 
     lo, p_lo, hi = 0.0, ceiling, 1.0
-    while (p := _ratio_prob(hi, s2, s1, t)) > p_min:
-        lo, p_lo = hi, p
+    while (p_hi := _ratio_prob(hi, s2, s1, t)) > p_min:
+        lo, p_lo = hi, p_hi
         hi *= 2.0
         if hi == math.inf:
             raise ValueError(f"p_min = {p_min!r} is not reached at any finite gap slope m")
-    if p == 0.0:
+    if p_hi == 0.0:
         # p itself never reaches 0; its bounds (m +- t*s1)/den round together
         # once t*s1 is below half an ulp of m, and no root is resolved there
         raise ValueError(f"p_min = {p_min!r} is below every p the closed form "
@@ -240,24 +241,25 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
     # secant steps on f(m) = log p - log p_min, close to quadratic in m in the tail
     log_target = math.log(p_min)
     a, fa = lo, math.log(p_lo) - log_target
-    b, fb = hi, math.log(p) - log_target
+    b, fb = hi, math.log(p_hi) - log_target
     for _ in range(200):
-        nxt = b - fb * (b - a) / (fb - fa) if fb != fa else lo
-        if not lo < nxt < hi:
+        m = b - fb * (b - a) / (fb - fa) if fb != fa else lo
+        if not lo < m < hi:
             # the step overshot, or f repeated: bisect
-            nxt = 0.5 * (lo + hi)
-            if not lo < nxt < hi:
+            m = 0.5 * (lo + hi)
+            if not lo < m < hi:
                 break                   # the bracket has collapsed
-        m = nxt
         p = _ratio_prob(m, s2, s1, t)
         if abs(p - p_min) <= 4e-16 * p_min:       # a few ulp of p_min
-            break
+            return m
         if p > p_min:
-            lo = m
+            lo, p_lo = m, p
         else:
-            hi = m
+            hi, p_hi = m, p
         if p > 0.0:
             a, fa, b, fb = b, fb, m, math.log(p) - log_target
         # else p underflowed: the unchanged iterates step to an end of the
         # bracket again, so the next step bisects
-    return m
+    # the last iterate is one end of the collapsed bracket, not always the
+    # one nearer the target
+    return lo if p_min - p_hi >= p_lo - p_min else hi

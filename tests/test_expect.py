@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from agecompat.expect import (
     Cohort,
+    _BASYM_MIN_NPQ,
+    _basym,
     _binom_pmf,
+    _erfcx,
+    _lambda,
+    _summed_tail,
     at_least_k_exact,
     at_least_k_normal,
     expected_pairs,
@@ -177,8 +182,9 @@ class TestAtLeastKExact:
             at_least_k_exact(1, 10**7 + 1, 0.5)
 
     def test_same_floats_as_two_loop_form(self):
-        # one loop sums both tails; each result must be the same float the
-        # two mirror-image loops gave, on both branches and at the edges
+        # one loop sums both tails; each result of the sum path must be the
+        # same float the two mirror-image loops gave, on both branches and
+        # at the edges (at_least_k_exact takes Temme's expansion on some)
         rng = random.Random(1914)
         points = []
         for _ in range(1500):
@@ -195,7 +201,7 @@ class TestAtLeastKExact:
         points += [(5 * 10**6 + 1, 10**7, 0.5), (5 * 10**6 - 1, 10**7, 0.5)]
         lower = 0
         for k, n, p in points:
-            assert at_least_k_exact(k, n, p) == _two_loop_tail(k, n, p), (k, n, p)
+            assert _summed_tail(k, n, p) == _two_loop_tail(k, n, p), (k, n, p)
             lower += 0 < k <= n * p < n
         assert 300 < lower < len(points) - 300
 
@@ -217,6 +223,72 @@ class TestAtLeastKExact:
                     for m in range(k, n + 1))
         got = at_least_k_exact(k, n, float(p))
         assert got == pytest.approx(float(total), rel=1e-12, abs=1e-300)
+
+
+def _in_expansion_domain(k, n, p):
+    # where at_least_k_exact takes Temme's expansion instead of the sum
+    return (n * p * (1.0 - p) >= _BASYM_MIN_NPQ
+            and abs(_lambda(k, n, p)) <= 0.03 * min(k, n - k + 1))
+
+
+def _expansion(k, n, p):
+    lam = _lambda(k, n, p)
+    return _basym(k, n - k + 1, lam) if lam >= 0.0 else 1.0 - _basym(n - k + 1, k, -lam)
+
+
+class TestTemmeExpansion:
+    def test_agrees_with_the_sum(self):
+        # needs no mpmath: the two methods share only _stirlerr and the
+        # deviance series; the sum's own error reaches 4e-12 at n ~ 1e7
+        rng = random.Random(708)
+        checked = 0
+        while checked < 200:
+            n = round(10.0 ** rng.uniform(4.0, 7.0))
+            p = rng.choice((rng.random(), 10.0 ** rng.uniform(-3.5, 0.0),
+                            1.0 - 10.0 ** rng.uniform(-3.5, 0.0)))
+            sd = math.sqrt(n * p * (1.0 - p))
+            k = round(n * p + rng.uniform(-25.0, 25.0) * sd)
+            if not 0 < k <= n or not _in_expansion_domain(k, n, p):
+                continue
+            value = at_least_k_exact(k, n, p)
+            assert value == _expansion(k, n, p), (k, n, p)
+            summed = _summed_tail(k, n, p)
+            assert abs(value / summed - 1.0) <= 1e-11, (k, n, p, value, summed)
+            checked += 1
+
+    @pytest.mark.parametrize("n, p", [(12_100, 0.5), (40_000, 0.1), (3_000_000, 0.002),
+                                      (10**7, 0.999)])
+    def test_monotone_in_k_across_the_domain_edges(self, n, p):
+        # |lam| = 0.03 * min(k, n - k + 1) has one root in each tail; the
+        # 121 k around each take both paths
+        m = (n + 1) * p
+        upper = min(m / 0.97, (m + 0.03 * (n + 1)) / 1.03)
+        lower = max(m / 1.03, (m - 0.03 * (n + 1)) / 0.97)
+        for edge in (round(upper), round(lower)):
+            ks = range(edge - 60, edge + 61)
+            assert len({_in_expansion_domain(k, n, p) for k in ks}) == 2, (n, p, edge)
+            vals = [at_least_k_exact(k, n, p) for k in ks]
+            assert all(a >= b for a, b in zip(vals, vals[1:])), (n, p, edge)
+
+    def test_lambda_is_correctly_rounded(self):
+        # k - (n+1)*p from an exact two-product, against exact rationals
+        rng = random.Random(1992)
+        for _ in range(2000):
+            n = rng.randrange(1, 10**7 + 1)
+            p = rng.random()
+            k = round((n + 1) * p * rng.uniform(0.55, 1.9))
+            if not 0 < k <= n:
+                continue
+            exact = k - (n + 1) * Fraction(p)
+            assert _lambda(k, n, p) == float(exact), (k, n, p)
+
+    def test_continued_fraction_meets_the_direct_form(self):
+        # exp(z*z) * erfc(z) switches to its continued fraction at z = 4;
+        # the direct form's own error there is about z*z * 1.1e-16
+        for i in range(200):
+            z = 3.5 + i * 0.01
+            direct = math.exp(z * z) * math.erfc(z)
+            assert abs(_erfcx(z) / direct - 1.0) <= 1e-14, z
 
 
 class TestAtLeastKNormal:

@@ -299,6 +299,14 @@ class TestSolveM:
                 assert rule_probability(1.0, m, s1, s2, t) == pytest.approx(p_min, rel=1e-13)
         assert checked > 300
 
+    def test_collapsed_bracket_returns_its_better_end(self):
+        # here the bracket collapses onto two adjacent floats; the last
+        # iterate, 103.4023649972699, is its worse end (1.1e-13 * p_min)
+        p_min, s1, s2, t = (5.165006881225971e-09, 0.1075817958658813,
+                            0.18942164098289116, 1.0277097226189111)
+        m = solve_m(p_min, s1, s2, t)
+        assert abs(rule_probability(1.0, m, s1, s2, t) - p_min) <= 2e-15 * p_min
+
     def test_kernel_call_budget(self, monkeypatch):
         # the nine table cells and 400 targets in the paper's range; bisection
         # alone would take about 52 ratio-form calls per solve
