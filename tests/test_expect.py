@@ -13,7 +13,6 @@ from agecompat.expect import (
     _BASYM_MIN_NPQ,
     _basym,
     _binom_pmf,
-    _erfcx,
     _lambda,
     _summed_tail,
     at_least_k_exact,
@@ -271,24 +270,33 @@ class TestTemmeExpansion:
             assert all(a >= b for a, b in zip(vals, vals[1:])), (n, p, edge)
 
     def test_lambda_is_correctly_rounded(self):
-        # k - (n+1)*p from an exact two-product, against exact rationals
+        # k - (n+1)*p against exact rationals, for k anywhere in [0, n]
         rng = random.Random(1992)
-        for _ in range(2000):
-            n = rng.randrange(1, 10**7 + 1)
-            p = rng.random()
-            k = round((n + 1) * p * rng.uniform(0.55, 1.9))
-            if not 0 < k <= n:
-                continue
+        points = [(16, 25, 0.07953201754532813)]
+        for _ in range(3000):
+            n = round(10.0 ** rng.uniform(0.0, 7.0))
+            p = rng.choice((rng.random(), 10.0 ** rng.uniform(-300.0, 0.0),
+                            1.0 - 10.0 ** rng.uniform(-16.0, 0.0)))
+            sd = math.sqrt(n * p * (1.0 - p))
+            k = round(n * p + rng.uniform(-40.0, 40.0) * sd)
+            points.append((min(max(k, 0), n), n, p))
+        for k, n, p in points:
             exact = k - (n + 1) * Fraction(p)
             assert _lambda(k, n, p) == float(exact), (k, n, p)
 
-    def test_continued_fraction_meets_the_direct_form(self):
-        # exp(z*z) * erfc(z) switches to its continued fraction at z = 4;
-        # the direct form's own error there is about z*z * 1.1e-16
-        for i in range(200):
-            z = 3.5 + i * 0.01
-            direct = math.exp(z * z) * math.erfc(z)
-            assert abs(_erfcx(z) / direct - 1.0) <= 1e-14, z
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_finite_and_monotone_across_the_underflow_band(self, side):
+        # 36 to 40 sd from the mean of n = 1e7, p = 1/2 puts the exponent f
+        # at about 650-800, where exp(-f) goes subnormal and then to 0
+        n = 10**7
+        sd = math.sqrt(n) / 2.0
+        ks = range(round(n / 2 + side * 36 * sd), round(n / 2 + side * 40 * sd), side * 7)
+        assert all(_in_expansion_domain(k, n, 0.5) for k in ks)
+        vals = [at_least_k_exact(k, n, 0.5) for k in ks]
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals)
+        if side < 0:
+            vals.reverse()
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 class TestAtLeastKNormal:

@@ -174,7 +174,7 @@ def _mp_binomial_tail(k, n, p):
 # The exponent's absolute error becomes the tail's relative error, so each
 # method's bound is per unit of 1 + |ln P|.  Worst measured on this grid:
 # the sum 5.3e-14 (its deviances take n*p and 1 - p rounded), Temme's
-# expansion 5.3e-16.
+# expansion 3.7e-16.
 SUM_REL_PER_LOG = 1e-13
 EXPANSION_REL_PER_LOG = 1e-15
 
