@@ -237,6 +237,15 @@ def _summed_tail(k, n, p):
     return 1.0 - _tail_sum(_binom_pmf(k - 1, n, p, q), n - k + 1, n, q / p)
 
 
+def _tail_counts(k, n):
+    # k and n of either binomial tail, as ints with 0 <= k <= n
+    k = _index(k, "k")
+    n = _index(n, "n")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}")
+    return k, n
+
+
 def at_least_k_exact(k: int, n: int, p: float) -> float:
     """Exact binomial upper tail P(X >= k) for X ~ Binomial(n, p).
 
@@ -273,10 +282,7 @@ def at_least_k_exact(k: int, n: int, p: float) -> float:
     ``k`` and ``n`` must be integers (Python or NumPy) with
     0 <= k <= n <= 10**7; anything else raises ``ValueError``.
     """
-    k = _index(k, "k")
-    n = _index(n, "n")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}")
+    k, n = _tail_counts(k, n)
     if n > _MAX_N:
         raise ValueError(f"n={n!r} exceeds the supported bound {_MAX_N}")
     _check_prob(p, "p")
@@ -315,10 +321,7 @@ def at_least_k_normal(k: int, n: int, p: float) -> NormalTail:
     the mean.  No continuity correction is applied; the exact path is
     authoritative where they disagree.
     """
-    k = _index(k, "k")
-    n = _index(n, "n")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}")
+    k, n = _tail_counts(k, n)
     _check_open_prob(p, "p")
     if n == 0:
         # then k = 0, where Phi(a) + Phi(-a) below is 1 for every n

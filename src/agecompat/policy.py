@@ -35,14 +35,18 @@ DEFAULT_T = MEAN_DIFF_COEF
 RULE_ERR_TOLERANCE = 0.05
 
 
+def _check_kind(kind):
+    if kind not in ("min", "max"):
+        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+
+
 class AgeLimitSpec(_Value):
     """A mental-age limit: kind ('min' or 'max'), threshold, probability, s."""
 
     __slots__ = ("kind", "x_limit", "p_limit", "s")
 
     def __init__(self, kind: str, x_limit: float, p_limit: float, s: float):
-        if kind not in ("min", "max"):
-            raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+        _check_kind(kind)
         _check_positive(x_limit, "x_limit")
         _check_open_prob(p_limit, "p_limit")
         _check_positive(s, "s")
@@ -114,8 +118,7 @@ def mental_limit_from_chrono(mu_limit: float, s: float, p_limit: float,
             probability is too extreme for s: no positive age realizes
             it), or the limit overflows or underflows the float range.
     """
-    if kind not in ("min", "max"):
-        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+    _check_kind(kind)
     _check_positive(mu_limit, "mu_limit")
     _check_positive(s, "s")
     _check_open_prob(p_limit, "p_limit")

@@ -299,27 +299,6 @@ McEstimate = namedtuple("McEstimate", "estimate stderr")
 McEstimate.__doc__ = "Monte-Carlo estimate with its binomial standard error."
 
 
-def _excess(r, cos, sin, mu1, s1, mu2, s2, d):
-    """|x1 - x2| - d for x1 = r*cos*s1 + mu1, x2 = r*sin*s2 + mu2, left to right.
-
-    Works in place: the result overwrites ``cos``, and ``sin`` is
-    clobbered.  A pair is a hit, |x1 - x2| <= d, exactly where the
-    result is <= 0: d >= 0, so the subtraction cannot overflow, and it
-    gives 0 only where |x1 - x2| == d.
-    """
-    import numpy as np
-    cos *= r
-    cos *= s1
-    cos += mu1                         # x1
-    sin *= r
-    sin *= s2
-    sin += mu2                         # x2
-    cos -= sin
-    np.abs(cos, out=cos)
-    cos -= d
-    return cos
-
-
 def _screen_margin(mu1, s1, mu2, s2, d):
     """Margin of mc_oracle's float32 screen, or inf where it cannot run.
 
@@ -451,8 +430,9 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
                 continue
             # the undecided samples, NaN included, get the float64 transform
             keep = np.flatnonzero(~(inside | outside))
-        theta = b[keep]
-        e = _excess(a[keep], np.cos(theta), np.sin(theta), mu1, s1, mu2, s2, d)
-        hits += int(np.count_nonzero(e <= 0.0))
+        r, theta = a[keep], b[keep]
+        x1 = r * np.cos(theta) * s1 + mu1
+        x2 = r * np.sin(theta) * s2 + mu2
+        hits += int(np.count_nonzero(np.abs(x1 - x2) <= d))
     est = hits / samples
     return McEstimate(est, math.sqrt(est * (1.0 - est) / samples))

@@ -207,6 +207,12 @@ class TestLimitsCommand:
         _, rows = parse_csv(out)
         assert float(rows[0]["mental_limit"]) == pytest.approx(72.0, abs=5e-3)
 
+    def test_mental_upper_limit_to_chrono(self, capsys):
+        code, out, err = run_cli(capsys, "limits", "--kind", "max",
+                                 "--mental", "40", "--p", "0.3")
+        assert (code, out, err) == (
+            0, "kind,mental_limit,p_limit,s,chrono_age\nmax,40,0.3,0.15,43.415\n", "")
+
     def test_lower_limit_below_float_complement(self, capsys):
         # 1 - 1e-17 rounds to 1.0, so the lower limit must not be taken from it
         code, out, err = run_cli(capsys, "limits", "--kind", "min",
@@ -517,6 +523,14 @@ class TestCliContract:
          "p_limit must lie strictly inside (0, 1), got 0.0"),
         (("limits", "--kind", "min", "--chrono", "18", "--sweep", "0.5:1.5:0.5"),
          "p_limit must lie strictly inside (0, 1), got 1.0"),
+        (("limits", "--kind", "max", "--chrono", "18", "--sweep", "1:2"),
+         "expected lo:hi:step, got '1:2'"),
+        (("compat", "--age1", "18", "--age2", "14", "--error-budget", "0.1,0.1"),
+         "expected dd,dsigma1,dsigma2, got '0.1,0.1'"),
+        (("expect", "--n1", "5", "--n2", "5", "--age1", "20"),
+         "need --p or both --age1 and --age2"),
+        (("limits", "--kind", "min", "--mental", "18", "--sweep", "0.1:0.9:0.1"),
+         "--sweep converts a chronological limit; give --chrono"),
     ])
     def test_age_and_ratio_flags_rejected_by_name(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -326,6 +326,10 @@ class TestAtLeastKNormal:
         with pytest.raises(ValueError):
             at_least_k_normal(1, 10, 0.0)
 
+    def test_rejects_k_above_n(self):
+        with pytest.raises(ValueError, match=r"^need 0 <= k <= n, got k=6, n=5$"):
+            at_least_k_normal(6, 5, 0.5)
+
     def test_empty_population_is_sure_at_k_zero(self):
         # sd = 0 at n = 0; the k = 0 value is 1 for every other n too
         assert at_least_k_normal(0, 0, 0.5) == (1.0, False)

@@ -107,6 +107,10 @@ class TestChronoMaxAge:
                                                      rel=1e-12)
         assert chrono_max_age(spec) == pytest.approx(64.34, abs=5e-3)
 
+    def test_wrong_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a 'max' spec, got kind='min'$"):
+            chrono_max_age(AgeLimitSpec("min", 18.0, 0.3, 0.15))
+
 
 class TestMentalLimitFromChrono:
     def test_half_probability_is_identity(self):
@@ -339,6 +343,12 @@ class TestSolveM:
         with pytest.raises(ValueError, match=r"^p_min = 1e-30 is below every p the closed "
                                              r"form resolves: p rounds to 0 at m = "):
             solve_m(1e-30, 0.15, 0.15, 1.981)
+
+    def test_target_beyond_every_finite_slope_rejected(self):
+        # at s1 = 1e300, p(m = 2**1023) is still 1.3e-17, so the doubling bracket overflows
+        with pytest.raises(ValueError, match=r"^p_min = 1e-300 is not reached at any finite "
+                                             r"gap slope m$"):
+            solve_m(1e-300, 1e300, 0.15, 1.0)
 
     def test_unreachable_targets_rejected(self):
         ceiling = same_age_prob(DEFAULT_T)

@@ -300,6 +300,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda x: x, 1.0, 0.0)
 
+    def test_empty_interval_never_calls_f(self):
+        def f(x):
+            raise AssertionError(f"f called at {x!r}")
+        assert integrate(f, 2.0, 2.0) == 0.0
+
     @pytest.mark.parametrize("a, b, tol, message", [
         (0.0, math.nan, 1e-12, "b must be finite"),
         (math.nan, 1.0, 1e-12, "a must be finite"),
@@ -634,5 +639,5 @@ class TestFloat32Screen:
         r[0] = math.sqrt(-2.0 * math.log(2.0 ** -53))     # the largest r drawn
         cos, out = np.empty((2, n), np.float32)
         screened = verify._screen(r, theta, mu1, s1, mu2, s2, cos, out)
-        exact = verify._excess(r, np.cos(theta), np.sin(theta), mu1, s1, mu2, s2, d)
+        exact = np.abs((r * np.cos(theta) * s1 + mu1) - (r * np.sin(theta) * s2 + mu2)) - d
         assert np.max(np.abs(screened.astype(np.float64) - d - exact)) <= margin / 2
