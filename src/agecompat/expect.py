@@ -105,27 +105,30 @@ def _bd0(x, m):
     return x * math.log(x / m) + m - x
 
 
-def _binom_pmf(m, n, p, q):
-    # saddle-point form, no overflow; _bd0 takes n*p and n*q rounded, which
-    # costs up to 5.3e-14 * (1 + |ln P|) relative in the tail P (measured
-    # against 40-digit references with n up to 1e7)
+def _log_binom_pmf(m, n, p, q):
+    # log of the saddle-point density, which overflows nothing; _bd0 takes
+    # n*p and n*q rounded, which costs up to 5.3e-14 * (1 + |ln P|) relative
+    # in the tail P (measured against 40-digit references with n up to 1e7)
     if m == 0:
-        return math.exp(n * math.log1p(-p))
+        return n * math.log1p(-p)
     if m == n:
-        return math.exp(n * math.log(p))
+        return n * math.log(p)
     lc = (_stirlerr(n) - _stirlerr(m) - _stirlerr(n - m)
           - _bd0(m, n * p) - _bd0(n - m, n * q))
-    return math.exp(lc) * math.sqrt(n / (2.0 * math.pi * m * (n - m)))
+    return lc + 0.5 * math.log(n / (2.0 * math.pi * m * (n - m)))
 
 
-def _tail_sum(term, m, n, ratio):
-    # term + term_{m+1} + ... for term_{j+1} = term_j * (n-j)/(j+1) * ratio,
-    # stopped once terms no longer move the running sum; clamped at 1.
+def _tail_sum(log_term, m, n, ratio):
+    # exp(log_term) * (1 + r_m + r_m r_{m+1} + ...) for the term ratios
+    # r_j = (n-j)/(j+1) * ratio, clamped at 1.  The ratios are summed from an
+    # anchor of 1.0 and stopped once a term no longer moves that scaled sum,
+    # so the stop test and the terms stay normal floats even where the tail
+    # underflows, and only the final exp rounds into the subnormals.
     # above = n - j and below = j + 1 are kept as floats: every integer up
     # to _MAX_N < 2**53 is exact in float64, so each quotient is the
     # correctly rounded one the integers give, without int arithmetic
+    term = total = 1.0
     terms = [term]
-    total = term
     above = float(n - m)
     below = float(m + 1)
     while above > 0.0:
@@ -136,7 +139,7 @@ def _tail_sum(term, m, n, ratio):
         below += 1.0
         if term <= total * _REL_CUTOFF:
             break
-    total = math.fsum(terms)
+    total = math.exp(log_term + math.log(math.fsum(terms)))
     return total if total < 1.0 else 1.0
 
 
@@ -233,8 +236,8 @@ def _summed_tail(k, n, p):
         return 1.0
     q = 1.0 - p
     if k > n * p:
-        return _tail_sum(_binom_pmf(k, n, p, q), k, n, p / q)
-    return 1.0 - _tail_sum(_binom_pmf(k - 1, n, p, q), n - k + 1, n, q / p)
+        return _tail_sum(_log_binom_pmf(k, n, p, q), k, n, p / q)
+    return 1.0 - _tail_sum(_log_binom_pmf(k - 1, n, p, q), n - k + 1, n, q / p)
 
 
 def _tail_counts(k, n):
@@ -265,19 +268,26 @@ def at_least_k_exact(k: int, n: int, p: float) -> float:
       which avoids the lgamma cancellation that would cap accuracy near
       n ~ 1e7) and neighbors are accumulated with the term ratio
       (n-m)/(m+1) * p/(1-p), so only the O(sqrt(n p (1-p))) significant
-      terms near the boundary are visited and nothing overflows.
+      terms near the boundary are visited and nothing overflows.  The
+      ratios are summed from 1.0 and the density's logarithm is added to
+      the log of that sum, so the terms and the stop test stay normal
+      floats even where P underflows, and only the final exp rounds.
       Whichever of the two tails is the smaller side is summed directly;
       the lower tail P(X <= k-1) is summed as the upper tail
       P(n-X >= n-k+1) of n-X ~ Binomial(n, 1-p).
 
     An absolute error in the exponent is the same relative error in P,
     so accuracy is stated per unit of 1 + |ln P|.  Against 40-digit
-    references on a seeded grid of 800 draws with n up to 10**7
-    (``tests/test_tail_accuracy.py``), the worst relative error is
-    3.7e-16 * (1 + |ln P|) on the expansion's side (1.1e-13 at
-    P = 1.6e-157; 4.3e-15 within 6 sd of the mean) and
-    5.3e-14 * (1 + |ln P|) on the sum's (4.1e-12 at n = 7.7e6, where
-    the sum's deviances take n*p and 1 - p rounded).
+    references on seeded grids of 800 draws with n up to 10**7 and k up
+    to 30 and to 45 sd from the mean (``tests/test_tail_accuracy.py``),
+    the worst relative error is 3.7e-16 * (1 + |ln P|) on the
+    expansion's side (1.1e-13 at P = 1.6e-157; 4.5e-15 within 6 sd of
+    the mean) and 5.3e-14 * (1 + |ln P|) on the sum's (4.1e-12 at
+    n = 7.7e6, where the sum's deviances take n*p and 1 - p rounded).
+    Below the least normal float, 2.2e-308, a result is also rounded to
+    a multiple of 2**-1074; it exceeds the relative bound by at most
+    0.49 of that unit on those grids and on the tests' near-underflow
+    vectors: ``at_least_k_exact(526465, 10**7, 0.05)`` is 1.13412e-317.
 
     ``k`` and ``n`` must be integers (Python or NumPy) with
     0 <= k <= n <= 10**7; anything else raises ``ValueError``.

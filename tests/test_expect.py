@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from agecompat.expect import (
     Cohort,
     _BASYM_MIN_NPQ,
     _basym,
-    _binom_pmf,
     _lambda,
+    _log_binom_pmf,
     _summed_tail,
     at_least_k_exact,
     at_least_k_normal,
@@ -100,7 +101,9 @@ class TestExpectedWithAtLeastOne:
 
 
 def _two_loop_tail(k, n, p):
-    # P(X >= k) summed with one hand-kept loop per tail, for valid arguments
+    # P(X >= k) summed with one hand-kept loop per tail, for valid arguments:
+    # the term ratios from an anchor of 1.0, scaled by the boundary density
+    # in the exponent
     if k == 0:
         return 1.0
     if p == 0.0:
@@ -109,10 +112,9 @@ def _two_loop_tail(k, n, p):
         return 1.0
     q = 1.0 - p
     if k > n * p:
-        term = _binom_pmf(k, n, p, q)
-        if term == 0.0:
-            return 0.0
-        terms, total, m = [term], term, k
+        log_term = _log_binom_pmf(k, n, p, q)
+        term = total = 1.0
+        terms, m = [term], k
         while m < n:
             term *= (n - m) / (m + 1) * (p / q)
             terms.append(term)
@@ -120,12 +122,11 @@ def _two_loop_tail(k, n, p):
             m += 1
             if term <= total * 1e-18:
                 break
-        total = math.fsum(terms)
+        total = math.exp(log_term + math.log(math.fsum(terms)))
         return total if total < 1.0 else 1.0
-    term = _binom_pmf(k - 1, n, p, q)
-    if term == 0.0:
-        return 1.0
-    terms, total, m = [term], term, k - 1
+    log_term = _log_binom_pmf(k - 1, n, p, q)
+    term = total = 1.0
+    terms, m = [term], k - 1
     while m > 0:
         term *= m / (n - m + 1) * (q / p)
         terms.append(term)
@@ -133,7 +134,7 @@ def _two_loop_tail(k, n, p):
         m -= 1
         if term <= total * 1e-18:
             break
-    total = math.fsum(terms)
+    total = math.exp(log_term + math.log(math.fsum(terms)))
     return 1.0 - total if total < 1.0 else 0.0
 
 
@@ -203,6 +204,20 @@ class TestAtLeastKExact:
             assert _summed_tail(k, n, p) == _two_loop_tail(k, n, p), (k, n, p)
             lower += 0 < k <= n * p < n
         assert 300 < lower < len(points) - 300
+
+    @pytest.mark.parametrize("k, n, p", [
+        (1_035_670, 10**7, 0.1), (1_036_429, 10**7, 0.1), (1_036_619, 10**7, 0.1),
+        (526_465, 10**7, 0.05), (14_038, 10**7, 0.001), (474_362, 10**7, 0.05)])
+    def test_bounded_work_near_underflow(self, k, n, p):
+        # tails at and below the least normal float: the sum must stop once
+        # its terms stop counting, as elsewhere, and not after about n*p
+        # steps; each takes under a millisecond
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            at_least_k_exact(k, n, p)
+            best = min(best, time.perf_counter() - start)
+        assert best <= 0.05, (k, n, p, best)
 
     @pytest.mark.parametrize("tail", [at_least_k_exact, at_least_k_normal])
     @pytest.mark.parametrize("k, n, name", [(2.5, 10, "k"), (0.5, 10, "k"),

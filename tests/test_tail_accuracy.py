@@ -18,6 +18,7 @@ times 1e-15 on this grid, far inside the tolerance.
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -173,49 +174,68 @@ def _mp_binomial_tail(k, n, p):
 
 # The exponent's absolute error becomes the tail's relative error, so each
 # method's bound is per unit of 1 + |ln P|.  Worst measured on this grid:
-# the sum 5.3e-14 (its deviances take n*p and 1 - p rounded), Temme's
-# expansion 3.7e-16.
+# the sum 4.7e-14 (its deviances take n*p and 1 - p rounded), Temme's
+# expansion 3.2e-16.  Below the least normal float a result is rounded to a
+# multiple of 2**-1074, so there the error may exceed the relative bound by
+# SUBNORMAL_ULPS of those units (0.49 at most, measured here).
 SUM_REL_PER_LOG = 1e-13
 EXPANSION_REL_PER_LOG = 1e-15
+SUBNORMAL_ULPS = 2
+
+
+def _tail_error(value, reference):
+    """|value / reference - 1| per unit of 1 + |ln P|, less the subnormal slack."""
+    with mpmath.workdps(40):
+        err = abs(value - reference)
+        if reference < sys.float_info.min:
+            err = max(err - SUBNORMAL_ULPS * mpmath.mpf(2) ** -1074, 0)
+        return float(err / reference / (1 + abs(mpmath.log(reference))))
 
 
 def test_binomial_tail_relative_error():
-    # n log-uniform in 1e3..1e7 and k up to 30 sd from the mean, so the grid
-    # spans the switch to Temme's expansion at n*p*(1-p) = 2000 and the
-    # edges |lam| = 0.03 * min(k, n-k+1) of its domain
+    # n log-uniform in 1e3..1e7 and k up to 45 sd from the mean, so the grid
+    # spans the switch to Temme's expansion at n*p*(1-p) = 2000, the edges
+    # |lam| = 0.03 * min(k, n-k+1) of its domain, and tails that underflow
     rng = random.Random(1987)
     worst_sum, worst_expansion, worst_sum_inside = (0.0, None), (0.0, None), 0.0
-    inside_count = 0
+    inside_count = underflow_count = 0
     for _ in range(800):
         n = round(10.0 ** rng.uniform(3.0, 7.0))
         p = rng.choice((rng.random(), 10.0 ** rng.uniform(-4.0, 0.0),
                         1.0 - 10.0 ** rng.uniform(-4.0, 0.0)))
         sd = math.sqrt(n * p * (1.0 - p))
-        k = round(n * p + rng.uniform(-30.0, 30.0) * sd)
+        k = round(n * p + rng.uniform(-45.0, 45.0) * sd)
         if not 0 < k <= n:
             continue
         reference = _mp_binomial_tail(k, n, p)
-        if reference < 1e-300:
-            continue
+        underflow_count += reference < sys.float_info.min
         value, summed = at_least_k_exact(k, n, p), _summed_tail(k, n, p)
-        with mpmath.workdps(40):
-            per_log = 1 + abs(mpmath.log(reference))
-            err_sum = float(abs(summed / reference - 1) / per_log)
-            err = float(abs(value / reference - 1) / per_log)
+        err_sum = _tail_error(summed, reference)
         worst_sum = max(worst_sum, (err_sum, (k, n, p)))
         if (n * p * (1.0 - p) >= _BASYM_MIN_NPQ
                 and abs(_lambda(k, n, p)) <= 0.03 * min(k, n - k + 1)):
             inside_count += 1
-            worst_expansion = max(worst_expansion, (err, (k, n, p)))
+            worst_expansion = max(worst_expansion, (_tail_error(value, reference), (k, n, p)))
             worst_sum_inside = max(worst_sum_inside, err_sum)
         else:
             assert value == summed, (k, n, p)
     assert inside_count > 100
+    assert underflow_count > 30
     assert worst_sum[0] <= SUM_REL_PER_LOG, "sum: {:.3g} per log at (k, n, p) = {}".format(
         *worst_sum)
     assert worst_expansion[0] <= EXPANSION_REL_PER_LOG, (
         "expansion: {:.3g} per log at (k, n, p) = {}".format(*worst_expansion))
     assert worst_expansion[0] <= worst_sum_inside
+
+
+@pytest.mark.parametrize("k, n, p", [
+    (1_035_670, 10**7, 0.1), (1_036_429, 10**7, 0.1), (1_036_619, 10**7, 0.1),
+    (526_465, 10**7, 0.05), (14_038, 10**7, 0.001), (474_362, 10**7, 0.05)])
+def test_binomial_tail_near_underflow(k, n, p):
+    # tails at and below the least normal float, and a mirrored lower tail
+    # whose complement underflows; all are on the sum's side
+    reference = _mp_binomial_tail(k, n, p)
+    assert _tail_error(at_least_k_exact(k, n, p), reference) <= SUM_REL_PER_LOG
 
 
 def test_cdf_diff_straddling_zero():

@@ -387,7 +387,7 @@ class TestQuadOracleBounds:
 
 class TestQuadOracleCost:
     def test_at_most_fifteen_panels_per_query(self, monkeypatch):
-        # 21 integrand calls per panel; the 13 seed panels alone take 273
+        # 21 integrand calls per panel; the 11 seed panels alone take 231
         counts = []
 
         def counting(f, *args, **kwargs):
@@ -406,6 +406,7 @@ class TestQuadOracleCost:
             quad_oracle(q)
         assert len(counts) == 50
         assert max(counts) <= 315
+        assert sum(counts) / len(counts) <= 240
 
 
 def _closure_integrand(q):
@@ -419,9 +420,9 @@ def _closure_integrand(q):
 
 
 class TestQuadOracleIntegrand:
-    """The written-out integrand gives the closure's estimates bit for bit."""
+    """The folded integrand keeps the closure's estimates to the oracle's accuracy."""
 
-    def test_same_estimates_as_closure(self, monkeypatch):
+    def test_within_1e_15_of_closure(self, monkeypatch):
         calls = []
 
         def recording(f, a, b, tol=1e-12, breakpoints=()):
@@ -437,8 +438,9 @@ class TestQuadOracleIntegrand:
                             t=rng.uniform(0.5, 2.5))
             got = quad_oracle(q)
             a, b, tol, cuts = calls.pop()
-            assert got == _clamp_unit(integrate(_closure_integrand(q), a, b, tol=tol,
-                                                breakpoints=cuts))
+            closure = _clamp_unit(integrate(_closure_integrand(q), a, b, tol=tol,
+                                            breakpoints=cuts))
+            assert abs(got - closure) <= 1e-15, (q, got, closure)
 
     def test_rejects_bad_tol_by_name(self):
         q = _query(20.0, 2.0, 18.0, 1.5, d=1.0)
