@@ -39,12 +39,17 @@ def expected_pairs(n1: int, n2: int, p: float) -> float:
 
     Heavily overlapping pairs, so this counts pair combinations rather
     than distinct people; the product can exceed 2**53 for cohort sizes
-    in the millions and is returned in floating point.
+    in the millions and is returned in floating point; one beyond the
+    float range raises ValueError.
     """
     _check_nonneg(n1, "n1")
     _check_nonneg(n2, "n2")
     _check_prob(p, "p")
-    return float(n1) * float(n2) * p
+    pairs = float(n1) * float(n2) * p
+    if not math.isfinite(pairs):
+        raise ValueError(
+            f"expected pair count is {pairs!r}, not finite: the inputs are too extreme")
+    return pairs
 
 
 def mean_counterparts(n: int, p: float) -> float:

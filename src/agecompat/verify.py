@@ -41,14 +41,10 @@ __all__ = [
 _MAX_DEPTH = 48
 _MC_CHUNK = 1 << 19
 _MC_MIN_SAMPLES = 10 ** 4
-# twice the worst |cos32 - cos| at float32(x), x = theta + phi in
-# [0, 2 pi + pi/2); mc_oracle's screen margin rests on it
+# mc_oracle's screen margin rests on these: twice the worst |cos32 - cos| at
+# float32(x), x = theta + phi in [0, 2 pi + pi/2), and more than twice the
+# screen's float32 rounding, 3 * 2**-24 of its scale in units of R
 _TRIG32_ERR = 1e-6
-# the screen runs only where R is at least the least normal float32 and its
-# scale and margin stay below _F32_LIMIT; its float32 rounding is at most
-# 5.25 * 2**-24 of that scale, and _F32_ERR is more than twice that
-_F32_TINY = 2.0 ** -126
-_F32_LIMIT = 2.0 ** 127
 _F32_ERR = 7.2e-7
 # the quadrature integrand calls these 21 times per panel, about 230 to
 # 315 times per quad_oracle
@@ -155,7 +151,8 @@ def error_propagation(q: CompatQuery, budget: ErrorBudget) -> float:
 
     with g = mu1 - mu2, S2 = s1**2 + s2**2 and
     e+- = exp(-(g +- d)**2 / (2 S2)).  This is exactly
-    |dp/dd| dd + |dp/ds1| ds1 + |dp/ds2| ds2 of the closed form.
+    |dp/dd| dd + |dp/ds1| ds1 + |dp/ds2| ds2 of the closed form; one
+    beyond the float range raises ValueError.
     """
     s1, s2 = q.g1.sigma, q.g2.sigma
     s2sum = s1 * s1 + s2 * s2
@@ -166,7 +163,10 @@ def error_propagation(q: CompatQuery, budget: ErrorBudget) -> float:
     sigma_part = ((s1 * budget.sigma1_err + s2 * budget.sigma2_err)
                   / (_SQRT2PI * s2sum ** 1.5)
                   * abs((g + q.d) * ep - (g - q.d) * em))
-    return d_part + sigma_part
+    dp = d_part + sigma_part
+    if not math.isfinite(dp):
+        raise ValueError(f"uncertainty of p is {dp!r}, not finite: the inputs are too extreme")
+    return dp
 
 
 def error_ratio(q: CompatQuery, budget: ErrorBudget) -> float:
@@ -260,9 +260,9 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
     """Pair probability by direct numerical integration.
 
     Integrates g1(x1) times the exact inner cdf difference of g2 over
-    x1; the outer interval spans 10 standard deviations beyond both
-    means (omitted tail mass < 1e-23).  Independent of the closed form
-    it is used to check, and never calls it.  ``tol`` goes to
+    x1 in mu1 +- 10 sigma1: the inner factor is at most 1, so the omitted
+    tail mass is at most 2 Phi(-10), about 1.5e-23.  Independent of the
+    closed form it is used to check, and never calls it.  ``tol`` goes to
     :func:`integrate`, which rejects one that is not finite and positive.
 
     Raises:
@@ -270,16 +270,14 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
             ages or sigmas near the float limit); the message describes
             the query.
     """
-    g1, g2, d = q.g1, q.g2, q.d
-    mu1, s1, mu2, s2 = g1.mu, g1.sigma, g2.mu, g2.sigma
-    smax = max(s1, s2)
-    a = min(mu1, mu2) - 10.0 * smax
-    b = max(mu1, mu2) + 10.0 * smax
+    mu1, s1, mu2, s2, d = q.g1.mu, q.g1.sigma, q.g2.mu, q.g2.sigma, q.d
+    a = mu1 - 10.0 * s1
+    b = mu1 + 10.0 * s1
     if not b - a < math.inf:
         raise ValueError(
             f"quad_oracle cannot integrate this query: its outer interval, 10 "
-            f"sigma beyond both means (mu1={mu1!r}, mu2={mu2!r}, largest "
-            f"sigma={smax!r}), is [{a!r}, {b!r}], whose width overflows")
+            f"sigma1 around mu1 (mu1={mu1!r}, sigma1={s1!r}), is [{a!r}, {b!r}], "
+            f"whose width overflows")
 
     # gaussian_pdf(x1, g1) * (_phi(hi) - _phi(lo)), written with
     # _phi(y) = erfc(-y / sqrt2) / 2 and its per-query constants formed
@@ -305,35 +303,34 @@ McEstimate.__doc__ = "Monte-Carlo estimate with its binomial standard error."
 
 
 def _screen_margin(mu1, s1, mu2, s2, d):
-    """Margin of mc_oracle's float32 screen, or inf where it cannot run.
+    """gamma, delta and the margin of mc_oracle's float32 screen, in units of R.
 
-    The screen needs R = hypot(s1, s2) to be a normal float32 and its
-    scale and margin to stay below 2**127; an overflowing margin is inf
-    as well.  See :func:`mc_oracle` for the bound.
+    The margin is inf where the screen cannot run, NaN included; see
+    :func:`mc_oracle` for the bound and its guard.
     """
-    scale = 8.6 * (s1 + s2) + abs(mu1 - mu2) + d
-    margin = (8.6 * _TRIG32_ERR * (s1 + s2) + _F32_ERR * scale
-              + 1e-12 * (abs(mu1) + abs(mu2) + d))
-    if _F32_TINY <= math.hypot(s1, s2) and scale + margin < _F32_LIMIT:
-        return margin
-    return math.inf
+    unit = math.hypot(s1, s2)
+    gamma = (mu1 - mu2) / unit
+    delta = d / unit
+    scale = 8.6 + abs(gamma) + delta
+    margin = (8.6 * _TRIG32_ERR + _F32_ERR * scale
+              + (1e-12 * (8.6 * (s1 + s2) + abs(mu1) + abs(mu2) + d)
+                 + 2.0 ** -1070 * scale) / unit)
+    return gamma, delta, (margin if scale + margin < 2.0 ** 127 else math.inf)
 
 
-def _screen(r, theta, mu1, s1, mu2, s2, cos, out):
-    """|x1 - x2| = |r * R * cos(theta + phi) + (mu1 - mu2)| in float32, into out.
+def _screen(r, theta, phi, gamma, cos, out):
+    """|x1 - x2| / R = |r * cos(theta + phi) + gamma| in float32, into out.
 
-    R = hypot(s1, s2) and phi = atan2(s2, s1); ``r`` and ``theta`` are
-    float64, ``cos`` and ``out`` float32 arrays of their size, and
-    ``cos`` is clobbered.  theta + phi is summed in float64 and rounded
-    to float32 once; every later step is float32.
+    ``r`` and ``theta`` are float64, ``cos`` and ``out`` float32 arrays of
+    their size, and ``cos`` is clobbered.  theta + phi is summed in float64
+    and rounded to float32 once; every later step is float32.
     """
     import numpy as np
-    np.add(theta, math.atan2(s2, s1), out=cos)
+    np.add(theta, phi, out=cos)
     np.cos(cos, out=cos)
     out[...] = r
     out *= cos
-    out *= np.float32(math.hypot(s1, s2))
-    out += np.float32(mu1 - mu2)
+    out += np.float32(gamma)
     return np.abs(out, out=out)
 
 
@@ -348,37 +345,34 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
 
     A pair is a hit where the float64 transform, x1 = r*cos(theta)*sigma1
     + mu1 and x2 = r*sin(theta)*sigma2 + mu2, gives |x1 - x2| <= d.  Each
-    chunk first screens its pairs in float32 with one cosine, from
+    chunk first screens its pairs in float32, in units of R = hypot(sigma1,
+    sigma2) with phi = atan2(sigma2, sigma1) and gamma = (mu1 - mu2)/R:
 
-        x1 - x2 = r * R * cos(theta + phi) + (mu1 - mu2),
+        (x1 - x2) / R = r * cos(theta + phi) + gamma.
 
-    R = hypot(sigma1, sigma2) and phi = atan2(sigma2, sigma1): the screen
-    forms |r * c * R + (mu1 - mu2)| with c the float32 cos of
-    float32(theta + phi), every step in float32.  That is |x1 - x2| to
-    within a margin,
+    The screen forms |r * c + gamma| in float32, c the float32 cos of
+    float32(theta + phi), and compares it with delta = d/R.  With the
+    scale S = 8.6 + |gamma| + delta it is within a margin
 
-        8.6 * 1e-6 * (sigma1 + sigma2)
-        + 7.2e-7 * (8.6 * (sigma1 + sigma2) + |mu1 - mu2| + d)
-        + 1e-12 * (|mu1| + |mu2| + d).
+        8.6e-6 + 7.2e-7 * S
+        + (1e-12 * (8.6 * (sigma1 + sigma2) + |mu1| + |mu2| + d) + 2**-1070 * S) / R
 
-    It holds because r = sqrt(-2 log u1) < 8.6 for every u1 >= 2**-53
-    and R <= sigma1 + sigma2.  Rounding theta + phi to float32 moves it
-    by at most 2**-22 and float32 cos is within a few ulp (6e-8), so c
-    is within 5e-7, half of 1e-6, of the exact cosine.  The screen
-    rounds six times to float32: r, R and mu1 - mu2, its two products and
-    its sum.  Each rounding errs by at most 2**-24 relative, or by 2**-150
-    below the least normal float32, which is at most 2**-24 * R while R
-    is normal.  Together they move it by at most 5.25 * 2**-24 of the
-    second term's scale, under half of 7.2e-7 of it.  The 1e-12 term
-    covers the float64 rounding of both forms.  So a pair whose
-    screened value lies below float32(d - margin), nudged one ulp down,
-    is a hit, and one above float32(d + margin), nudged one ulp up, a
-    miss, exactly as the float64 transform decides them.  Only the rest,
-    typically none or one per call, go through the float64 transform, so
-    every estimate is the one that transform alone gives, for every
-    seed.  A query whose R is below the least normal float32, or whose
-    scales and margin reach 2**127, skips the screen and sends every
-    pair through the float64 transform, as does an overflowing margin.
+    of the float64 transform's |x1 - x2|/R.  The first term covers the
+    cosine: r = sqrt(-2 log u1) < 8.58 for every u1 >= 2**-53, rounding
+    theta + phi to float32 moves it by at most 2**-22 and float32 cos is
+    within a few ulp (6e-8), so c is within 5e-7, half of 1e-6, of the
+    exact cosine.  The second covers the four float32 roundings, of r,
+    gamma, r * c and the sum, 2**-24 relative each (gamma may underflow
+    by 2**-150, which r < 8.58 leaves room for): 3 * 2**-24 of S, under
+    half of 7.2e-7 of it.  The third covers the float64 roundings of both
+    forms: 1e-12 of their magnitudes, and 2**-1070 of S for the error of
+    up to 2**-1074 that a subnormal R carries.  So a pair below
+    float32(delta - margin) or above float32(delta + margin), each nudged
+    one ulp outward, is a hit or a miss exactly as the float64 transform
+    decides it.  Only the rest, typically none or one per call, go through
+    that transform, so every estimate is the one it alone gives, for every
+    seed.  A query whose S plus margin reaches 2**127, an overflow
+    included, skips the screen and sends every pair through it.
 
     ``samples`` and ``seed`` must be integers (Python or NumPy), with
     ``samples >= 10000`` and ``seed >= 0``; anything else raises
@@ -395,13 +389,13 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     import numpy as np
 
-    g1, g2, d = q.g1, q.g2, q.d
-    mu1, s1, mu2, s2 = g1.mu, g1.sigma, g2.mu, g2.sigma
-    margin = _screen_margin(mu1, s1, mu2, s2, d)
+    mu1, s1, mu2, s2, d = q.g1.mu, q.g1.sigma, q.g2.mu, q.g2.sigma, q.d
+    gamma, delta, margin = _screen_margin(mu1, s1, mu2, s2, d)
     screened = margin < math.inf
     if screened:
-        lo = np.nextafter(np.float32(d - margin), np.float32(-np.inf))
-        hi = np.nextafter(np.float32(d + margin), np.float32(np.inf))
+        phi = math.atan2(s2, s1)
+        lo = np.nextafter(np.float32(delta - margin), np.float32(-np.inf))
+        hi = np.nextafter(np.float32(delta + margin), np.float32(np.inf))
     # one block holds each chunk's arrays: r, theta and, viewed as two
     # float32 rows, the screen's.  glibc hands a freed heap top back to the
     # OS once it exceeds twice the largest freed mmap'd block, so with
@@ -425,7 +419,7 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         b *= 2.0 * np.pi               # theta
         keep = slice(None)
         if screened:
-            x = _screen(a, b, mu1, s1, mu2, s2, cos32[:n], x32[:n])
+            x = _screen(a, b, phi, gamma, cos32[:n], x32[:n])
             inside = x < lo
             outside = x > hi
             decided = int(np.count_nonzero(inside))
@@ -433,7 +427,7 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
             decided += int(np.count_nonzero(outside))
             if decided == n:
                 continue
-            # the undecided samples, NaN included, get the float64 transform
+            # the undecided samples get the float64 transform
             keep = np.flatnonzero(~(inside | outside))
         r, theta = a[keep], b[keep]
         x1 = r * np.cos(theta) * s1 + mu1

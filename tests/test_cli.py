@@ -89,6 +89,12 @@ class TestCompatCommand:
         _, rows = parse_csv(out)
         assert float(rows[0]["delta_p"]) > 0.0
 
+    def test_overflowing_error_budget_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "compat", "--age1", "18", "--age2", "14",
+                                 "--error-budget", "1e308,1e308,1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: uncertainty of p is inf, not finite: the inputs are too extreme\n"
+
     def test_both_d_and_t_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compat", "--age1", "18", "--age2", "14",
                                "--d", "1", "--t", "1")
@@ -115,6 +121,13 @@ class TestExpectCommand:
         header, rows = parse_csv(out)
         assert header[-1] == "note"
         assert rows[0]["note"].startswith("pairs exceed 2^53")
+
+    def test_overflowing_pair_count_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "expect", "--n1", str(10 ** 200),
+                                 "--n2", str(10 ** 200), "--p", "0.5")
+        assert (code, out) == (2, "")
+        assert err == ("error: expected pair count is inf, not finite: the inputs "
+                       "are too extreme\n")
 
     def test_hand_case(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--n1", "10", "--n2", "3",

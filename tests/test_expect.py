@@ -66,6 +66,12 @@ class TestExpectedPairs:
         with pytest.raises(ValueError):
             expected_pairs(10, 10, 1.5)
 
+    @pytest.mark.parametrize("p, value", [(0.5, "inf"), (0.0, "nan")])
+    def test_overflowing_product_names_the_result(self, p, value):
+        message = f"expected pair count is {value}, not finite: the inputs are too extreme"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expected_pairs(10 ** 200, 10 ** 200, p)
+
 
 class TestMeanCounterparts:
     def test_high_school_cohorts(self):

@@ -118,6 +118,14 @@ class TestErrorPropagation:
         q = _query(20.0, 2.5, 17.0, 1.9, d=1.5)
         assert error_propagation(q, ErrorBudget(0.0, 0.0, 0.0)) == 0.0
 
+    @pytest.mark.parametrize("d, value", [(2.0, "inf"), (0.0, "nan")])
+    def test_overflowing_uncertainty_names_the_result(self, d, value):
+        # at d = 0 the sigma channel is an overflowing budget times zero
+        q = _query(18.0, 2.7, 14.0, 2.1, d=d)
+        message = f"uncertainty of p is {value}, not finite: the inputs are too extreme"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            error_propagation(q, ErrorBudget(1e308, 1e308, 1e308))
+
     def test_equal_means_reduction(self):
         # only the d-channel survives symmetric +-d exponents
         q = _query(20.0, 2.0, 20.0, 1.5, d=1.2)
@@ -374,13 +382,13 @@ class TestQuadOracle:
 class TestQuadOracleBounds:
     @pytest.mark.parametrize("g1, g2, bounds", [
         (Gaussian(1e308, 1e307), Gaussian(1.5e308, 1e307), "[0.0, inf]"),
-        (Gaussian(1.0, 1e307), Gaussian(1.5, 1.7e307), "[-1.7e+308, 1.7e+308]"),
+        (Gaussian(1.0, 1.7e307), Gaussian(1.5, 1e307), "[-1.7e+308, 1.7e+308]"),
     ])
     def test_overflowing_interval_describes_the_query(self, g1, g2, bounds):
         # integrate would reject the bound b, which the caller never passed
         message = (f"quad_oracle cannot integrate this query: its outer interval, "
-                   f"10 sigma beyond both means (mu1={g1.mu!r}, mu2={g2.mu!r}, "
-                   f"largest sigma={g2.sigma!r}), is {bounds}, whose width overflows")
+                   f"10 sigma1 around mu1 (mu1={g1.mu!r}, sigma1={g1.sigma!r}), "
+                   f"is {bounds}, whose width overflows")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             quad_oracle(CompatQuery(g1, g2, t=1.0))
 
@@ -560,12 +568,25 @@ class TestFloat32Screen:
         # the margin overflows to inf; some x1, x2 overflow, and inf - inf is NaN
         (_query(1.5e308, 1e307, 1.5e308, 1e307, d=1e307), 10 ** 5),
         # R = hypot(sigma1, sigma2) just above and just below the least
-        # normal float32: screened, then all refined
+        # normal float32, and large sigmas: all screened
         (_query(1e-37, 1e-38, 1.2e-37, 1e-38, d=1e-38), 20_000),
         (_query(1e-37, 8e-39, 1.2e-37, 8e-39, d=1e-38), 20_000),
-        # the screen's scale just below and just above 2**127
         (_query(1e37, 9e36, 1.2e37, 9e36, d=4e36), 20_000),
         (_query(1e37, 1e37, 1.2e37, 1e37, d=4e36), 20_000),
+        # small means, but x1 and x2 overflow: the margin is inf
+        (_query(1.0, 7e307, 1.0, 7e307, d=1e308), 20_000),
+        # R overflows: the margin is NaN, so inf
+        (_query(1.0, 1.3e308, 1.0, 1.3e308, d=1e308), 20_000),
+        # R a subnormal float64, and the least subnormal: there the float64
+        # transform rounds by a sizeable share of R, and the margin exceeds
+        # the scale
+        (_query(1e-309, 1e-310, 1.2e-309, 1e-310, d=1e-310), 20_000),
+        (_query(5e-324, 5e-324, 1e-323, 5e-324, d=5e-324), 20_000),
+        # the screen's scale in units of R just below and just above 2**127,
+        # and a screen that decides every pair a hit
+        (_query(20.0, 1e-37, 3.0, 1e-37, d=1e-37), 20_000),
+        (_query(30.0, 1e-37, 3.0, 1e-37, d=1e-37), 20_000),
+        (_query(10.0, 1e-37, 3.0, 1e-37, d=8.0), 20_000),
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
@@ -604,8 +625,25 @@ class TestFloat32Screen:
         assert 0.1 < exact.estimate < 0.9
         assert mc_oracle(q, n, 0) == exact
 
+    def test_screen_decides_all_but_a_few_samples(self, monkeypatch):
+        # an inf or needlessly wide margin passes every identity test above,
+        # but sends the samples through the float64 transform; its sin sees
+        # every sample that the screen leaves undecided, 66 of 4e6 here
+        np = pytest.importorskip("numpy")
+        refined = 0
+        sin = np.sin
+
+        def counting(x):
+            nonlocal refined
+            refined += x.size
+            return sin(x)
+        monkeypatch.setattr(np, "sin", counting)
+        for seed, q in enumerate(_certify_queries(1618, 200)):
+            mc_oracle(q, 20_000, seed)
+        assert refined <= 1e-4 * 200 * 20_000
+
     def test_float32_trig_within_half_the_bound(self):
-        # the margin allows _TRIG32_ERR per unit r * R; half of it must cover
+        # the margin allows _TRIG32_ERR per unit r; half of it must cover
         # float32 cos of float32(theta + phi), theta + phi in [0, 2 pi + pi/2),
         # on this platform
         np = pytest.importorskip("numpy")
@@ -623,15 +661,17 @@ class TestFloat32Screen:
         # rounding far exceeds the margin's other terms
         (80.3, 0.01, 15.1, 0.01, 65.2),
         (20.0, 1e-9, 20.0 + 1e-9, 2e-9, 1.5e-9),
-        # R just above the least normal float32, and the scale just below 2**127
         (1e-37, 1e-38, 1.2e-37, 1e-38, 1e-38),
         (1e37, 9e36, 1.2e37, 9e36, 4e36),
+        # R below the least normal float32, and R a subnormal float64
+        (1e-37, 8e-39, 1.2e-37, 8e-39, 1e-38),
+        (1e-309, 1e-310, 1.2e-309, 1e-310, 1e-310),
     ])
     def test_screen_within_half_the_margin(self, mu1, s1, mu2, s2, d):
-        # the float32 screen's |x1 - x2| - d lies within half the margin of
-        # the float64 transform's, on draws as mc_oracle makes them
+        # the float32 screen's |x1 - x2|/R - d/R lies within half the margin
+        # of the float64 transform's, on draws as mc_oracle makes them
         np = pytest.importorskip("numpy")
-        margin = verify._screen_margin(mu1, s1, mu2, s2, d)
+        gamma, delta, margin = verify._screen_margin(mu1, s1, mu2, s2, d)
         assert margin < math.inf
         n = 1 << 19
         rng = np.random.Generator(np.random.PCG64(
@@ -640,6 +680,7 @@ class TestFloat32Screen:
         theta = 2.0 * np.pi * rng.random(n)
         r[0] = math.sqrt(-2.0 * math.log(2.0 ** -53))     # the largest r drawn
         cos, out = np.empty((2, n), np.float32)
-        screened = verify._screen(r, theta, mu1, s1, mu2, s2, cos, out)
+        screened = verify._screen(r, theta, math.atan2(s2, s1), gamma, cos, out)
         exact = np.abs((r * np.cos(theta) * s1 + mu1) - (r * np.sin(theta) * s2 + mu2)) - d
-        assert np.max(np.abs(screened.astype(np.float64) - d - exact)) <= margin / 2
+        error = screened.astype(np.float64) - delta - exact / math.hypot(s1, s2)
+        assert np.max(np.abs(error)) <= margin / 2
