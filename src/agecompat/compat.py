@@ -19,8 +19,7 @@ import math
 from collections import namedtuple
 
 from .model import Gaussian, _Value
-from .special import (_SQRT2, _cdf_diff, _check_finite, _check_nonneg,
-                      _check_positive, erf, normal_cdf)
+from .special import _SQRT2, _cdf_diff, _check_finite, _check_nonneg, _check_positive, _phi
 
 __all__ = [
     "CompatQuery", "NormalizedProb",
@@ -114,7 +113,7 @@ def compat_prob_normalized(q: CompatQuery) -> NormalizedProb:
         raise ValueError("normalization is undefined at d = 0 (0/0)")
     swapped = q.g1.mu < q.g2.mu
     younger = q.g1 if swapped else q.g2
-    denom = erf(q.d / (2.0 * younger.sigma))
+    denom = math.erf(q.d / (2.0 * younger.sigma))
     if denom == 0.0:
         raise ValueError(f"d={q.d!r} is too small to normalize by: the younger "
                          f"cohort's same-age probability underflows to 0")
@@ -127,7 +126,7 @@ def same_age_prob(t: float) -> float:
     Independent of both the age and sigma; only the multiple t matters.
     """
     _check_nonneg(t, "t")
-    return erf(0.5 * t)
+    return math.erf(0.5 * t)
 
 
 def range_prob(x_lo: float, x_hi: float, g: Gaussian) -> float:
@@ -142,19 +141,19 @@ def range_prob(x_lo: float, x_hi: float, g: Gaussian) -> float:
 def symmetric_range_prob(d: float, g: Gaussian) -> float:
     """P(|X - mu| <= d) = erf(d / (sqrt(2)*sigma))."""
     _check_nonneg(d, "d")
-    return erf(d / (_SQRT2 * g.sigma))
+    return math.erf(d / (_SQRT2 * g.sigma))
 
 
 def prob_at_least(x0: float, g: Gaussian) -> float:
     """P(X >= x0); complements :func:`prob_at_most` exactly."""
     _check_finite(x0, "x0")
-    return normal_cdf((g.mu - x0) / g.sigma)
+    return _phi((g.mu - x0) / g.sigma)
 
 
 def prob_at_most(x0: float, g: Gaussian) -> float:
     """P(X <= x0)."""
     _check_finite(x0, "x0")
-    return normal_cdf((x0 - g.mu) / g.sigma)
+    return _phi((x0 - g.mu) / g.sigma)
 
 
 def compat_prob_ratio_form(r: float, s1: float, s2: float, t: float) -> float:

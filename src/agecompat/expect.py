@@ -11,8 +11,7 @@ import math
 from collections import namedtuple
 
 from .model import AgeProfile, _Value
-from .special import (_check_nonneg, _check_open_prob, _check_prob, _clamp_unit,
-                      _index, normal_cdf)
+from .special import _check_nonneg, _check_open_prob, _check_prob, _clamp_unit, _index, _phi
 
 __all__ = [
     "Cohort", "NormalTail",
@@ -343,5 +342,5 @@ def at_least_k_normal(k: int, n: int, p: float) -> NormalTail:
         return NormalTail(1.0, False)
     mean = n * p
     sd = math.sqrt(n * p * (1.0 - p))
-    value = normal_cdf((mean - k) / sd) + normal_cdf(-math.sqrt(mean / (1.0 - p)))
+    value = _phi((mean - k) / sd) + _phi(-math.sqrt(mean / (1.0 - p)))
     return NormalTail(_clamp_unit(value), normal_approx_valid(n, p))

@@ -24,9 +24,9 @@ Monte-Carlo sample counts and seeds).  Each raises ``ValueError`` with a
 message that names the argument, so NaN and +-inf are rejected by name
 everywhere.  The public functions ``erf``,
 ``erfc``, ``normal_pdf``, ``normal_cdf`` and ``normal_quantile`` reject
-non-finite (and, for the quantile, out-of-range) arguments.  The
-internal kernels ``_phi`` and ``_pdf`` check nothing and expect finite
-arguments from a caller that has already checked them.
+non-finite (and, for the quantile, out-of-range) arguments; no other
+module imports the first four.  The internal kernels ``_phi`` and
+``_pdf`` check nothing and return their exact limits at +-inf.
 ``_cdf_diff`` is the one internal kernel with a guard of its own: a
 single chained comparison that rejects a non-finite or reversed
 interval.  Its callers have already checked their arguments, so the
@@ -91,12 +91,12 @@ def _index(value, name):
 
 
 def _phi(z):
-    # Phi(z) = erfc(-z/sqrt(2))/2 for finite z, unchecked
+    # Phi(z) = erfc(-z/sqrt(2))/2, unchecked
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def _pdf(z):
-    # standard normal density for finite z, unchecked
+    # standard normal density, unchecked
     return math.exp(-0.5 * z * z) / _SQRT2PI
 
 

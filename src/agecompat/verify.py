@@ -29,7 +29,7 @@ from collections.abc import Callable
 from .compat import CompatQuery
 from .model import _Value
 from .special import (_SQRT2, _SQRT2PI, QuadratureError, _check_finite, _check_nonneg,
-                      _check_positive, _clamp_unit, _index, normal_cdf)
+                      _check_positive, _clamp_unit, _index, _pdf, _phi)
 
 __all__ = [
     "SliceParams", "ErrorBudget", "TruncationBound", "McEstimate",
@@ -118,13 +118,16 @@ TruncationBound.__doc__ = "Per-slice certificate and its looser closed-form majo
 
 
 def slice_params(g1, g2, delta: float) -> SliceParams:
-    """Slice mean/width for x2 = x1 + delta."""
-    v1, v2 = g1.sigma ** 2, g2.sigma ** 2
-    total = v1 + v2
-    return SliceParams(
-        mu12=((g2.mu - delta) * v1 + g1.mu * v2) / total,
-        sigma12=g1.sigma * g2.sigma / math.sqrt(total),
-    )
+    """Slice mean/width for x2 = x1 + delta.
+
+    mu12 = mu1 - z w1 sigma1 and sigma12 = w2 sigma1, in units of R =
+    hypot(sigma1, sigma2), with z = (mu1 - mu2 + delta)/R (z+ at delta = d)
+    and wi = sigmai/R.
+    """
+    unit = math.hypot(g1.sigma, g2.sigma)
+    z = (g1.mu - g2.mu + delta) / unit
+    return SliceParams(mu12=g1.mu - z * (g1.sigma / unit) * g1.sigma,
+                       sigma12=g2.sigma / unit * g1.sigma)
 
 
 def truncation_bound(q: CompatQuery) -> TruncationBound:
@@ -137,33 +140,30 @@ def truncation_bound(q: CompatQuery) -> TruncationBound:
     quantity quoted against the 4-sigma yardstick.
     """
     sp = slice_params(q.g1, q.g2, q.d)
-    worst = normal_cdf(-sp.mu12 / sp.sigma12)
+    worst = _phi(-sp.mu12 / sp.sigma12)
     younger = q.g1 if q.g1.mu <= q.g2.mu else q.g2
-    loose = normal_cdf(-(younger.mu - q.d) / younger.sigma)
+    loose = _phi(-(younger.mu - q.d) / younger.sigma)
     return TruncationBound(worst_slice=worst, loose=loose)
 
 
 def error_propagation(q: CompatQuery, budget: ErrorBudget) -> float:
     """First-order uncertainty of the pair probability.
 
-        dp = dd/sqrt(2 pi S2) * [e+ + e-]
-           + (s1 ds1 + s2 ds2)/(sqrt(2 pi) S2^(3/2)) * |(g+d) e+ - (g-d) e-|
+    In units of R = hypot(s1, s2), with z+- = (g +- d)/R, g = mu1 - mu2
+    and the weights wi = si/R,
 
-    with g = mu1 - mu2, S2 = s1**2 + s2**2 and
-    e+- = exp(-(g +- d)**2 / (2 S2)).  This is exactly
-    |dp/dd| dd + |dp/ds1| ds1 + |dp/ds2| ds2 of the closed form; one
-    beyond the float range raises ValueError.
+        dp = (dd [pdf(z+) + pdf(z-)] + (w1 ds1 + w2 ds2) |z+ pdf(z+) - z- pdf(z-)|) / R.
+
+    This is exactly |dp/dd| dd + |dp/ds1| ds1 + |dp/ds2| ds2 of the
+    closed form; one beyond the float range raises ValueError.
     """
-    s1, s2 = q.g1.sigma, q.g2.sigma
-    s2sum = s1 * s1 + s2 * s2
+    unit = math.hypot(q.g1.sigma, q.g2.sigma)
+    w1, w2 = q.g1.sigma / unit, q.g2.sigma / unit
     g = q.g1.mu - q.g2.mu
-    ep = math.exp(-0.5 * (g + q.d) ** 2 / s2sum)
-    em = math.exp(-0.5 * (g - q.d) ** 2 / s2sum)
-    d_part = budget.d_err / math.sqrt(2.0 * math.pi * s2sum) * (ep + em)
-    sigma_part = ((s1 * budget.sigma1_err + s2 * budget.sigma2_err)
-                  / (_SQRT2PI * s2sum ** 1.5)
-                  * abs((g + q.d) * ep - (g - q.d) * em))
-    dp = d_part + sigma_part
+    zp, zm = (g + q.d) / unit, (g - q.d) / unit
+    ep, em = _pdf(zp), _pdf(zm)
+    dp = (budget.d_err * (ep + em)
+          + (w1 * budget.sigma1_err + w2 * budget.sigma2_err) * abs(zp * ep - zm * em)) / unit
     if not math.isfinite(dp):
         raise ValueError(f"uncertainty of p is {dp!r}, not finite: the inputs are too extreme")
     return dp
@@ -172,17 +172,18 @@ def error_propagation(q: CompatQuery, budget: ErrorBudget) -> float:
 def error_ratio(q: CompatQuery, budget: ErrorBudget) -> float:
     """Sigma-channel error relative to the d-channel error.
 
-        (1/S2) |g tanh(2 d g / S2) + d| (s1 ds1 + s2 ds2) / dd
+        |a tanh(2 a b) + b| (w1 ds1 + w2 ds2) / dd
 
-    At equal means the tanh term vanishes and the expression coincides
-    with the quotient of the two :func:`error_propagation` channels.
+    with a = g/R, b = d/R and wi = si/R in units of R = hypot(s1, s2).  At
+    equal means the tanh term vanishes and the expression coincides with
+    the quotient of the two :func:`error_propagation` channels.
     """
     _check_positive(budget.d_err, "d_err")
-    s1, s2 = q.g1.sigma, q.g2.sigma
-    s2sum = s1 * s1 + s2 * s2
-    g = q.g1.mu - q.g2.mu
-    return (abs(g * math.tanh(2.0 * q.d * g / s2sum) + q.d) / s2sum
-            * (s1 * budget.sigma1_err + s2 * budget.sigma2_err) / budget.d_err)
+    unit = math.hypot(q.g1.sigma, q.g2.sigma)
+    w1, w2 = q.g1.sigma / unit, q.g2.sigma / unit
+    a, b = (q.g1.mu - q.g2.mu) / unit, q.d / unit
+    return (abs(a * math.tanh(2.0 * a * b) + b)
+            * (w1 * budget.sigma1_err + w2 * budget.sigma2_err) / budget.d_err)
 
 
 def error_ratio_bounds(a: float, b: float, c: float) -> tuple[float, float]:

@@ -90,10 +90,24 @@ class TestCompatCommand:
         assert float(rows[0]["delta_p"]) > 0.0
 
     def test_overflowing_error_budget_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "compat", "--age1", "18", "--age2", "14",
-                                 "--error-budget", "1e308,1e308,1e308")
+        # dd / R * 2 pdf(b) with dd = 1e308, R = 0.025 and b = 0.80 leaves the float range
+        code, out, err = run_cli(capsys, "compat", "--age1", "18", "--age2", "18",
+                                 "--s1", "0.001", "--s2", "0.001",
+                                 "--error-budget", "1e308,0,0")
         assert (code, out) == (2, "")
         assert err == "error: uncertainty of p is inf, not finite: the inputs are too extreme\n"
+
+    @pytest.mark.parametrize("args, p, delta_p", [
+        # sigmas whose squares underflow: both densities are 0 at z+- ~ 1e201
+        (("--age1", "18", "--age2", "14", "--s1", "1e-202", "--s2", "1e-202"), "0", "0"),
+        # ages whose squares overflow: the same query as 1.1 vs 1 with a 1e-201 budget
+        (("--age1", "1e200", "--age2", "1.1e200"), "0.508317", "4.78784e-201"),
+    ])
+    def test_error_budget_at_extreme_scales(self, capsys, args, p, delta_p):
+        code, out, err = run_cli(capsys, "compat", *args, "--error-budget", "0.1,0.1,0.1")
+        assert (code, err) == (0, "")
+        row = parse_csv(out)[1][0]
+        assert (row["p"], row["delta_p"]) == (p, delta_p)
 
     def test_both_d_and_t_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compat", "--age1", "18", "--age2", "14",
@@ -367,10 +381,11 @@ class TestCliContract:
         assert run_cli(capsys, "no-such-command")[0] == 2
 
     def test_overflow_is_a_domain_error(self, capsys):
-        code, out, err = run_cli(capsys, "compat", "--age1", "1e200", "--age2", "14",
-                                 "--error-budget", "1,1,1")
+        # float(n1) raises OverflowError, which exits 2 like a ValueError
+        code, out, err = run_cli(capsys, "expect", "--n1", "1" + "0" * 400, "--n2", "1",
+                                 "--p", "0.5")
         assert code == 2 and out == ""
-        assert "error" in err
+        assert err == "error: int too large to convert to float\n"
 
     def test_empty_cohort_at_least_zero(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--n1", "0", "--n2", "0",

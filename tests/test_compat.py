@@ -338,6 +338,13 @@ class TestRangeProb:
         assert prob_at_least(x0, g) + prob_at_most(x0, g) == \
             pytest.approx(1.0, abs=1e-12)
 
+    def test_arguments_beyond_the_float_range_give_the_exact_limits(self):
+        # (x0 - mu)/sigma and d/(sqrt2 sigma) overflow to +-inf from finite input
+        g = Gaussian(-1e308, 1e-5)
+        assert symmetric_range_prob(1e308, Gaussian(0.0, 1e-10)) == 1.0
+        assert prob_at_least(1e308, g) == 0.0
+        assert prob_at_most(1e308, g) == 1.0
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             range_prob(5.0, 4.0, Gaussian(4.5, 1.0))

@@ -1,5 +1,6 @@
 """The package namespace: 54 public names, each loaded with its submodule on first use."""
 
+import ast
 import json
 import os
 import subprocess
@@ -38,3 +39,19 @@ def test_bare_import_loads_no_submodule():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], ["agecompat.special"]]
+
+
+def test_only_special_imports_its_checked_kernels():
+    # arguments are checked once, at the public boundary; below it the
+    # modules call the unchecked _phi, _pdf or math.erf / math.erfc
+    checked = {"erf", "erfc", "normal_cdf", "normal_pdf"}
+    package = Path(agecompat.__file__).resolve().parent
+    seen = 0
+    for path in sorted(package.glob("*.py")):
+        if path.name == "special.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("special", "agecompat.special"):
+                seen += 1
+                assert not checked & {alias.name for alias in node.names}, path.name
+    assert seen >= 6

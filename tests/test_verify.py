@@ -99,6 +99,12 @@ class TestTruncationBound:
             assert normal_cdf(-sp.mu12 / sp.sigma12) <= \
                 truncation_bound(q).worst_slice
 
+    @pytest.mark.parametrize("d, want", [(1e-300, (0.0, 0.0)), (20.0, (0.0, 1.0))])
+    def test_tiny_sigmas_give_the_exact_limits(self, d, want):
+        # mu12/sigma12 and (mu - d)/sigma are of order 1e301, far beyond any Phi argument
+        bound = truncation_bound(_query(18.0, 1e-300, 14.0, 1e-300, d=d))
+        assert tuple(bound) == want
+
     def test_monotone_in_age_to_sigma_ratio(self):
         bounds = []
         for ratio in (3.0, 4.0, 5.0, 7.0):
@@ -118,13 +124,18 @@ class TestErrorPropagation:
         q = _query(20.0, 2.5, 17.0, 1.9, d=1.5)
         assert error_propagation(q, ErrorBudget(0.0, 0.0, 0.0)) == 0.0
 
-    @pytest.mark.parametrize("d, value", [(2.0, "inf"), (0.0, "nan")])
-    def test_overflowing_uncertainty_names_the_result(self, d, value):
-        # at d = 0 the sigma channel is an overflowing budget times zero
-        q = _query(18.0, 2.7, 14.0, 2.1, d=d)
+    @pytest.mark.parametrize("q, budget, value", [
+        # dd / R * pdf(0) with R = 0.042 leaves the float range
+        pytest.param(_query(18.0, 0.03, 16.0, 0.03, d=2.0), ErrorBudget(1e308, 1e308, 1e308),
+                     "inf", id="2.0-inf"),
+        # at d = 0 the sigma channel is an overflowing w1 ds1 + w2 ds2 times zero
+        pytest.param(_query(18.0, 2.7, 14.0, 2.7, d=0.0), ErrorBudget(0.0, 1.7e308, 1.7e308),
+                     "nan", id="0.0-nan"),
+    ])
+    def test_overflowing_uncertainty_names_the_result(self, q, budget, value):
         message = f"uncertainty of p is {value}, not finite: the inputs are too extreme"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            error_propagation(q, ErrorBudget(1e308, 1e308, 1e308))
+            error_propagation(q, budget)
 
     def test_equal_means_reduction(self):
         # only the d-channel survives symmetric +-d exponents
@@ -205,6 +216,27 @@ class TestErrorRatio:
             ratio = error_ratio(q, ErrorBudget(1.0, 1.0, 1.0))
             lo, hi = error_ratio_bounds(a, b, c)
             assert lo < ratio < hi
+
+
+class TestScaleInvariance:
+    """The certificates depend on the query only through (g +- d)/R and sigmai/R."""
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("mu1, s1, mu2, s2, d", [
+        (18.0, 2.7, 14.0, 2.1, 2.0),
+        (30.0, 4.5, 25.0, 3.75, 4.0),
+        (40.0, 6.0, 32.0, 4.8, 5.0),
+        (12.0, 1.5, 10.0, 1.2, 1.2),
+    ])
+    def test_scaled_copies_agree(self, mu1, s1, mu2, s2, d, lam):
+        budget = (0.1, 0.05, 0.02)
+
+        def certificates(scale):
+            q = _query(mu1 * scale, s1 * scale, mu2 * scale, s2 * scale, d=d * scale)
+            b = ErrorBudget(*(x * scale for x in budget))
+            return (*truncation_bound(q), error_propagation(q, b), error_ratio(q, b))
+
+        assert certificates(lam) == pytest.approx(certificates(1.0), rel=1e-13, abs=0.0)
 
 
 class TestErrorRatioBounds:
