@@ -19,7 +19,7 @@ __all__ = [
     "at_least_k_exact", "at_least_k_normal", "normal_approx_valid",
 ]
 
-_MAX_N = 10 ** 7         # term-recurrence accumulation bound
+_MAX_N = 10 ** 7         # < 2**53, below which _tail_sum's float counters are exact
 _REL_CUTOFF = 1e-18      # stop once terms no longer move the running sum
 
 
@@ -318,11 +318,15 @@ so the caller can see how far off it lands.
 """
 
 
+def _approx_valid(n, p):
+    return n > 9.0 * max(p / (1.0 - p), (1.0 - p) / p)
+
+
 def normal_approx_valid(n: int, p: float) -> bool:
     """Applicability condition n > 9 * max(p/(1-p), (1-p)/p), strictly."""
     _check_nonneg(n, "n")
     _check_open_prob(p, "p")
-    return n > 9.0 * max(p / (1.0 - p), (1.0 - p) / p)
+    return _approx_valid(n, p)
 
 
 def at_least_k_normal(k: int, n: int, p: float) -> NormalTail:
@@ -343,4 +347,4 @@ def at_least_k_normal(k: int, n: int, p: float) -> NormalTail:
     mean = n * p
     sd = math.sqrt(n * p * (1.0 - p))
     value = _phi((mean - k) / sd) + _phi(-math.sqrt(mean / (1.0 - p)))
-    return NormalTail(_clamp_unit(value), normal_approx_valid(n, p))
+    return NormalTail(_clamp_unit(value), _approx_valid(n, p))

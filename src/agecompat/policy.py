@@ -19,7 +19,7 @@ from collections.abc import Iterable
 
 from .compat import _ratio_prob
 from .model import MEAN_DIFF_COEF, _Value
-from .special import _check_nonneg, _check_open_prob, _check_positive, normal_quantile
+from .special import _check_nonneg, _check_open_prob, _check_positive, _quantile
 
 __all__ = [
     "DEFAULT_T", "AgeLimitSpec", "RuleAuditPoint",
@@ -40,6 +40,15 @@ def _check_kind(kind):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
 
 
+def _check_rule_args(s1, s2, t):
+    # the rule's dispersion ratios and difference multiple, d = t*s1*mu
+    _check_positive(s1, "s1")
+    _check_positive(s2, "s2")
+    if not 1.0 <= t < math.inf:
+        raise ValueError(
+            f"t must be at least 1 (natural lower edge of d) and finite, got {t!r}")
+
+
 class AgeLimitSpec(_Value):
     """A mental-age limit: kind ('min' or 'max'), threshold, probability, s."""
 
@@ -58,7 +67,7 @@ def _limit_factor(s, p_limit, kind):
     # for an upper one: mental limit = chronological limit * factor.
     # Phi^-1(1 - p) is taken as -Phi^-1(p): 1 - p_limit rounds, and to 1.0
     # below p_limit = 2**-54
-    z = normal_quantile(p_limit)
+    z = _quantile(p_limit)
     factor = 1.0 + s * (-z if kind == "min" else z)
     if factor <= 0.0:
         raise ValueError(
@@ -145,11 +154,7 @@ def rule_probability(mu: float, delta: float, s1: float, s2: float,
     """
     _check_positive(mu, "mu")
     _check_nonneg(delta, "delta")
-    _check_positive(s1, "s1")
-    _check_positive(s2, "s2")
-    if not 1.0 <= t < math.inf:
-        raise ValueError(
-            f"t must be at least 1 (natural lower edge of d) and finite, got {t!r}")
+    _check_rule_args(s1, s2, t)
     return _ratio_prob(delta / mu, s2, s1, t)
 
 
@@ -176,6 +181,7 @@ def audit_hyaps(mu_grid: Iterable[float], s1: float, s2: float,
     skipped with a warning.  A constant-probability rule would produce a
     flat p_min column; this one does not, which is the audit's finding.
     """
+    _check_rule_args(s1, s2, t)
     points = []
     for mu in mu_grid:
         if mu <= 14.0:
@@ -183,12 +189,13 @@ def audit_hyaps(mu_grid: Iterable[float], s1: float, s2: float,
                 f"skipping mu={mu!r}: the rule allows no upward gap at or "
                 "below its fixed point 14", stacklevel=2)
             continue
+        _check_positive(mu, "mu")
         delta = mu - 14.0
         err = 14.0 / mu
         points.append(RuleAuditPoint(
             mu=mu,
             delta=delta,
-            p_min=rule_probability(mu, delta, s1, s2, t),
+            p_min=_ratio_prob(delta / mu, s2, s1, t),
             err_term=err,
             flagged=err > RULE_ERR_TOLERANCE,
         ))
@@ -224,7 +231,8 @@ def solve_m(p_min: float, s1: float, s2: float, t: float = DEFAULT_T) -> float:
     doubling gives up, with a ValueError naming p_min, where m_hi
     overflows or where p(m_hi) rounds to 0.
     """
-    ceiling = rule_probability(1.0, 0.0, s1, s2, t)   # validates s1, s2, t
+    _check_rule_args(s1, s2, t)
+    ceiling = _ratio_prob(0.0, s2, s1, t)   # the same-age value
     if not 0.0 < p_min < ceiling:
         raise ValueError(
             f"p_min must lie in (0, {ceiling:.6g}) (the same-age value) "

@@ -25,8 +25,9 @@ message that names the argument, so NaN and +-inf are rejected by name
 everywhere.  The public functions ``erf``,
 ``erfc``, ``normal_pdf``, ``normal_cdf`` and ``normal_quantile`` reject
 non-finite (and, for the quantile, out-of-range) arguments; no other
-module imports the first four.  The internal kernels ``_phi`` and
-``_pdf`` check nothing and return their exact limits at +-inf.
+module imports any of the five.  The internal kernels ``_phi``, ``_pdf``
+and ``_quantile`` check nothing; ``_phi`` and ``_pdf`` return their exact
+limits at +-inf.
 ``_cdf_diff`` is the one internal kernel with a guard of its own: a
 single chained comparison that rejects a non-finite or reversed
 interval.  Its callers have already checked their arguments, so the
@@ -146,8 +147,11 @@ def _cdf_diff(hi: float, lo: float) -> float:
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
-def _quantile_rational(p):
-    # Wichura's AS 241 (PPND16) rational starting value.
+def _quantile(p):
+    # Phi^-1(p) for 0 < p < 1, unchecked: Wichura's AS 241 (PPND16)
+    # rational starting value and one Newton step.  The start lies in
+    # [-38.47, 8.21] for every such p, where _pdf is at least 1.9e-322, so
+    # the step never divides by zero
     q = p - 0.5
     if abs(q) <= 0.425:
         r = 0.180625 - q * q
@@ -159,31 +163,33 @@ def _quantile_rational(p):
                     3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r +
                   5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r +
                 4.2313330701600911252e1) * r + 1.0)
-        return num / den
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r +
-                    2.41780725177450611770e-1) * r + 1.27045825245236838258e0) * r +
-                  3.64784832476320460504e0) * r + 5.76949722146069140550e0) * r +
-                4.63033784615654529590e0) * r + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r +
-                    1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r +
-                  6.89767334985100004550e-1) * r + 1.67638483018380384940e0) * r +
-                2.05319162663775882187e0) * r + 1.0)
     else:
-        r -= 5.0
-        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r +
-                    1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r +
-                  2.96560571828504891230e-1) * r + 1.78482653991729133580e0) * r +
-                5.46378491116411436990e0) * r + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r +
-                    1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r +
-                  1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r +
-                5.99832206555887937690e-1) * r + 1.0)
+        r = p if q < 0 else 1.0 - p
+        r = math.sqrt(-math.log(r))
+        if r <= 5.0:
+            r -= 1.6
+            num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r +
+                        2.41780725177450611770e-1) * r + 1.27045825245236838258e0) * r +
+                      3.64784832476320460504e0) * r + 5.76949722146069140550e0) * r +
+                    4.63033784615654529590e0) * r + 1.42343711074968357734e0)
+            den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r +
+                        1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r +
+                      6.89767334985100004550e-1) * r + 1.67638483018380384940e0) * r +
+                    2.05319162663775882187e0) * r + 1.0)
+        else:
+            r -= 5.0
+            num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r +
+                        1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r +
+                      2.96560571828504891230e-1) * r + 1.78482653991729133580e0) * r +
+                    5.46378491116411436990e0) * r + 6.65790464350110377720e0)
+            den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r +
+                        1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r +
+                      1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r +
+                    5.99832206555887937690e-1) * r + 1.0)
+        if q < 0:
+            num = -num
     x = num / den
-    return -x if q < 0 else x
+    return x - (_phi(x) - p) / _pdf(x)
 
 
 def normal_quantile(p: float) -> float:
@@ -198,8 +204,4 @@ def normal_quantile(p: float) -> float:
             quantile is unbounded at the endpoints.
     """
     _check_open_prob(p, "p")
-    x = _quantile_rational(p)
-    pdf = _pdf(x)
-    if pdf > 0.0:
-        x -= (_phi(x) - p) / pdf
-    return x
+    return _quantile(p)

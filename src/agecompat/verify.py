@@ -170,13 +170,15 @@ def error_propagation(q: CompatQuery, budget: ErrorBudget) -> float:
 
 
 def error_ratio(q: CompatQuery, budget: ErrorBudget) -> float:
-    """Sigma-channel error relative to the d-channel error.
+    """The paper's ratio of sigma-channel to d-channel error.
 
         |a tanh(2 a b) + b| (w1 ds1 + w2 ds2) / dd
 
     with a = g/R, b = d/R and wi = si/R in units of R = hypot(s1, s2).  At
     equal means the tanh term vanishes and the expression coincides with
-    the quotient of the two :func:`error_propagation` channels.
+    the quotient of the two :func:`error_propagation` channels.  Away from
+    equal means it does not: that quotient is
+    |b - a tanh(a b)| (w1 ds1 + w2 ds2) / dd.
     """
     _check_positive(budget.d_err, "d_err")
     unit = math.hypot(q.g1.sigma, q.g2.sigma)

@@ -341,6 +341,13 @@ class TestRuleCommand:
         assert len(rows) == 6  # 15 .. 20
         assert "14" in err and "skipping" in err
 
+    def test_audit_rejects_bad_s1_whatever_the_grid(self, capsys):
+        # every age of this grid is skipped, and the bad --s1 still exits 2
+        code, out, err = run_cli(capsys, "rule", "--mu-grid", "10:14:1",
+                                 "--s1", "-1", "--t", "0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: s1 must be finite and positive, got -1.0\n"
+
     def test_solve_m_needs_target(self, capsys):
         code, _, err = run_cli(capsys, "rule", "--solve-m")
         assert code == 2

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from agecompat import policy
+from agecompat import policy, special
 from agecompat.compat import CompatQuery, compat_prob, same_age_prob
 from agecompat.model import Gaussian
 from agecompat.policy import (
@@ -171,6 +171,22 @@ class TestMentalLimitFromChrono:
             mental_limit_from_chrono(mu, s, 0.3, "min")
 
 
+def test_limit_conversions_check_p_limit_once(monkeypatch):
+    # AgeLimitSpec and mental_limit_from_chrono check p_limit; the quantile
+    # they reach is the unchecked kernel, not the checked normal_quantile
+    policy_checks, special_checks, quantiles = [], [], []
+    policy_check, special_check, quantile = (
+        policy._check_open_prob, special._check_open_prob, policy._quantile)
+    monkeypatch.setattr(policy, "_check_open_prob",
+                        lambda x, name: (policy_checks.append(name), policy_check(x, name)))
+    monkeypatch.setattr(special, "_check_open_prob",
+                        lambda x, name: (special_checks.append(name), special_check(x, name)))
+    monkeypatch.setattr(policy, "_quantile", lambda p: (quantiles.append(p), quantile(p))[1])
+    chrono_min_age(AgeLimitSpec("min", 18.0, 0.3, 0.15))
+    mental_limit_from_chrono(18.0, 0.15, 0.2, "max")
+    assert (policy_checks, special_checks, quantiles) == (["p_limit"] * 2, [], [0.3, 0.2])
+
+
 class TestHyapsBounds:
     def test_fixed_point(self):
         assert hyaps_bounds(14.0) == (14.0, 14.0)
@@ -259,6 +275,32 @@ class TestAuditHyaps:
                              DEFAULT_T)
         values = [pt.p_min for pt in points]
         assert max(values) - min(values) > 0.1
+
+    def test_rejects_bad_rule_args_whatever_the_grid(self):
+        with pytest.raises(ValueError, match="^t must be at least 1"):
+            audit_hyaps([10.0, 14.0], 0.15, 0.15, t=0.5)
+        with pytest.raises(ValueError, match="^s1 must be finite and positive, got nan"):
+            audit_hyaps([], math.nan, 0.15)
+
+    def test_checks_rule_args_once_per_grid(self, monkeypatch):
+        # s1, s2 and t once before the loop; each age only for being positive
+        names, rule_checks = [], []
+        check_positive, check_rule_args = policy._check_positive, policy._check_rule_args
+
+        def counted_positive(x, name):
+            names.append(name)
+            check_positive(x, name)
+
+        def counted_rule_args(*args):
+            rule_checks.append(args)
+            check_rule_args(*args)
+
+        monkeypatch.setattr(policy, "_check_positive", counted_positive)
+        monkeypatch.setattr(policy, "_check_rule_args", counted_rule_args)
+        grid = [15.0 + 0.1 * i for i in range(1000)]
+        assert len(audit_hyaps(grid, 0.15, 0.12, 1.5)) == 1000
+        assert rule_checks == [(0.15, 0.12, 1.5)]
+        assert (names.count("s1"), names.count("s2"), names.count("mu")) == (1, 1, 1000)
 
 
 class TestSolveM:

@@ -198,6 +198,14 @@ class TestErrorRatio:
                     / error_propagation(q, ErrorBudget(0.015, 0.0, 0.0)))
         assert error_ratio(q, budget) == pytest.approx(quotient, rel=1e-12)
 
+    def test_paper_form_differs_from_channel_quotient_at_unequal_means(self):
+        # |a tanh(2ab) + b| against the channels' |b - a tanh(ab)|
+        q = _query(22.0, 2.0, 20.0, 1.5, d=2.5)
+        quotient = (error_propagation(q, ErrorBudget(0.0, 0.01, 0.01))
+                    / error_propagation(q, ErrorBudget(0.01, 0.0, 0.0)))
+        assert error_ratio(q, ErrorBudget(0.01, 0.01, 0.01)) == pytest.approx(2.432, abs=5e-4)
+        assert quotient == pytest.approx(0.656, abs=5e-4)
+
     def test_zero_d_budget_rejected(self):
         q = _query(20.0, 2.0, 18.0, 1.5, d=1.2)
         with pytest.raises(ValueError):
