@@ -28,7 +28,11 @@ from agecompat import cli
 RECORD = Path(__file__).resolve().with_name("cli_record.json")
 POOL_SEEDS = range(1, 11)
 
-# the CLI smoke vectors of the CI workflow, both steps
+# every subcommand and its main paths: the lazily imported verify and
+# expect code, sigmas whose squares underflow and ages whose squares
+# overflow, each binomial method and a subnormal tail at n = 10**7, the
+# limit and rule solvers, and two inputs that exit 2.  The record owns
+# their bytes; CI runs one per subcommand in a fresh process as well.
 SMOKE = [
     "compat --age1 18 --age2 14",
     "compat --age1 18 --age2 14 --error-budget 0.1,0.1,0.1",
@@ -61,6 +65,16 @@ UNDERFLOW = [
     "--digits 17 expect --n1 10000000 --n2 10000000 --p 0.1 --at-least-k 1036619",
     "--digits 17 expect --n1 10000000 --n2 10000000 --p 0.001 --at-least-k 14038",
     "--digits 17 expect --n1 10000000 --n2 10000000 --p 0.05 --at-least-k 474362",
+]
+
+# population-scale cohorts: Temme's expansion at n = 8e7, the sum just
+# outside its domain, the sum at n = 1e18 > 2**53, and an n beyond the
+# float range, which exits 2
+POPULATION = [
+    "expect --n1 80000000 --n2 80000000 --p 0.5 --at-least-k 40010000",
+    "expect --n1 80000000 --n2 80000000 --p 0.001 --at-least-k 82480",
+    "expect --n1 1000000000000000000 --n2 1000000000000 --p 1e-13 --at-least-k 103100",
+    f"expect --n1 {10 ** 400} --n2 1000 --p 0.5 --at-least-k 10",
 ]
 
 # rule audits with a bad --s1 or --t, whatever the grid holds; limit
@@ -120,7 +134,7 @@ def vectors():
     sys.path.insert(0, str(RECORD.parent.parent / "agebench"))
     from workloads import cli_argv_pool
     argvs = [argv for seed in POOL_SEEDS for argv in cli_argv_pool(seed)]
-    argvs += [line.split() for line in SMOKE + UNDERFLOW + EDGE]
+    argvs += [line.split() for line in SMOKE + UNDERFLOW + POPULATION + EDGE]
     unique = []
     for argv in argvs:
         if argv not in unique:

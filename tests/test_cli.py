@@ -613,7 +613,7 @@ _NUMBER = st.one_of(st.floats(min_value=-100.0, max_value=200.0),
 _RATIO = st.one_of(st.floats(min_value=-0.5, max_value=1.5),
                    st.sampled_from([0.0, 1.0, math.nan, math.inf]))
 _COUNT = st.one_of(st.integers(min_value=-3, max_value=300),
-                   st.sampled_from([10 ** 6, 10 ** 7 + 1]))
+                   st.sampled_from([10 ** 6, 10 ** 7 + 1, 8 * 10 ** 7]))
 
 
 @st.composite

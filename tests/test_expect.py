@@ -184,8 +184,11 @@ class TestAtLeastKExact:
             at_least_k_exact(11, 10, 0.5)
         with pytest.raises(ValueError):
             at_least_k_exact(-1, 10, 0.5)
-        with pytest.raises(ValueError):
-            at_least_k_exact(1, 10**7 + 1, 0.5)
+        # n has no bound of its own: past the float range it overflows, as
+        # in expected_pairs
+        assert at_least_k_exact(1, 10**7 + 1, 0.5) == 1.0
+        with pytest.raises(OverflowError):
+            at_least_k_exact(1, 10**400, 0.5)
 
     def test_same_floats_as_two_loop_form(self):
         # one loop sums both tails; each result of the sum path must be the
@@ -203,7 +206,7 @@ class TestAtLeastKExact:
         for n in (1, 2, 7, 1000, 10**7):
             for p in (5e-324, 1e-12, 0.3, 0.5, 1.0 - 1e-12):
                 points += [(k, n, p) for k in {0, 1, n - 1, n}]
-        # the longest loops: n at its bound and p = 1/2, above and below the mean
+        # long loops: n = 10**7 and p = 1/2, above and below the mean
         points += [(5 * 10**6 + 1, 10**7, 0.5), (5 * 10**6 - 1, 10**7, 0.5)]
         lower = 0
         for k, n, p in points:
@@ -213,11 +216,13 @@ class TestAtLeastKExact:
 
     @pytest.mark.parametrize("k, n, p", [
         (1_035_670, 10**7, 0.1), (1_036_429, 10**7, 0.1), (1_036_619, 10**7, 0.1),
-        (526_465, 10**7, 0.05), (14_038, 10**7, 0.001), (474_362, 10**7, 0.05)])
+        (526_465, 10**7, 0.05), (14_038, 10**7, 0.001), (474_362, 10**7, 0.05),
+        (40_010_000, 8 * 10**7, 0.5), (82_480, 8 * 10**7, 0.001), (103_100, 10**18, 1e-13)])
     def test_bounded_work_near_underflow(self, k, n, p):
-        # tails at and below the least normal float: the sum must stop once
-        # its terms stop counting, as elsewhere, and not after about n*p
-        # steps; each takes under a millisecond
+        # tails at and below the least normal float, and the CLI record's
+        # computed tails past n = 10**7 (the first by Temme's expansion):
+        # the sum must stop once its terms stop counting, as elsewhere, and
+        # not after about n*p steps; each takes under a millisecond
         best = math.inf
         for _ in range(3):
             start = time.perf_counter()

@@ -145,9 +145,10 @@ def test_at_least_k_normal_far_tail(k, n, p):
 
 def _mp_binomial_tail(k, n, p):
     # P(X >= k) for X ~ Binomial(n, p), p = num/scale exactly: the boundary
-    # pmf at 50 digits (loggamma of 1e7 spends 9 of them) times the sum of
-    # the term ratios on the smaller side, in 2**-200 fixed point with the
-    # ratio (n-j)/(j+1) * num/(scale-num) exact; returned to 40 digits
+    # pmf at 50 digits (loggamma of 1e7 spends 9 of them, of 1e18 20) times
+    # the sum of the term ratios on the smaller side, in 2**-200 fixed point
+    # with the ratio (n-j)/(j+1) * num/(scale-num) exact; returned to 40
+    # digits, of which 30 or more are right
     num, scale = p.as_integer_ratio()
     upper = k > n * p
     m = j = k if upper else k - 1
@@ -226,6 +227,47 @@ def test_binomial_tail_relative_error():
     assert worst_expansion[0] <= EXPANSION_REL_PER_LOG, (
         "expansion: {:.3g} per log at (k, n, p) = {}".format(*worst_expansion))
     assert worst_expansion[0] <= worst_sum_inside
+
+
+def test_binomial_tail_relative_error_population_scale():
+    # n log-uniform in 1e7..1e18, past 2**53 where _tail_sum's float counters
+    # stop being exact, with p down to 1e-18 so that n*p stays small there
+    # too.  Draws with n*p*(1-p) > 1e8 are skipped: the reference's exact
+    # loop runs about 12 sd past k, 1e5 steps and more there (a 1e9 cap
+    # doubled the test's time).  Inside the expansion's domain only the
+    # expansion is checked: the sum does not answer there, and its rounded
+    # n*p in _bd0 drifts to about 1e-11 relative near n = 1e10.
+    rng = random.Random(2025)
+    points = []
+    while len(points) < 100:
+        n = round(10.0 ** rng.uniform(7.0, 18.0))
+        p = rng.choice((rng.random(), 10.0 ** rng.uniform(-4.0, 0.0),
+                        1.0 - 10.0 ** rng.uniform(-4.0, 0.0), 10.0 ** rng.uniform(-18.0, 0.0)))
+        npq = n * p * (1.0 - p)
+        k = round(n * p + rng.uniform(-45.0, 45.0) * math.sqrt(npq))
+        if npq <= 1e8 and 0 < k <= n:
+            points.append((k, n, p))
+    # just outside the expansion's domain (|lam| > 0.03 * k) at n*p = 1e5:
+    # 880 or 1,064 steps of the sum, with counters past 2**53
+    points += [(k, 10**e, 1e5 / 10**e) for e in (16, 17, 18) for k in (103_100, 104_000)]
+    worst = {"sum": (0.0, ()), "expansion": (0.0, ())}
+    above_2_53 = {"sum": 0, "expansion": 0}
+    for k, n, p in points:
+        value = at_least_k_exact(k, n, p)
+        if (n * p * (1.0 - p) >= _BASYM_MIN_NPQ
+                and abs(_lambda(k, n, p)) <= 0.03 * min(k, n - k + 1)):
+            method = "expansion"
+        else:
+            method = "sum"
+            assert value == _summed_tail(k, n, p), (k, n, p)
+        err = _tail_error(value, _mp_binomial_tail(k, n, p))
+        worst[method] = max(worst[method], (err, (k, n, p)))
+        above_2_53[method] += n > 2**53
+    assert above_2_53["sum"] >= 8 and above_2_53["expansion"] >= 1
+    assert worst["sum"][0] <= SUM_REL_PER_LOG, "sum: {:.3g} per log at (k, n, p) = {}".format(
+        *worst["sum"])
+    assert worst["expansion"][0] <= EXPANSION_REL_PER_LOG, (
+        "expansion: {:.3g} per log at (k, n, p) = {}".format(*worst["expansion"]))
 
 
 @pytest.mark.parametrize("k, n, p", [
