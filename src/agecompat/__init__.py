@@ -17,7 +17,7 @@ _EXPORTS = {
     "compat": "CompatQuery NormalizedProb compat_prob compat_prob_known "
               "compat_prob_normalized compat_prob_ratio_form prob_at_least "
               "prob_at_most range_prob same_age_prob symmetric_range_prob",
-    "expect": "Cohort NormalTail at_least_k_exact at_least_k_normal expected_pairs "
+    "expect": "NormalTail at_least_k_exact at_least_k_normal expected_pairs "
               "expected_with_at_least_one mean_counterparts normal_approx_valid",
     "model": "AgeProfile DiffStats Gaussian convolve_diff d_scope gaussian_pdf "
              "same_age_diff_stats",

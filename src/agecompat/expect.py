@@ -10,26 +10,15 @@ approximation form.
 import math
 from collections import namedtuple
 
-from .model import AgeProfile, _Value
 from .special import _check_nonneg, _check_open_prob, _check_prob, _clamp_unit, _index, _phi
 
 __all__ = [
-    "Cohort", "NormalTail",
+    "NormalTail",
     "expected_pairs", "mean_counterparts", "expected_with_at_least_one",
     "at_least_k_exact", "at_least_k_normal", "normal_approx_valid",
 ]
 
 _REL_CUTOFF = 1e-18      # stop once terms no longer move the running sum
-
-
-class Cohort(_Value):
-    """An age profile together with its population count."""
-
-    __slots__ = ("n", "profile")
-
-    def __init__(self, n: int, profile: AgeProfile):
-        _check_nonneg(n, "n")
-        self._store((n, profile))
 
 
 def expected_pairs(n1: int, n2: int, p: float) -> float:
@@ -102,17 +91,20 @@ def _deviance_series(x, d, s):
 
 
 def _bd0(x, m):
-    # binomial deviance x*log(x/m) + m - x without cancellation (Loader)
+    # binomial deviance x*log(x/m) + m - x without cancellation (Loader);
+    # the logarithm is split only where x / m overflows (m = n*p subnormal)
     if abs(x - m) < 0.1 * (x + m):
         return _deviance_series(x, x - m, x + m)
-    return x * math.log(x / m) + m - x
+    ratio = x / m
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(x) - math.log(m)
+    return x * log_ratio + m - x
 
 
 def _log_binom_pmf(m, n, p, q):
-    # log of the saddle-point density, which overflows nothing; _bd0 takes
-    # n*p and n*q rounded, which costs up to 5.3e-14 * (1 + |ln P|) relative
-    # in the tail P (the worst against 40-digit references on the seeded
-    # 800-draw grid of tests/test_tail_accuracy.py, n from 1e3 to 1e7)
+    # log of the saddle-point density, which overflows nothing for n <= 1e154;
+    # _bd0 takes n*p and n*q rounded, which costs up to 5.2e-14 * (1 + |ln P|)
+    # relative in the tail P (the worst against 40-digit references on the
+    # seeded 800-draw grids of tests/test_tail_accuracy.py, n from 1e3 to 1e7)
     if m == 0:
         return n * math.log1p(-p)
     if m == n:
@@ -124,10 +116,11 @@ def _log_binom_pmf(m, n, p, q):
 
 def _tail_sum(log_term, m, n, ratio):
     # exp(log_term) * (1 + r_m + r_m r_{m+1} + ...) for the term ratios
-    # r_j = (n-j)/(j+1) * ratio, clamped at 1.  The ratios are summed from an
-    # anchor of 1.0 and stopped once a term no longer moves that scaled sum,
-    # so the stop test and the terms stay normal floats even where the tail
-    # underflows, and only the final exp rounds into the subnormals.
+    # r_j = (n-j)/(j+1) * ratio, clamped at 1.  The ratios, positive and
+    # decreasing, are summed into a running total from an anchor of 1.0 and
+    # stopped once a term no longer moves it, so the stop test and the terms
+    # stay normal floats even where the tail underflows, and only the final
+    # exp rounds into the subnormals.
     # above = n - j and below = j + 1 are kept as floats.  Below 2**53 every
     # integer is exact in float64, so each quotient is the correctly rounded
     # one the integers give, without int arithmetic.  Above 2**53 a counter
@@ -136,18 +129,16 @@ def _tail_sum(log_term, m, n, ratio):
     # within about 1,300 steps (see at_least_k_exact), so that is under
     # 1.5e-13 per ratio, and the leading terms, which carry the sum, lag least
     term = total = 1.0
-    terms = [term]
     above = float(n - m)
     below = float(m + 1)
     while above > 0.0:
         term *= above / below * ratio
-        terms.append(term)
         total += term
         above -= 1.0
         below += 1.0
         if term <= total * _REL_CUTOFF:
             break
-    total = math.exp(log_term + math.log(math.fsum(terms)))
+    total = math.exp(log_term + math.log(total))
     return total if total < 1.0 else 1.0
 
 
@@ -290,25 +281,29 @@ def at_least_k_exact(k: int, n: int, p: float) -> float:
     to 30 and to 45 sd from the mean (``tests/test_tail_accuracy.py``),
     the worst relative error is 3.7e-16 * (1 + |ln P|) on the
     expansion's side (1.1e-13 at P = 1.6e-157; 4.5e-15 within 6 sd of
-    the mean) and 5.3e-14 * (1 + |ln P|) on the sum's (4.1e-12 at
+    the mean) and 5.2e-14 * (1 + |ln P|) on the sum's (4.1e-12 at
     n = 7.7e6, where the sum's deviances take n*p and 1 - p rounded).
     Past that grid, on 2,500 seeded draws with n from 10**7 to 10**19
-    (1,500 of them above 2**53), the worst is 4.7e-16 * (1 + |ln P|) on
-    the expansion's side and 1.6e-14 * (1 + |ln P|) on the sum's, and no
+    (1,500 of them above 2**53), the worst is 5.7e-16 * (1 + |ln P|) on
+    the expansion's side and 1.7e-14 * (1 + |ln P|) on the sum's, and no
     call of 20,000 took more than 1,263 steps of the sum.
     Below the least normal float, 2.2e-308, a result is also rounded to
     a multiple of 2**-1074; it exceeds the relative bound by at most
-    0.49 of that unit on those grids and on the tests' near-underflow
-    vectors: ``at_least_k_exact(526465, 10**7, 0.05)`` is 1.13412e-317.
+    0.49 of that unit on those grids, on the tests' near-underflow
+    vectors and where n*p is subnormal: ``at_least_k_exact(1, 10, 1e-320)``
+    is 9.99989e-320.
 
     ``k`` and ``n`` must be integers (Python or NumPy) with
     0 <= k <= n; anything else raises ``ValueError``.  The range measured
-    is n <= 10**19.  Past about n = 1e154 the Stirling series' n*n, or
-    the density's 2*pi*m*(n - m), leaves the float range, and the call
-    raises ``OverflowError`` or ``ValueError``.
+    is n <= 10**19.  Past n = 1e154 the density's 2*pi*m*(n - m) or the
+    Stirling series' n*n can leave the float range, so such an n raises
+    ``OverflowError``.
     """
     k, n = _tail_counts(k, n)
     _check_prob(p, "p")
+    if n > 1e154:
+        raise OverflowError(f"need n <= 1e154 to stay in the float range, "
+                            f"got n of about 10**{math.log10(n):.2f}")
     if n * p * (1.0 - p) >= _BASYM_MIN_NPQ:
         lam = _lambda(k, n, p)
         if abs(lam) <= 0.03 * min(k, n - k + 1):

@@ -31,7 +31,9 @@ POOL_SEEDS = range(1, 11)
 # every subcommand and its main paths: the lazily imported verify and
 # expect code, sigmas whose squares underflow and ages whose squares
 # overflow, each binomial method and a subnormal tail at n = 10**7, the
-# limit and rule solvers, and two inputs that exit 2.  The record owns
+# limit and rule solvers, and two inputs that exit 2; then a tail where
+# n*p is subnormal, an n just past the binomial density's float range
+# (exit 2), and README's two worked compat examples.  The record owns
 # their bytes; CI runs one per subcommand in a fresh process as well.
 SMOKE = [
     "compat --age1 18 --age2 14",
@@ -56,6 +58,10 @@ SMOKE = [
     "tables",
     "limits --kind max --chrono 18 --p 0.001 --s 2",
     "compat --age1 18 --age2 18 --s1 0.001 --s2 0.001 --error-budget 1e308,0,0",
+    "expect --n1 10 --n2 10 --p 1e-320 --at-least-k 1",
+    f"expect --n1 {12 * 10 ** 153} --n2 {12 * 10 ** 153} --p 0.5 --at-least-k {648 * 10 ** 151}",
+    "compat --age1 18 --age2 14 --s1 0.1 --s2 0.1 --t 1",
+    "compat --age1 20 --age2 16 --s1 0.15 --s2 0.15 --t 1.1284",
 ]
 
 # binomial tails near and below the float underflow threshold, by the sum

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agecompat.expect import (
-    Cohort,
     _BASYM_MIN_NPQ,
     _basym,
     _lambda,
@@ -23,7 +22,6 @@ from agecompat.expect import (
     mean_counterparts,
     normal_approx_valid,
 )
-from agecompat.model import AgeProfile
 
 COHORT_N = 3_780_000
 NINTH = 1.0 / 9.0
@@ -36,16 +34,6 @@ TAIL_1234_5000_P25 = 0.7043484513815754         # 40-digit sum
 NORMAL_3_100_P05 = 0.8314930524520889           # formula at 40 digits
 
 probs = st.floats(min_value=1e-9, max_value=1.0 - 1e-9, allow_nan=False)
-
-
-class TestCohort:
-    def test_holds_profile_and_count(self):
-        c = Cohort(1000, AgeProfile(14.0, 0.1))
-        assert c.n == 1000 and c.profile.sigma == pytest.approx(1.4)
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            Cohort(-1, AgeProfile(14.0, 0.1))
 
 
 class TestExpectedPairs:
@@ -108,8 +96,8 @@ class TestExpectedWithAtLeastOne:
 
 def _two_loop_tail(k, n, p):
     # P(X >= k) summed with one hand-kept loop per tail, for valid arguments:
-    # the term ratios from an anchor of 1.0, scaled by the boundary density
-    # in the exponent
+    # the term ratios as a running total from an anchor of 1.0, scaled by the
+    # boundary density in the exponent
     if k == 0:
         return 1.0
     if p == 0.0:
@@ -120,27 +108,25 @@ def _two_loop_tail(k, n, p):
     if k > n * p:
         log_term = _log_binom_pmf(k, n, p, q)
         term = total = 1.0
-        terms, m = [term], k
+        m = k
         while m < n:
             term *= (n - m) / (m + 1) * (p / q)
-            terms.append(term)
             total += term
             m += 1
             if term <= total * 1e-18:
                 break
-        total = math.exp(log_term + math.log(math.fsum(terms)))
+        total = math.exp(log_term + math.log(total))
         return total if total < 1.0 else 1.0
     log_term = _log_binom_pmf(k - 1, n, p, q)
     term = total = 1.0
-    terms, m = [term], k - 1
+    m = k - 1
     while m > 0:
         term *= m / (n - m + 1) * (q / p)
-        terms.append(term)
         total += term
         m -= 1
         if term <= total * 1e-18:
             break
-    total = math.exp(log_term + math.log(math.fsum(terms)))
+    total = math.exp(log_term + math.log(total))
     return 1.0 - total if total < 1.0 else 0.0
 
 
@@ -167,6 +153,16 @@ class TestAtLeastKExact:
         closed = -math.expm1(n * math.log1p(-p))
         assert abs(at_least_k_exact(1, n, p) - closed) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 10, 10**7])
+    @pytest.mark.parametrize("p", [1e-310, 1e-320, 5e-324])
+    def test_k_one_closed_form_where_p_is_subnormal(self, n, p):
+        # n*p subnormal made the deviance's x / (n*p) overflow, and the tail
+        # came out 0; relative accuracy, plus the half unit of 2**-1074 that
+        # a result below the least normal float may add
+        closed = -math.expm1(n * math.log1p(-p))
+        got = at_least_k_exact(1, n, p)
+        assert abs(got - closed) <= 1e-12 * closed + 0.5 * 2.0 ** -1074, (got, closed)
+
     def test_monotone_in_k(self):
         vals = [at_least_k_exact(k, 60, 0.3) for k in range(0, 61, 3)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -184,11 +180,30 @@ class TestAtLeastKExact:
             at_least_k_exact(11, 10, 0.5)
         with pytest.raises(ValueError):
             at_least_k_exact(-1, 10, 0.5)
-        # n has no bound of its own: past the float range it overflows, as
-        # in expected_pairs
+        # n is bounded only by the float range: past it the call raises
+        # OverflowError, as expected_pairs does
         assert at_least_k_exact(1, 10**7 + 1, 0.5) == 1.0
         with pytest.raises(OverflowError):
             at_least_k_exact(1, 10**400, 0.5)
+
+    @pytest.mark.parametrize("k, n, expansion", [
+        (648 * 10**151, 12 * 10**153, False), (6 * 10**153, 12 * 10**153, True),
+        (10**159, 10**160, False), (5 * 10**159, 10**160, True)],
+        ids=["sum-1.2e154", "expansion-1.2e154", "sum-1e160", "expansion-1e160"])
+    def test_n_past_the_float_range_raises_one_error(self, k, n, expansion):
+        # the density's 2*pi*m*(n - m) overflows from about n = 1.07e154, and
+        # the Stirling series' n*n from 1.34e154; one check names n first
+        assert _in_expansion_domain(k, n, 0.5) is expansion
+        with pytest.raises(OverflowError, match=r"^need n <= 1e154 to stay in the float range, "
+                                                r"got n of about 10\*\*1(54\.08|60\.00)$"):
+            at_least_k_exact(k, n, 0.5)
+
+    @pytest.mark.parametrize("k, expansion", [(54 * 10**152, False), (5 * 10**153, True)],
+                             ids=["sum", "expansion"])
+    def test_n_at_the_range_limit_still_answers(self, k, expansion):
+        n = 10**154
+        assert _in_expansion_domain(k, n, 0.5) is expansion
+        assert 0.0 <= at_least_k_exact(k, n, 0.5) <= 1.0
 
     def test_same_floats_as_two_loop_form(self):
         # one loop sums both tails; each result of the sum path must be the

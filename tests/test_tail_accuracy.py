@@ -175,7 +175,7 @@ def _mp_binomial_tail(k, n, p):
 
 # The exponent's absolute error becomes the tail's relative error, so each
 # method's bound is per unit of 1 + |ln P|.  Worst measured on this grid:
-# the sum 4.7e-14 (its deviances take n*p and 1 - p rounded), Temme's
+# the sum 4.6e-14 (its deviances take n*p and 1 - p rounded), Temme's
 # expansion 3.2e-16.  Below the least normal float a result is rounded to a
 # multiple of 2**-1074, so there the error may exceed the relative bound by
 # SUBNORMAL_ULPS of those units (0.49 at most, measured here).

@@ -1,4 +1,4 @@
-"""The value-type contract: the nine record classes and the four named tuples.
+"""The value-type contract: the eight record classes and the four named tuples.
 
 Each record behaves as a frozen dataclass would: keyword construction,
 ``repr``, ``==`` and ``hash`` by the field tuple, ``__match_args__`` in
@@ -16,7 +16,7 @@ import pickle
 import pytest
 
 from agecompat.compat import CompatQuery, NormalizedProb
-from agecompat.expect import Cohort, NormalTail
+from agecompat.expect import NormalTail
 from agecompat.model import AgeProfile, DiffStats, Gaussian
 from agecompat.policy import AgeLimitSpec, RuleAuditPoint
 from agecompat.verify import ErrorBudget, McEstimate, SliceParams, TruncationBound
@@ -33,7 +33,6 @@ RECORDS = [
      ("kind", "x_limit", "p_limit", "s")),
     (RuleAuditPoint, dict(mu=30.0, delta=16.0, p_min=0.1, err_term=14.0 / 30.0,
                           flagged=True), ("mu", "delta", "p_min", "err_term", "flagged")),
-    (Cohort, dict(n=100, profile=AgeProfile(18.0, 0.1)), ("n", "profile")),
     (SliceParams, dict(mu12=16.0, sigma12=1.1), ("mu12", "sigma12")),
     (ErrorBudget, dict(d_err=0.1, sigma1_err=0.05, sigma2_err=0.05),
      ("d_err", "sigma1_err", "sigma2_err")),
