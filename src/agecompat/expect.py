@@ -4,7 +4,8 @@ Given two cohorts of sizes N1 and N2 where a random cross pair is
 compatible with probability p: expected pair counts, mean counterparts
 per person, the expected number of members with at least one match, and
 binomial "at least k matches" tails in both an exact and a normal-
-approximation form.
+approximation form.  A count past the float range, about 1.8e308, raises
+OverflowError naming the count.
 """
 
 import math
@@ -21,6 +22,24 @@ __all__ = [
 _REL_CUTOFF = 1e-18      # stop once terms no longer move the running sum
 
 
+def _count_text(name, n):
+    # "n=12", or past 1e154 "n of about 10**400.00": the repr of such an
+    # int has hundreds of digits, and past 4300 Python refuses to format it
+    if -1e154 <= n <= 1e154:
+        return f"{name}={n!r}"
+    sign = "-" if n < 0 else ""
+    return f"{name} of about {sign}10**{math.log10(abs(n)):.2f}"
+
+
+def _count_float(n, name):
+    # float(n) for a count, naming it where it is past the float range
+    try:
+        return float(n)
+    except OverflowError:
+        raise OverflowError(f"need {name} < 1.8e308 to stay in the float range, "
+                            f"got {_count_text(name, n)}") from None
+
+
 def expected_pairs(n1: int, n2: int, p: float) -> float:
     """Expected number of compatible cross pairs, N1*N2*p.
 
@@ -32,7 +51,7 @@ def expected_pairs(n1: int, n2: int, p: float) -> float:
     _check_nonneg(n1, "n1")
     _check_nonneg(n2, "n2")
     _check_prob(p, "p")
-    pairs = float(n1) * float(n2) * p
+    pairs = _count_float(n1, "n1") * _count_float(n2, "n2") * p
     if not math.isfinite(pairs):
         raise ValueError(
             f"expected pair count is {pairs!r}, not finite: the inputs are too extreme")
@@ -43,7 +62,7 @@ def mean_counterparts(n: int, p: float) -> float:
     """Mean number of compatible members of an n-person cohort, n*p."""
     _check_nonneg(n, "n")
     _check_prob(p, "p")
-    return float(n) * p
+    return _count_float(n, "n") * p
 
 
 def expected_with_at_least_one(n_self: int, n_other: int, p: float) -> float:
@@ -55,9 +74,10 @@ def expected_with_at_least_one(n_self: int, n_other: int, p: float) -> float:
     _check_nonneg(n_self, "n_self")
     _check_nonneg(n_other, "n_other")
     _check_prob(p, "p")
+    size = _count_float(n_self, "n_self")
     if p == 1.0:
-        return float(n_self) if n_other > 0 else 0.0
-    return float(n_self) * -math.expm1(n_other * math.log1p(-p))
+        return size if n_other > 0 else 0.0
+    return size * -math.expm1(_count_float(n_other, "n_other") * math.log1p(-p))
 
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n); series for n >= 16,
@@ -244,7 +264,7 @@ def _tail_counts(k, n):
     k = _index(k, "k")
     n = _index(n, "n")
     if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k!r}, n={n!r}")
+        raise ValueError(f"need 0 <= k <= n, got {_count_text('k', k)}, {_count_text('n', n)}")
     return k, n
 
 
@@ -303,7 +323,7 @@ def at_least_k_exact(k: int, n: int, p: float) -> float:
     _check_prob(p, "p")
     if n > 1e154:
         raise OverflowError(f"need n <= 1e154 to stay in the float range, "
-                            f"got n of about 10**{math.log10(n):.2f}")
+                            f"got {_count_text('n', n)}")
     if n * p * (1.0 - p) >= _BASYM_MIN_NPQ:
         lam = _lambda(k, n, p)
         if abs(lam) <= 0.03 * min(k, n - k + 1):
@@ -348,7 +368,7 @@ def at_least_k_normal(k: int, n: int, p: float) -> NormalTail:
     if n == 0:
         # then k = 0, where Phi(a) + Phi(-a) below is 1 for every n
         return NormalTail(1.0, False)
-    mean = n * p
-    sd = math.sqrt(n * p * (1.0 - p))
+    mean = _count_float(n, "n") * p
+    sd = math.sqrt(mean * (1.0 - p))
     value = _phi((mean - k) / sd) + _phi(-math.sqrt(mean / (1.0 - p)))
     return NormalTail(_clamp_unit(value), _approx_valid(n, p))

@@ -388,11 +388,13 @@ class TestCliContract:
         assert run_cli(capsys, "no-such-command")[0] == 2
 
     def test_overflow_is_a_domain_error(self, capsys):
-        # float(n1) raises OverflowError, which exits 2 like a ValueError
+        # a count past the float range raises OverflowError naming it, which
+        # exits 2 like a ValueError
         code, out, err = run_cli(capsys, "expect", "--n1", "1" + "0" * 400, "--n2", "1",
                                  "--p", "0.5")
         assert code == 2 and out == ""
-        assert err == "error: int too large to convert to float\n"
+        assert err == ("error: need n1 < 1.8e308 to stay in the float range, "
+                       "got n1 of about 10**400.00\n")
 
     def test_empty_cohort_at_least_zero(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--n1", "0", "--n2", "0",

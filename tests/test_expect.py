@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import sys
 import time
 from fractions import Fraction
 
@@ -92,6 +94,43 @@ class TestExpectedWithAtLeastOne:
            st.integers(min_value=0, max_value=10**6), probs)
     def test_never_exceeds_own_cohort(self, n_self, n_other, p):
         assert expected_with_at_least_one(n_self, n_other, p) <= n_self
+
+
+class TestCountsPastTheFloatRange:
+    """A count that float() cannot hold, or that repr() cannot print, is named by its magnitude."""
+
+    HUGE = 10 ** 400
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda n: expected_pairs(n, 10, 0.5), "n1"),
+        (lambda n: expected_pairs(10, n, 0.5), "n2"),
+        (lambda n: mean_counterparts(n, 0.5), "n"),
+        (lambda n: expected_with_at_least_one(n, 10, 0.5), "n_self"),
+        (lambda n: expected_with_at_least_one(10, n, 0.5), "n_other"),
+        (lambda n: at_least_k_normal(1, n, 0.5), "n"),
+    ], ids=["pairs-n1", "pairs-n2", "counterparts", "with-match-self", "with-match-other",
+            "normal-tail"])
+    def test_count_beyond_the_float_range_is_named(self, call, name):
+        message = (f"need {name} < 1.8e308 to stay in the float range, "
+                   f"got {name} of about 10**400.00")
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            call(self.HUGE)
+
+    def test_largest_float_count_still_converts(self):
+        n = int(sys.float_info.max)
+        assert mean_counterparts(n, 0.5) == sys.float_info.max / 2
+
+    @pytest.mark.parametrize("tail", [at_least_k_exact, at_least_k_normal])
+    def test_k_past_the_digit_limit_is_named_by_magnitude(self, tail):
+        # formatting k with repr would raise "Exceeds the limit (4300 digits)"
+        message = "need 0 <= k <= n, got k of about 10**5000.00, n=10"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tail(10 ** 5000, 10, 0.5)
+
+    def test_negative_k_past_the_digit_limit_is_named_by_magnitude(self):
+        message = "need 0 <= k <= n, got k of about -10**5000.00, n=10"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            at_least_k_exact(-10 ** 5000, 10, 0.5)
 
 
 def _two_loop_tail(k, n, p):
