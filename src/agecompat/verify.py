@@ -19,9 +19,10 @@ Three groups live here:
   and a budget of 10,000 panels bounds the work of every integration.
 
 The quadrature rule is QUADPACK's published G10/K21 table, held here as
-constants, so importing this module (and the package) needs no
-third-party code and computes no rule; only the Monte-Carlo sampler
-needs numpy, which it imports when called.
+constants.  Importing this module lays that rule once onto the quadrature
+oracle's eight seed panels, 168 rows of node and weights, and needs no
+third-party code; only the Monte-Carlo sampler needs numpy, which it
+imports when called.
 """
 
 import math
@@ -47,10 +48,10 @@ _MC_CHUNK = 1 << 19
 _MC_MIN_SAMPLES = 10 ** 4
 # mc_oracle's screen margin rests on these: twice the worst |cos32 - cos| at
 # float32(x), x = theta + phi in [0, 2 pi + pi/2), and more than twice the
-# screen's float32 rounding, 3 * 2**-24 of its scale in units of R
+# screen's float32 rounding, 3.5 * 2**-24 of its scale in units of R
 _TRIG32_ERR = 1e-6
 _F32_ERR = 7.2e-7
-# quad_oracle's integrand calls these 21 times per panel, 168 times per query
+# quad_oracle calls erfc twice per node, 336 times per query
 _exp = math.exp
 _erfc = math.erfc
 # quad_oracle's seed cuts on [-10, 10], in the outer density's standard units,
@@ -93,6 +94,35 @@ _K21_WEIGHTS = (
 _K21_CENTER_WEIGHT = 0.149445554002916905664936468389821
 _SHARED = tuple(zip(_G10_NODES, _G10_WEIGHTS, _K21_GAUSS_WEIGHTS))
 _KRONROD_ONLY = tuple(zip(_K21_NODES, _K21_WEIGHTS))
+
+
+def _seed_panels():
+    """quad_oracle's seed panels, cut at _Z_CUTS on [-10, 10]: (a, b, rows).
+
+    Each of a panel's 21 rows is (z, K21 weight, G10 weight) at one node,
+    with both weights times h exp(-z*z/2) and 0 as the G10 weight of a
+    Kronrod-only node, so the panel's K21 and G10 estimates of
+    exp(-z*z/2) v(z) are the row sums of weight times v(z).
+    """
+    edges = (-10.0, *_Z_CUTS, 10.0)
+    panels = []
+    for a, b in zip(edges, edges[1:]):
+        c = 0.5 * (a + b)
+        h = 0.5 * (b - a)
+        nodes = [(c, _K21_CENTER_WEIGHT, 0.0)]
+        for x, wg, wk in _SHARED:
+            nodes += [(c - h * x, wk, wg), (c + h * x, wk, wg)]
+        for x, wk in _KRONROD_ONLY:
+            nodes += [(c - h * x, wk, 0.0), (c + h * x, wk, 0.0)]
+        rows = []
+        for z, wk, wg in nodes:
+            scale = h * _exp(-0.5 * z * z)
+            rows.append((z, wk * scale, wg * scale))
+        panels.append((a, b, tuple(rows)))
+    return tuple(panels)
+
+
+_SEED_PANELS = _seed_panels()
 
 
 class SliceParams(_Value):
@@ -274,22 +304,30 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
         p = 1/(2 sqrt(2 pi)) * integral of exp(-z*z/2) (erfc(lo - b z) - erfc(hi - b z)),
 
     with lo, hi = (mu_in - mu_out -+ d)/(sqrt(2) sigma_in) and
-    b = sigma_out/(sqrt(2) sigma_in) <= 1/sqrt(2).  The inner factor is
-    at most 1, so the omitted outer mass is at most 2 Phi(-10), about
-    1.5e-23; each edge of the inner factor is at least sqrt(2) wide in z,
-    so the seven fixed cuts at 0, +-2, +-4 and +-8 leave no feature
-    narrower than a panel, and the eight seed panels meet tol on every
-    query measured.  Swapping g1 and g2 gives the same float wherever
-    sigma1 != sigma2.  Independent of the closed form it is used to
-    check, and never calls it.  ``tol`` is the absolute error of p; it
-    goes to :func:`integrate` scaled by 2 sqrt(2 pi), one above 1 is
-    taken as 1, and one that is not finite and positive raises
-    ValueError.
+    b = sigma_out/(sqrt(2) sigma_in) <= 1/sqrt(2).  Where hi < b z the
+    difference is taken as erfc(b z - hi) - erfc(b z - lo), the same value
+    from two upper tails, so it keeps its relative accuracy where the
+    window lies below the node.  The inner factor is at most 1, so the
+    omitted outer mass is at most 2 Phi(-10), about 1.5e-23; each edge of
+    the inner factor is at least sqrt(2) wide in z, so the seven fixed
+    cuts at 0, +-2, +-4 and +-8 leave no feature narrower than a panel,
+    and the eight seed panels meet tol on every query measured.
+
+    The seed panels' nodes and Gaussian factors are the table
+    _SEED_PANELS, built at import.  A seed panel passes integrate's own
+    test, |K21 - G10| at most its share of tol; one that fails is handed
+    to :func:`integrate` over that panel, which bisects it within its own
+    budget of 10,000 panels.  Swapping g1 and g2 gives the same float
+    wherever sigma1 != sigma2.  Independent of the closed form it is used
+    to check, and never calls it.  ``tol`` is the absolute error of p; it
+    is scaled by 2 sqrt(2 pi) onto the integral, one above 1 is taken as
+    1, and one that is not finite and positive raises ValueError.
 
     Raises:
         ValueError: lo or hi overflows (finite ages near the float limit,
             or a sigma tiny next to the gap); the message describes the
             query.
+        QuadratureError: a seed panel's bisection ran out of budget.
     """
     _check_positive(tol, "tol")
     if tol > 1.0:
@@ -304,12 +342,37 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
             f"quad_oracle cannot integrate {q!r}: the inner density's window, "
             f"(mu_in - mu_out -+ d)/(sqrt(2) sigma_in), is [{lo!r}, {hi!r}], which overflows")
     b = g_out.sigma / scale
+    tol /= _Z_FACTOR
+    erfc = _erfc
+    total = 0.0
+    for z_lo, z_hi, rows in _SEED_PANELS:
+        kronrod = gauss = 0.0
+        for z, wk, wg in rows:
+            bz = b * z
+            if hi < bz:
+                v = erfc(bz - hi) - erfc(bz - lo)
+            else:
+                v = erfc(lo - bz) - erfc(hi - bz)
+            kronrod += wk * v
+            gauss += wg * v
+        # integrate's test for this panel of its range [-10, 10]
+        share = tol * (z_hi - z_lo) / 20.0
+        if abs(kronrod - gauss) <= share:
+            total += kronrod
+            continue
 
-    def f(z):
-        return _exp(-0.5 * z * z) * (_erfc(lo - b * z) - _erfc(hi - b * z))
+        def f(z):
+            bz = b * z
+            if hi < bz:
+                return _exp(-0.5 * z * z) * (_erfc(bz - hi) - _erfc(bz - lo))
+            return _exp(-0.5 * z * z) * (_erfc(lo - bz) - _erfc(hi - bz))
 
-    return _clamp_unit(_Z_FACTOR * integrate(f, -10.0, 10.0, tol=tol / _Z_FACTOR,
-                                             breakpoints=_Z_CUTS))
+        # bisect the failed seed panel at the same share of tol; a share
+        # that underflows to 0 is as unmeetable as the least subnormal, and
+        # integrate would reject it as a tol the caller never passed
+        total += integrate(f, z_lo, z_hi, tol=max(share, 5e-324),
+                           breakpoints=(0.5 * (z_lo + z_hi),))
+    return _clamp_unit(_Z_FACTOR * total)
 
 
 McEstimate = namedtuple("McEstimate", "estimate stderr")
@@ -332,17 +395,21 @@ def _screen_margin(mu1, s1, mu2, s2, d):
     return gamma, delta, (margin if scale + margin < 2.0 ** 127 else math.inf)
 
 
-def _screen(r, theta, phi, gamma, cos, out):
+def _screen(log_v, theta, phi, gamma, cos, out):
     """|x1 - x2| / R = |r * cos(theta + phi) + gamma| in float32, into out.
 
-    ``r`` and ``theta`` are float64, ``cos`` and ``out`` float32 arrays of
-    their size, and ``cos`` is clobbered.  theta + phi is summed in float64
-    and rounded to float32 once; every later step is float32.
+    ``log_v`` = ln v and ``theta`` are float64, ``cos`` and ``out`` float32
+    arrays of their size, and ``cos`` is clobbered.  r is formed as
+    sqrt(-2 float32(ln v)) in float32, within 1.5 * 2**-24 of the float64
+    r relative, and theta + phi is summed in float64 and rounded to float32
+    once; every later step is float32.
     """
     import numpy as np
+    out[...] = log_v
+    out *= np.float32(-2.0)
+    np.sqrt(out, out=out)
     np.add(theta, phi, out=cos)
     np.cos(cos, out=cos)
-    out[...] = r
     out *= cos
     out += np.float32(gamma)
     return np.abs(out, out=out)
@@ -364,9 +431,10 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
 
         (x1 - x2) / R = r * cos(theta + phi) + gamma.
 
-    The screen forms |r * c + gamma| in float32, c the float32 cos of
-    float32(theta + phi), and compares it with delta = d/R.  With the
-    scale S = 8.6 + |gamma| + delta it is within a margin
+    The screen takes r in float32 as sqrt(-2 float32(ln v)), v = 1 - u1,
+    from the float64 logarithm, forms |r * c + gamma| in float32, c the
+    float32 cos of float32(theta + phi), and compares it with delta = d/R.
+    With the scale S = 8.6 + |gamma| + delta it is within a margin
 
         8.6e-6 + 7.2e-7 * S
         + (1e-12 * (8.6 * (sigma1 + sigma2) + |mu1| + |mu2| + d) + 2**-1070 * S) / R
@@ -375,12 +443,17 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     cosine: r = sqrt(-2 log u1) < 8.58 for every u1 >= 2**-53, rounding
     theta + phi to float32 moves it by at most 2**-22 and float32 cos is
     within a few ulp (6e-8), so c is within 5e-7, half of 1e-6, of the
-    exact cosine.  The second covers the four float32 roundings, of r,
-    gamma, r * c and the sum, 2**-24 relative each (gamma may underflow
-    by 2**-150, which r < 8.58 leaves room for): 3 * 2**-24 of S, under
-    half of 7.2e-7 of it.  The third covers the float64 roundings of both
-    forms: 1e-12 of their magnitudes, and 2**-1070 of S for the error of
-    up to 2**-1074 that a subnormal R carries.  So a pair below
+    exact cosine.  The second covers the float32 roundings: r is within
+    1.5 * 2**-24 relative (the cast of ln v costs 2**-24, which the square
+    root halves, and the square root rounds once), and gamma, r * c and
+    the sum round by 2**-24 relative each (gamma may underflow by
+    2**-150, which r < 8.58 leaves room for): 3.5 * 2**-24 of S, under
+    half of 7.2e-7 of it, about 6.04 * 2**-24.  The logarithm stays
+    float64: taken in float32, of v rounded to float32, it would be off
+    by up to 2**-25 absolute near v = 1, a relative error in r that grows
+    without bound as r nears 0.  The third covers the float64 roundings
+    of both forms: 1e-12 of their magnitudes, and 2**-1070 of S for the
+    error of up to 2**-1074 that a subnormal R carries.  So a pair below
     float32(delta - margin) or above float32(delta + margin), each nudged
     one ulp outward, is a hit or a miss exactly as the float64 transform
     decides it.  Only the rest, typically none or one per call, go through
@@ -410,7 +483,7 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         phi = math.atan2(s2, s1)
         lo = np.nextafter(np.float32(delta - margin), np.float32(-np.inf))
         hi = np.nextafter(np.float32(delta + margin), np.float32(np.inf))
-    # one block holds each chunk's arrays: r, theta and, viewed as two
+    # one block holds each chunk's arrays: ln v, theta and, viewed as two
     # float32 rows, the screen's.  glibc hands a freed heap top back to the
     # OS once it exceeds twice the largest freed mmap'd block, so with
     # separate arrays, depending on heap layout, every call could fault
@@ -427,9 +500,7 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         rng.random(out=a)
         np.subtract(1.0, a, out=a)     # u1 in (0, 1]: keeps log finite
         rng.random(out=b)              # u2
-        np.log(a, out=a)
-        a *= -2.0
-        np.sqrt(a, out=a)              # r
+        np.log(a, out=a)               # ln v, kept in float64
         b *= 2.0 * np.pi               # theta
         keep = slice(None)
         if screened:
@@ -443,7 +514,7 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
                 continue
             # the undecided samples get the float64 transform
             keep = np.flatnonzero(~(inside | outside))
-        r, theta = a[keep], b[keep]
+        r, theta = np.sqrt(-2.0 * a[keep]), b[keep]
         x1 = r * np.cos(theta) * s1 + mu1
         x2 = r * np.sin(theta) * s2 + mu2
         hits += int(np.count_nonzero(np.abs(x1 - x2) <= d))

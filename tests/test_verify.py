@@ -25,7 +25,7 @@ from agecompat.verify import (
 )
 from agecompat.verify import (_G10_NODES, _G10_WEIGHTS, _K21_CENTER_WEIGHT,
                               _K21_GAUSS_WEIGHTS, _K21_NODES, _K21_WEIGHTS, _MAX_PANELS,
-                              _MC_CHUNK, _Z_FACTOR, _panel)
+                              _MC_CHUNK, _SEED_PANELS, _Z_CUTS, _panel)
 
 PHI_MINUS_4 = 3.1671241833119924e-05
 
@@ -459,23 +459,49 @@ def _narrow_wide_pairs(seed, n):
         yield wide, narrow, rng.uniform(0.5, 2.0) * narrow.sigma
 
 
+class QuadCost:
+    """quad_oracle's work: its calls of verify._erfc, and its fallback calls
+    of integrate, one for each seed panel that fails the tolerance."""
+
+    def __init__(self, monkeypatch):
+        self.erfc = self.fallbacks = 0
+        erfc = verify._erfc
+
+        def counted_erfc(x):
+            self.erfc += 1
+            return erfc(x)
+
+        def counted_integrate(*args, **kwargs):
+            self.fallbacks += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "_erfc", counted_erfc)
+        monkeypatch.setattr(verify, "integrate", counted_integrate)
+
+    def take(self):
+        """(erfc calls, fallbacks) since the last take."""
+        counts = (self.erfc, self.fallbacks)
+        self.erfc = self.fallbacks = 0
+        return counts
+
+
+@pytest.fixture
+def quad_cost(monkeypatch):
+    return QuadCost(monkeypatch)
+
+
+# the eight seed panels and nothing else: two erfc calls at each of 168 nodes
+SEED_COST = (2 * 168, 0)
+
+
 class TestQuadOracleOuterVariable:
     """The outer variable is the narrower density's, so no spike hides between nodes."""
 
-    def test_any_sigma_ratio_in_eight_panels(self, monkeypatch):
-        panels = 0
-
-        def counted(f, a, b):
-            nonlocal panels
-            panels += 1
-            return _panel(f, a, b)
-
-        monkeypatch.setattr(verify, "_panel", counted)
+    def test_any_sigma_ratio_in_eight_panels(self, quad_cost):
         for wide, narrow, d in _narrow_wide_pairs(1009, 150):
             for q in (CompatQuery(wide, narrow, d=d), CompatQuery(narrow, wide, d=d)):
-                panels = 0
                 assert abs(quad_oracle(q) - compat_prob(q)) <= 1e-9, q
-                assert panels <= 8, q
+                assert quad_cost.take() == SEED_COST, q
 
     def test_swap_gives_the_same_float(self):
         for wide, narrow, d in _narrow_wide_pairs(1013, 150):
@@ -500,6 +526,18 @@ class TestQuadOracleOuterVariable:
         error, ref = _mp_error(q, quad_oracle(q))
         assert error / ref <= 1e-13
 
+    @pytest.mark.parametrize("older, rel", [
+        (Gaussian(25.0, 1.0), 1e-13),
+        (Gaussian(30.0, 1.2), 1e-9),
+    ])
+    def test_older_narrower_keeps_relative_accuracy(self, older, rel):
+        # the narrower density is the older one, so the younger one's window
+        # lies below every node: erfc(lo - b z) - erfc(hi - b z) differences
+        # two values near 2 and was off by 2.2e-9 and 4.4e-5 relative
+        q = CompatQuery(older, Gaussian(14.0, 1.4), t=1.0)
+        error, ref = _mp_error(q, quad_oracle(q))
+        assert error / ref <= rel
+
 
 class TestQuadOracleBounds:
     @pytest.mark.parametrize("g1, g2", [
@@ -520,25 +558,10 @@ class TestQuadOracleBounds:
 
 
 class TestQuadOracleCost:
-    def test_eight_panels_per_query(self, monkeypatch):
-        # 21 integrand calls per panel: the 8 seed panels and no bisection
-        counts = []
-
-        def counting(f, *args, **kwargs):
-            calls = 0
-
-            def counted(x):
-                nonlocal calls
-                calls += 1
-                return f(x)
-            value = integrate(counted, *args, **kwargs)
-            counts.append(calls)
-            return value
-
-        monkeypatch.setattr(verify, "integrate", counting)
+    def test_eight_panels_per_query(self, quad_cost):
         for q in _certify_queries(3141, 50):
             quad_oracle(q)
-        assert counts == [168] * 50
+            assert quad_cost.take() == SEED_COST, q
 
 
 def _closure_integrand(g_out, g_in, d):
@@ -551,32 +574,68 @@ def _closure_integrand(g_out, g_in, d):
     return f
 
 
+def _closure_oracle(q, tol=1e-11):
+    """The closure integrated in the narrower density's standard units z on
+    [-10, 10] at quad_oracle's cuts, whose integral is p itself: dx =
+    sigma_out dz, and tol is p's."""
+    g_out, g_in = (q.g2, q.g1) if q.g2.sigma < q.g1.sigma else (q.g1, q.g2)
+    f = _closure_integrand(g_out, g_in, q.d)
+    return _clamp_unit(integrate(lambda z: g_out.sigma * f(g_out.mu + g_out.sigma * z),
+                                 -10.0, 10.0, tol=tol, breakpoints=_Z_CUTS))
+
+
 class TestQuadOracleIntegrand:
     """The folded integrand keeps the closure's estimates to the oracle's accuracy."""
 
-    def test_within_1e_15_of_closure(self, monkeypatch):
-        calls = []
-
-        def recording(f, a, b, tol=1e-12, breakpoints=()):
-            calls.append((a, b, tol, tuple(breakpoints)))
-            return integrate(f, a, b, tol=tol, breakpoints=breakpoints)
-
-        monkeypatch.setattr(verify, "integrate", recording)
+    def test_within_1e_15_of_closure(self):
         rng = random.Random(2024)
         for _ in range(60):
             a1, a2 = rng.uniform(15.0, 80.0), rng.uniform(15.0, 80.0)
             s1, s2 = rng.uniform(0.1, 0.2), rng.uniform(0.1, 0.2)
             q = CompatQuery(Gaussian(a1, s1 * a1), Gaussian(a2, s2 * a2),
                             t=rng.uniform(0.5, 2.5))
-            got = quad_oracle(q)
-            a, b, tol, cuts = calls.pop()
-            # the closure in the narrower density's standard units z, whose
-            # integral is p itself: dx = sigma_out dz, and tol is p's again
+            assert abs(quad_oracle(q) - _closure_oracle(q)) <= 1e-15, q
+
+    def test_seed_panels_match_panel(self):
+        # each seed panel's row sums are _panel's K21 and |K21 - G10| of
+        # exp(-z*z/2) v(z), for the inner factor v of certify-style queries
+        for q in _certify_queries(577, 20):
             g_out, g_in = (q.g2, q.g1) if q.g2.sigma < q.g1.sigma else (q.g1, q.g2)
-            f = _closure_integrand(g_out, g_in, q.d)
-            closure = _clamp_unit(integrate(lambda z: g_out.sigma * f(g_out.mu + g_out.sigma * z),
-                                            a, b, tol=tol * _Z_FACTOR, breakpoints=cuts))
-            assert abs(got - closure) <= 1e-15, (q, got, closure)
+            scale = math.sqrt(2.0) * g_in.sigma
+            lo, hi = (g_in.mu - g_out.mu - q.d) / scale, (g_in.mu - g_out.mu + q.d) / scale
+            b = g_out.sigma / scale
+
+            def inner(z):
+                return math.erfc(lo - b * z) - math.erfc(hi - b * z)
+
+            for z_lo, z_hi, rows in _SEED_PANELS:
+                assert len(rows) == 21
+                kronrod = math.fsum(wk * inner(z) for z, wk, _ in rows)
+                gauss = math.fsum(wg * inner(z) for z, _, wg in rows)
+                want, error = _panel(lambda z: math.exp(-0.5 * z * z) * inner(z), z_lo, z_hi)
+                assert abs(kronrod - want) <= 4 * math.ulp(want), (q, z_lo)
+                assert abs(abs(kronrod - gauss) - error) <= 4 * math.ulp(want), (q, z_lo)
+        edges = (-10.0, *_Z_CUTS, 10.0)
+        assert [panel[:2] for panel in _SEED_PANELS] == list(zip(edges, edges[1:]))
+
+    def test_failed_seed_panel_falls_back_to_integrate(self, quad_cost):
+        # at tol = 1e-14 seed panels miss their share ([0, 2] and [4, 8] with
+        # glibc's erfc), so integrate bisects them; the rest stand
+        q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
+        quad_oracle(q)
+        assert quad_cost.take() == SEED_COST
+        got = quad_oracle(q, tol=1e-14)
+        assert quad_cost.take()[1] >= 1
+        assert abs(got - _closure_oracle(q, tol=1e-14)) <= 1e-14
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300, 5e-324])
+    def test_unmeetable_tol_raises_quadrature_error(self, tol):
+        # each failed seed panel has integrate's budget of 10,000 panels; at
+        # 5e-324 its share of tol underflows, and is still no bad argument
+        q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
+        with pytest.raises(QuadratureError, match=r"^no convergence on \[-?\d+\.0, -?\d+\.0\] "
+                                                  r"within 10000 panels$"):
+            quad_oracle(q, tol=tol)
 
     def test_rejects_bad_tol_by_name(self):
         q = _query(20.0, 2.0, 18.0, 1.5, d=1.0)
@@ -671,6 +730,17 @@ class TestTwoCallTransform:
         q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
         samples = _MC_CHUNK + 1000
         assert mc_oracle(q, samples, 9) == _two_call_mc(q, samples, 9)
+
+
+def _screen_draws(n):
+    """ln v, v = 1 - u1, and theta for n pairs as mc_oracle draws them, with
+    the largest r first (u1 = 1 - 2**-53) and r = 0 second (u1 = 0)."""
+    np = pytest.importorskip("numpy")
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=1958, spawn_key=(0,))))
+    log_v = np.log(1.0 - rng.random(n))
+    log_v[:2] = (math.log(2.0 ** -53), 0.0)
+    return log_v, 2.0 * np.pi * rng.random(n)
 
 
 class TestFloat32Screen:
@@ -807,13 +877,23 @@ class TestFloat32Screen:
         gamma, delta, margin = verify._screen_margin(mu1, s1, mu2, s2, d)
         assert margin < math.inf
         n = 1 << 19
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=1958, spawn_key=(0,))))
-        r = np.sqrt(-2.0 * np.log(1.0 - rng.random(n)))
-        theta = 2.0 * np.pi * rng.random(n)
-        r[0] = math.sqrt(-2.0 * math.log(2.0 ** -53))     # the largest r drawn
+        log_v, theta = _screen_draws(n)
         cos, out = np.empty((2, n), np.float32)
-        screened = verify._screen(r, theta, math.atan2(s2, s1), gamma, cos, out)
+        screened = verify._screen(log_v, theta, math.atan2(s2, s1), gamma, cos, out)
+        r = np.sqrt(-2.0 * log_v)
         exact = np.abs((r * np.cos(theta) * s1 + mu1) - (r * np.sin(theta) * s2 + mu2)) - d
         error = screened.astype(np.float64) - delta - exact / math.hypot(s1, s2)
         assert np.max(np.abs(error)) <= margin / 2
+
+    def test_float32_radius_within_one_and_a_half_ulp(self):
+        # with theta = phi = gamma = 0 the screen returns its float32 r,
+        # sqrt(-2 float32(ln v)): the cast costs 2**-24 relative, halved by
+        # the square root, which rounds by 2**-24 more
+        np = pytest.importorskip("numpy")
+        n = 1 << 19
+        log_v = _screen_draws(n)[0]
+        cos, out = np.empty((2, n), np.float32)
+        r32 = verify._screen(log_v, np.zeros(n), 0.0, 0.0, cos, out).astype(np.float64)
+        r = np.sqrt(-2.0 * log_v)
+        assert r[0] > 8.57 and r32[1] == r[1] == 0.0
+        assert np.all(np.abs(r32 - r) <= 1.5 * 2.0 ** -24 * r)
