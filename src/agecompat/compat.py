@@ -113,7 +113,10 @@ def compat_prob_normalized(q: CompatQuery) -> NormalizedProb:
         raise ValueError("normalization is undefined at d = 0 (0/0)")
     swapped = q.g1.mu < q.g2.mu
     younger = q.g1 if swapped else q.g2
-    denom = math.erf(q.d / (2.0 * younger.sigma))
+    two_sigma = 2.0 * younger.sigma
+    # 2 sigma overflows above 2**1023, so there d / sigma is halved instead;
+    # elsewhere that could round twice where d / (2 sigma) is subnormal
+    denom = math.erf(q.d / two_sigma if two_sigma < math.inf else q.d / younger.sigma * 0.5)
     if denom == 0.0:
         raise ValueError(f"d={q.d!r} is too small to normalize by: the younger "
                          f"cohort's same-age probability underflows to 0")

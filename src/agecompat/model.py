@@ -11,6 +11,7 @@ All types are immutable values and all operations pure.
 """
 
 import math
+import sys
 
 from .special import _check_finite, _check_positive, _pdf
 
@@ -86,14 +87,24 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+_SIGMA_MAX = sys.float_info.max / math.sqrt(2.0)
+
+
 class Gaussian(_Value):
-    """Mental-age density: mean mu and standard deviation sigma, in years."""
+    """Mental-age density: mean mu and standard deviation sigma, in years.
+
+    sigma is at most the float maximum over sqrt(2), about 1.2712e308, so
+    that sqrt(2) sigma and the pair scale hypot(sigma1, sigma2) stay finite.
+    """
 
     __slots__ = ("mu", "sigma")
 
     def __init__(self, mu: float, sigma: float):
         _check_finite(mu, "mu")
-        _check_positive(sigma, "sigma")
+        if not 0.0 < sigma <= _SIGMA_MAX:
+            _check_positive(sigma, "sigma")
+            raise ValueError(f"sigma must be at most {_SIGMA_MAX!r} (the float maximum "
+                             f"over sqrt(2)), got {sigma!r}")
         _set_mu(self, mu)
         _set_sigma(self, sigma)
 

@@ -54,7 +54,7 @@ def _clamp_unit(v: float) -> float:
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
-# raised by verify.integrate; defined here so the CLI catches it without loading verify
+# raised by verify's quadrature; defined here so the CLI catches it without loading verify
 class QuadratureError(RuntimeError):
     """Adaptive refinement failed to converge (oracle infrastructure)."""
 

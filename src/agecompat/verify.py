@@ -16,7 +16,7 @@ Three groups live here:
   Monte-Carlo sampler.  Both exist to check the closed forms and never
   call them.  The quadrature's outer variable is the narrower density's,
   in its own standard units, so eight fixed panels meet the tolerance,
-  and a budget of 10,000 panels bounds the work of every integration.
+  and a budget of 10,000 panels bounds the work of every call.
 
 The quadrature rule is QUADPACK's published G10/K21 table, held here as
 constants.  Importing this module lays that rule once onto the quadrature
@@ -96,33 +96,32 @@ _SHARED = tuple(zip(_G10_NODES, _G10_WEIGHTS, _K21_GAUSS_WEIGHTS))
 _KRONROD_ONLY = tuple(zip(_K21_NODES, _K21_WEIGHTS))
 
 
-def _seed_panels():
-    """quad_oracle's seed panels, cut at _Z_CUTS on [-10, 10]: (a, b, rows).
-
-    Each of a panel's 21 rows is (z, K21 weight, G10 weight) at one node,
-    with both weights times h exp(-z*z/2) and 0 as the G10 weight of a
-    Kronrod-only node, so the panel's K21 and G10 estimates of
-    exp(-z*z/2) v(z) are the row sums of weight times v(z).
+def _rows(a, b):
+    """The G10/K21 rule on [a, b]: 21 rows (x, h w_K21, h w_G10), h = (b - a)/2,
+    with 0 as the G10 weight of a Kronrod-only node.
     """
-    edges = (-10.0, *_Z_CUTS, 10.0)
-    panels = []
-    for a, b in zip(edges, edges[1:]):
-        c = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        nodes = [(c, _K21_CENTER_WEIGHT, 0.0)]
-        for x, wg, wk in _SHARED:
-            nodes += [(c - h * x, wk, wg), (c + h * x, wk, wg)]
-        for x, wk in _KRONROD_ONLY:
-            nodes += [(c - h * x, wk, 0.0), (c + h * x, wk, 0.0)]
-        rows = []
-        for z, wk, wg in nodes:
-            scale = h * _exp(-0.5 * z * z)
-            rows.append((z, wk * scale, wg * scale))
-        panels.append((a, b, tuple(rows)))
-    return tuple(panels)
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    rows = [(c, h * _K21_CENTER_WEIGHT, 0.0)]
+    for x, wg, wk in _SHARED:
+        rows += [(c - h * x, h * wk, h * wg), (c + h * x, h * wk, h * wg)]
+    for x, wk in _KRONROD_ONLY:
+        rows += [(c - h * x, h * wk, 0.0), (c + h * x, h * wk, 0.0)]
+    return rows
 
 
-_SEED_PANELS = _seed_panels()
+def _gauss_rows(a, b):
+    """_rows(a, b) with exp(-z*z/2) folded into both weights of each row z."""
+    rows = []
+    for z, wk, wg in _rows(a, b):
+        e = _exp(-0.5 * z * z)
+        rows.append((z, wk * e, wg * e))
+    return tuple(rows)
+
+
+# quad_oracle's seed panels on [-10, 10], cut at _Z_CUTS: (a, b, rows)
+_SEED_PANELS = tuple((a, b, _gauss_rows(a, b))
+                     for a, b in zip((-10.0, *_Z_CUTS), (*_Z_CUTS, 10.0)))
 
 
 class SliceParams(_Value):
@@ -157,14 +156,14 @@ TruncationBound.__doc__ = "Per-slice certificate and its looser closed-form majo
 def slice_params(g1, g2, delta: float) -> SliceParams:
     """Slice mean/width for x2 = x1 + delta.
 
-    mu12 = mu1 - z w1 sigma1 and sigma12 = w2 sigma1, in units of R =
-    hypot(sigma1, sigma2), with z = (mu1 - mu2 + delta)/R (z+ at delta = d)
-    and wi = sigmai/R.
+    mu12 = mu1 - z w1 sigma1 and sigma12 = (max sigma / R) min sigma, at
+    least min sigma / sqrt(2), in units of R = hypot(sigma1, sigma2), with
+    z = (mu1 - mu2 + delta)/R (z+ at delta = d) and w1 = sigma1/R.
     """
     unit = math.hypot(g1.sigma, g2.sigma)
     z = (g1.mu - g2.mu + delta) / unit
     return SliceParams(mu12=g1.mu - z * (g1.sigma / unit) * g1.sigma,
-                       sigma12=g2.sigma / unit * g1.sigma)
+                       sigma12=max(g1.sigma, g2.sigma) / unit * min(g1.sigma, g2.sigma))
 
 
 def truncation_bound(q: CompatQuery) -> TruncationBound:
@@ -236,19 +235,45 @@ def error_ratio_bounds(a: float, b: float, c: float) -> tuple[float, float]:
     return ((a + b) / (1.0 + c), 2.0 * (a + b))
 
 
+def _f_sums(rows, f):
+    """K21 and G10 estimates of f: its row sums over one panel's rows."""
+    kronrod = gauss = 0.0
+    for x, wk, wg in rows:
+        v = f(x)
+        kronrod += wk * v
+        gauss += wg * v
+    return kronrod, gauss
+
+
 def _panel(f, a, b):
     """K21 estimate of f over [a, b] and its error estimate |K21 - G10|."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    kronrod = _K21_CENTER_WEIGHT * f(c)
-    gauss = 0.0
-    for x, wg, wk in _SHARED:
-        pair = f(c - h * x) + f(c + h * x)
-        gauss += wg * pair
-        kronrod += wk * pair
-    for x, wk in _KRONROD_ONLY:
-        kronrod += wk * (f(c - h * x) + f(c + h * x))
-    return h * kronrod, abs(h * (kronrod - gauss))
+    kronrod, gauss = _f_sums(_rows(a, b), f)
+    return kronrod, abs(kronrod - gauss)
+
+
+def _bisect(work, sums, arg, layout, tol):
+    """integrate's loop over ``work``, the (lo, hi, rows) panels of [a, b] in order.
+
+    ``sums(rows, arg)`` gives a panel's K21 and G10 estimates, and
+    ``layout(lo, hi)`` the rows of each half of a panel that is bisected.
+    Panels are evaluated, and their estimates summed, from left to right.
+    """
+    a, b = work[0][0], work[-1][1]
+    width = b - a
+    total = 0.0
+    stack = list(reversed(work))
+    for _ in range(_MAX_PANELS):
+        lo, hi, rows = stack.pop()
+        kronrod, gauss = sums(rows, arg)
+        if abs(kronrod - gauss) <= tol * (hi - lo) / width:
+            total += kronrod
+            if not stack:
+                return total
+            continue
+        mid = 0.5 * (lo + hi)
+        stack.append((mid, hi, layout(mid, hi)))
+        stack.append((lo, mid, layout(lo, mid)))
+    raise QuadratureError(f"no convergence on [{a!r}, {b!r}] within {_MAX_PANELS} panels")
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
@@ -260,9 +285,9 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     10-point Gauss-Legendre rule embedded in it gives its error
     estimate.  A panel whose error estimate is at most its share of tol,
     tol * (hi - lo) / (b - a), is accepted; any other is bisected and
-    both halves are evaluated.  Optional breakpoints seed the initial
-    panels (useful when the integrand's mass is far narrower than the
-    interval).  One call evaluates at most 10,000 panels.
+    both halves are evaluated, left first.  Optional breakpoints seed the
+    initial panels (useful when the integrand's mass is far narrower than
+    the interval).  One call evaluates at most 10,000 panels.
 
     Raises:
         ValueError: a or b is not finite, or tol is not finite and
@@ -277,21 +302,24 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     if a > b:
         raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
     cuts = sorted({a, b, *(x for x in breakpoints if a < x < b)})
-    width = b - a
-    total = 0.0
-    stack = list(zip(cuts, cuts[1:]))
-    for _ in range(_MAX_PANELS):
-        lo, hi = stack.pop()
-        estimate, error = _panel(f, lo, hi)
-        if error <= tol * (hi - lo) / width:
-            total += estimate
-            if not stack:
-                return total
-            continue
-        mid = 0.5 * (lo + hi)
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    raise QuadratureError(f"no convergence on [{a!r}, {b!r}] within {_MAX_PANELS} panels")
+    work = [(lo, hi, _rows(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    return _bisect(work, _f_sums, f, _rows, tol)
+
+
+def _erfc_sums(rows, window):
+    """K21 and G10 estimates of quad_oracle's inner factor at ``window`` = (lo, hi, b)."""
+    lo, hi, b = window
+    erfc = _erfc
+    kronrod = gauss = 0.0
+    for z, wk, wg in rows:
+        bz = b * z
+        if hi < bz:
+            v = erfc(bz - hi) - erfc(bz - lo)
+        else:
+            v = erfc(lo - bz) - erfc(hi - bz)
+        kronrod += wk * v
+        gauss += wg * v
+    return kronrod, gauss
 
 
 def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
@@ -313,21 +341,20 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
     cuts at 0, +-2, +-4 and +-8 leave no feature narrower than a panel,
     and the eight seed panels meet tol on every query measured.
 
-    The seed panels' nodes and Gaussian factors are the table
-    _SEED_PANELS, built at import.  A seed panel passes integrate's own
-    test, |K21 - G10| at most its share of tol; one that fails is handed
-    to :func:`integrate` over that panel, which bisects it within its own
-    budget of 10,000 panels.  Swapping g1 and g2 gives the same float
-    wherever sigma1 != sigma2.  Independent of the closed form it is used
-    to check, and never calls it.  ``tol`` is the absolute error of p; it
-    is scaled by 2 sqrt(2 pi) onto the integral, one above 1 is taken as
-    1, and one that is not finite and positive raises ValueError.
+    The seed panels, with their nodes and Gaussian factors, are the table
+    _SEED_PANELS, built at import; :func:`integrate`'s loop starts from
+    them, within one budget of 10,000 panels for the call.  Swapping g1
+    and g2 gives the same float wherever sigma1 != sigma2.  Independent of
+    the closed form it is used to check, and never calls it.  ``tol`` is
+    the absolute error of p; it is scaled by 2 sqrt(2 pi) onto the
+    integral, one above 1 is taken as 1, and one that is not finite and
+    positive raises ValueError.
 
     Raises:
         ValueError: lo or hi overflows (finite ages near the float limit,
             or a sigma tiny next to the gap); the message describes the
             query.
-        QuadratureError: a seed panel's bisection ran out of budget.
+        QuadratureError: the panel budget ran out before convergence.
     """
     _check_positive(tol, "tol")
     if tol > 1.0:
@@ -341,37 +368,8 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
         raise ValueError(
             f"quad_oracle cannot integrate {q!r}: the inner density's window, "
             f"(mu_in - mu_out -+ d)/(sqrt(2) sigma_in), is [{lo!r}, {hi!r}], which overflows")
-    b = g_out.sigma / scale
-    tol /= _Z_FACTOR
-    erfc = _erfc
-    total = 0.0
-    for z_lo, z_hi, rows in _SEED_PANELS:
-        kronrod = gauss = 0.0
-        for z, wk, wg in rows:
-            bz = b * z
-            if hi < bz:
-                v = erfc(bz - hi) - erfc(bz - lo)
-            else:
-                v = erfc(lo - bz) - erfc(hi - bz)
-            kronrod += wk * v
-            gauss += wg * v
-        # integrate's test for this panel of its range [-10, 10]
-        share = tol * (z_hi - z_lo) / 20.0
-        if abs(kronrod - gauss) <= share:
-            total += kronrod
-            continue
-
-        def f(z):
-            bz = b * z
-            if hi < bz:
-                return _exp(-0.5 * z * z) * (_erfc(bz - hi) - _erfc(bz - lo))
-            return _exp(-0.5 * z * z) * (_erfc(lo - bz) - _erfc(hi - bz))
-
-        # bisect the failed seed panel at the same share of tol; a share
-        # that underflows to 0 is as unmeetable as the least subnormal, and
-        # integrate would reject it as a tol the caller never passed
-        total += integrate(f, z_lo, z_hi, tol=max(share, 5e-324),
-                           breakpoints=(0.5 * (z_lo + z_hi),))
+    total = _bisect(_SEED_PANELS, _erfc_sums, (lo, hi, g_out.sigma / scale), _gauss_rows,
+                    tol / _Z_FACTOR)
     return _clamp_unit(_Z_FACTOR * total)
 
 

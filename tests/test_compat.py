@@ -288,6 +288,29 @@ class TestCompatProbNormalized:
         q = CompatQuery(Gaussian(30.0, 4.5), Gaussian(35.0, 5.25), d=5e-323)
         assert compat_prob_normalized(q).denominator == 5e-324
 
+    def test_sigma_whose_double_overflows(self):
+        # 2 sigma = 1.9e308 overflowed, so the denominator was erf(0) and d
+        # was blamed for it
+        g = Gaussian(1e308, 0.95e308)
+        out = compat_prob_normalized(CompatQuery(g, g, t=T_BENCH))
+        assert abs(out.value - 1.0) <= 4 * sys.float_info.epsilon
+        assert out.denominator == pytest.approx(SAME_AGE_TABLE[T_BENCH], rel=1e-15)
+
+    def test_denominator_is_erf_of_d_over_two_sigma(self):
+        # the same float wherever 2 sigma is finite, a subnormal d / (2 sigma)
+        # included, where halving d / sigma would round twice
+        rng = random.Random(4099)
+        subnormal = 0
+        for _ in range(10_000):
+            sigma = 10.0 ** rng.uniform(-300.0, 307.9)
+            d = sigma * 10.0 ** rng.uniform(-323.0, 3.0)
+            want = math.erf(d / (2.0 * sigma))
+            if want > 0.0 and d < math.inf:
+                g = Gaussian(20.0, sigma)
+                assert compat_prob_normalized(CompatQuery(g, g, d=d)).denominator == want
+                subnormal += d / (2.0 * sigma) < sys.float_info.min
+        assert subnormal > 100
+
     @given(st.floats(min_value=14.0, max_value=90.0), ratios,
            st.floats(min_value=0.1, max_value=3.0))
     def test_value_in_unit_interval_for_equal_ratios(self, mu1, s, t):

@@ -1,6 +1,8 @@
 """Model types, the convolution identity, and half-normal moments."""
 
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -16,7 +18,8 @@ from agecompat.model import (
     gaussian_pdf,
     same_age_diff_stats,
 )
-from agecompat.verify import integrate
+from agecompat.compat import CompatQuery, compat_prob
+from agecompat.verify import integrate, quad_oracle
 
 PEAK_UNIT_SIGMA = 0.3989422804014327  # 1/sqrt(2*pi)
 
@@ -42,6 +45,26 @@ class TestGaussian:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Gaussian(math.nan, 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    def test_nonpositive_or_nonfinite_sigma_message(self, sigma):
+        with pytest.raises(ValueError, match=f"^sigma must be finite and positive, got {sigma!r}$"):
+            Gaussian(10.0, sigma)
+
+    def test_sigma_bound(self):
+        # the float maximum over sqrt(2): above it sqrt(2) sigma overflows,
+        # and hypot(sigma, sigma) with it, so every window bound became 0
+        top = sys.float_info.max / math.sqrt(2.0)
+        assert math.isfinite(math.sqrt(2.0) * top) and math.isfinite(math.hypot(top, top))
+        g = Gaussian(1e308, top)
+        q = CompatQuery(g, g, t=1.0)
+        assert compat_prob(q) == pytest.approx(math.erf(0.5), rel=1e-15)
+        assert quad_oracle(q) == pytest.approx(math.erf(0.5), abs=1e-11)
+        above = math.nextafter(top, math.inf)
+        for sigma in (above, 1.5e308, sys.float_info.max):
+            message = f"sigma must be at most {top!r} (the float maximum over sqrt(2)), got {sigma!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Gaussian(10.0, sigma)
 
     def test_immutable(self):
         g = Gaussian(10.0, 1.0)

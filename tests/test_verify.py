@@ -3,12 +3,13 @@
 import math
 import random
 import re
+import types
 
 import pytest
 
-from agecompat import verify
+from agecompat import compat, verify
 from agecompat.compat import CompatQuery, compat_prob, same_age_prob
-from agecompat.model import Gaussian, gaussian_pdf
+from agecompat.model import _SIGMA_MAX, Gaussian, gaussian_pdf
 from agecompat.special import _clamp_unit, _phi
 from agecompat.verify import (
     ErrorBudget,
@@ -71,6 +72,14 @@ class TestSliceParams:
         for s1, s2 in ((1.0, 3.0), (2.5, 0.7), (4.0, 4.0)):
             sp = slice_params(Gaussian(30.0, s1), Gaussian(25.0, s2), 1.0)
             assert sp.sigma12 <= min(s1, s2)
+
+    @pytest.mark.parametrize("s1, s2", [(1e200, 1e-200), (1e-200, 1e200)])
+    def test_far_apart_sigmas_keep_a_positive_width(self, s1, s2):
+        # formed as (sigma2 / R) sigma1, the width underflowed to 0 with the
+        # larger sigma first, and truncation_bound divided by it
+        g1, g2 = Gaussian(10.0, s1), Gaussian(10.0, s2)
+        assert slice_params(g1, g2, 1e-200).sigma12 == 1e-200
+        assert truncation_bound(CompatQuery(g1, g2, t=1.0)).worst_slice == 0.0
 
 
 class TestTruncationBound:
@@ -460,29 +469,23 @@ def _narrow_wide_pairs(seed, n):
 
 
 class QuadCost:
-    """quad_oracle's work: its calls of verify._erfc, and its fallback calls
-    of integrate, one for each seed panel that fails the tolerance."""
+    """quad_oracle's work: its calls of verify._erfc, two at each node of
+    each panel it evaluates."""
 
     def __init__(self, monkeypatch):
-        self.erfc = self.fallbacks = 0
+        self.erfc = 0
         erfc = verify._erfc
 
         def counted_erfc(x):
             self.erfc += 1
             return erfc(x)
 
-        def counted_integrate(*args, **kwargs):
-            self.fallbacks += 1
-            return integrate(*args, **kwargs)
-
         monkeypatch.setattr(verify, "_erfc", counted_erfc)
-        monkeypatch.setattr(verify, "integrate", counted_integrate)
 
     def take(self):
-        """(erfc calls, fallbacks) since the last take."""
-        counts = (self.erfc, self.fallbacks)
-        self.erfc = self.fallbacks = 0
-        return counts
+        """erfc calls since the last take."""
+        calls, self.erfc = self.erfc, 0
+        return calls
 
 
 @pytest.fixture
@@ -491,7 +494,7 @@ def quad_cost(monkeypatch):
 
 
 # the eight seed panels and nothing else: two erfc calls at each of 168 nodes
-SEED_COST = (2 * 168, 0)
+SEED_COST = 2 * 168
 
 
 class TestQuadOracleOuterVariable:
@@ -557,6 +560,37 @@ class TestQuadOracleBounds:
             quad_oracle(q)
 
 
+def _reached_names(func):
+    """The functions of verify that func reaches by name, and every name
+    their code uses."""
+    reached, names, todo = set(), set(), [func]
+    while todo:
+        func = todo.pop()
+        if func in reached:
+            continue
+        reached.add(func)
+        codes = [func.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in names:
+            value = getattr(verify, name, None)
+            if isinstance(value, types.FunctionType) and value.__module__ == verify.__name__:
+                todo.append(value)
+    return {f.__name__ for f in reached}, names
+
+
+class TestQuadOracleIndependence:
+    def test_never_names_the_closed_form(self):
+        # the oracle certifies the closed form, so neither it nor any helper
+        # it reaches may call the closed form or its kernels
+        reached, names = _reached_names(quad_oracle)
+        assert {"quad_oracle", "_bisect", "_erfc_sums", "_gauss_rows", "_rows"} <= reached
+        forbidden = {"compat_prob", "_cdf_diff", "_ratio_prob", "_phi", *compat.__all__}
+        assert not names & forbidden
+
+
 class TestQuadOracleCost:
     def test_eight_panels_per_query(self, quad_cost):
         for q in _certify_queries(3141, 50):
@@ -618,24 +652,25 @@ class TestQuadOracleIntegrand:
         edges = (-10.0, *_Z_CUTS, 10.0)
         assert [panel[:2] for panel in _SEED_PANELS] == list(zip(edges, edges[1:]))
 
-    def test_failed_seed_panel_falls_back_to_integrate(self, quad_cost):
+    def test_failed_seed_panels_are_bisected_to_tol(self, quad_cost):
         # at tol = 1e-14 seed panels miss their share ([0, 2] and [4, 8] with
-        # glibc's erfc), so integrate bisects them; the rest stand
+        # glibc's erfc), so they are bisected; the rest stand
         q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
         quad_oracle(q)
         assert quad_cost.take() == SEED_COST
         got = quad_oracle(q, tol=1e-14)
-        assert quad_cost.take()[1] >= 1
+        assert quad_cost.take() > SEED_COST
         assert abs(got - _closure_oracle(q, tol=1e-14)) <= 1e-14
 
     @pytest.mark.parametrize("tol", [1e-17, 1e-300, 5e-324])
-    def test_unmeetable_tol_raises_quadrature_error(self, tol):
-        # each failed seed panel has integrate's budget of 10,000 panels; at
-        # 5e-324 its share of tol underflows, and is still no bad argument
+    def test_unmeetable_tol_raises_quadrature_error(self, tol, quad_cost):
+        # one budget of 10,000 panels for the call; at 5e-324 a panel's
+        # share of tol underflows to 0, and is still no bad argument
         q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
-        with pytest.raises(QuadratureError, match=r"^no convergence on \[-?\d+\.0, -?\d+\.0\] "
-                                                  r"within 10000 panels$"):
+        with pytest.raises(QuadratureError,
+                           match=r"^no convergence on \[-10\.0, 10\.0\] within 10000 panels$"):
             quad_oracle(q, tol=tol)
+        assert quad_cost.take() == 2 * 21 * _MAX_PANELS
 
     def test_rejects_bad_tol_by_name(self):
         q = _query(20.0, 2.0, 18.0, 1.5, d=1.0)
@@ -778,8 +813,9 @@ class TestFloat32Screen:
         (_query(1e37, 1e37, 1.2e37, 1e37, d=4e36), 20_000),
         # small means, but x1 and x2 overflow: the margin is inf
         (_query(1.0, 7e307, 1.0, 7e307, d=1e308), 20_000),
-        # R overflows: the margin is NaN, so inf
-        (_query(1.0, 1.3e308, 1.0, 1.3e308, d=1e308), 20_000),
+        # sigmas at Gaussian's bound: R is finite, but 8.6 (sigma1 + sigma2)
+        # overflows, so the margin is inf
+        (_query(1.0, _SIGMA_MAX, 1.0, _SIGMA_MAX, d=1e308), 20_000),
         # R a subnormal float64, and the least subnormal: there the float64
         # transform rounds by a sizeable share of R, and the margin exceeds
         # the scale
