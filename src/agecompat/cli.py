@@ -61,7 +61,10 @@ def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected lo:hi:step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
+    try:
+        lo, hi, step = map(float, parts)
+    except ValueError:
+        raise ValueError(f"lo:hi:step must be three numbers, got {text!r}") from None
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
@@ -101,8 +104,13 @@ def _cmd_compat(args):
         parts = args.error_budget.split(",")
         if len(parts) != 3:
             raise ValueError(f"expected dd,dsigma1,dsigma2, got {args.error_budget!r}")
+        try:
+            errs = [float(part) for part in parts]
+        except ValueError:
+            raise ValueError(f"--error-budget takes three numbers dd,dsigma1,dsigma2, "
+                             f"got {args.error_budget!r}") from None
         columns.append("delta_p")
-        row.append(error_propagation(q, ErrorBudget(*map(float, parts))))
+        row.append(error_propagation(q, ErrorBudget(*errs)))
     return _csv(columns, [row], args.digits)
 
 

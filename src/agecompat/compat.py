@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 
 from .model import Gaussian, _Value
-from .special import _SQRT2, _cdf_diff, _check_finite, _check_nonneg, _check_positive, _phi
+from .special import _INF, _SQRT2, _cdf_diff, _check_finite, _check_nonneg, _check_positive, _phi
 
 __all__ = [
     "CompatQuery", "NormalizedProb",
@@ -34,23 +34,37 @@ class CompatQuery(_Value):
     The difference may be given in absolute years (d) or as a multiple t
     of the smaller standard deviation; exactly one of the two must be
     supplied, finite and nonnegative, and the other is derived via
-    d = t * min(sigma1, sigma2).
+    d = t * min(sigma1, sigma2).  A d derived from t must be finite too:
+    a t so large that d overflows is rejected.  A zero d or t, signed or
+    not, stores +0.0 for both.
     """
 
     __slots__ = ("g1", "g2", "d", "t")
 
     def __init__(self, g1: Gaussian, g2: Gaussian, d: float | None = None,
                  t: float | None = None):
-        if (d is None) == (t is None):
-            raise ValueError("give exactly one of d (years) or t (sigma multiple)")
-        s1, s2 = g1.sigma, g2.sigma
-        anchor = s1 if s1 <= s2 else s2     # min(s1, s2) without the call
+        # every pair-grid, certify and default query gives t alone, so that
+        # branch checks t inline rather than through _check_nonneg
         if d is None:
-            _check_nonneg(t, "t")
+            if t is None:
+                raise ValueError("give exactly one of d (years) or t (sigma multiple)")
+            if not 0.0 <= t < _INF:
+                raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+            s1, s2 = g1.sigma, g2.sigma
+            anchor = s1 if s1 <= s2 else s2     # min(s1, s2) without the call
             d = t * anchor
+            if d == _INF:
+                raise ValueError(f"t={t!r} is too large: d = t * min(sigma1, sigma2) "
+                                 f"= {t!r} * {anchor!r} overflows, and d must be finite")
+            if not t:
+                t = d = 0.0                     # +0.0 for -0.0, which prints as -0
+        elif t is not None:
+            raise ValueError("give exactly one of d (years) or t (sigma multiple)")
         else:
             _check_nonneg(d, "d")
-            t = d / anchor
+            s1, s2 = g1.sigma, g2.sigma
+            d = d or 0.0
+            t = d / (s1 if s1 <= s2 else s2)
         _set_g1(self, g1)
         _set_g2(self, g2)
         _set_d(self, d)

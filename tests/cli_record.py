@@ -86,7 +86,8 @@ POPULATION = [
 # rule audits with a bad --s1 or --t, whatever the grid holds; limit
 # conversions at the quantile's edges; single bad arguments; a sigma past
 # the float maximum over sqrt(2) (exit 2), and one below it whose double
-# overflows under --normalized
+# overflows under --normalized; a finite t whose d overflows (exit 2), and
+# zero differences, signed and unsigned
 EDGE = [
     "rule --mu-grid 10:14:1 --s1 -1 --t 0.5",
     "rule --mu-grid 10:14:1 --t 0.5",
@@ -106,6 +107,10 @@ EDGE = [
     "expect --n1 0 --n2 5 --p 0.3 --at-least-k 0",
     "compat --age1 1e308 --age2 1e308 --s1 1.5 --s2 1.5",
     "compat --age1 1e308 --age2 1e308 --s1 0.95 --s2 0.95 --normalized",
+    "compat --age1 18 --age2 14 --t 1e308",
+    "compat --age1 18 --age2 14 --d -0.0",
+    "compat --age1 18 --age2 14 --t -0.0",
+    "compat --age1 18 --age2 14 --t 0",
 ]
 
 

@@ -115,6 +115,23 @@ class TestCompatCommand:
         assert code == 2
         assert "error" in err
 
+    def test_t_whose_d_overflows_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "compat", "--age1", "18", "--age2", "14",
+                                 "--t", "1e308")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: t=1e+308 is too large: d = t * min(sigma1, sigma2)")
+
+    @pytest.mark.parametrize("command", [
+        ("compat",), ("expect", "--n1", "10", "--n2", "10")])
+    @pytest.mark.parametrize("flag", ["--d", "--t"])
+    def test_signed_zero_difference_prints_0(self, capsys, command, flag):
+        code, out, _ = run_cli(capsys, *command, "--age1", "18", "--age2", "14",
+                               flag, "-0.0")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["d"] == "0" and rows[0]["p"] == "0"
+        assert rows[0].get("t", "0") == "0"
+
 
 class TestExpectCommand:
     def test_cohort_bullets(self, capsys):
@@ -568,6 +585,12 @@ class TestCliContract:
          "need --p or both --age1 and --age2"),
         (("limits", "--kind", "min", "--mental", "18", "--sweep", "0.1:0.9:0.1"),
          "--sweep converts a chronological limit; give --chrono"),
+        # a part that is no number is named, not just float()'s "could not convert"
+        (("compat", "--age1", "18", "--age2", "14", "--error-budget", "0.1,0.1,x"),
+         "--error-budget takes three numbers dd,dsigma1,dsigma2, got '0.1,0.1,x'"),
+        (("limits", "--kind", "min", "--chrono", "18", "--sweep", "0.1:x:0.1"),
+         "lo:hi:step must be three numbers, got '0.1:x:0.1'"),
+        (("rule", "--mu-grid", "15:80:y"), "lo:hi:step must be three numbers, got '15:80:y'"),
     ])
     def test_age_and_ratio_flags_rejected_by_name(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

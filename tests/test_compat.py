@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -53,10 +54,21 @@ def _query(mu1, s1, mu2, s2, d=None, t=None):
 class TestCompatQuery:
     def test_requires_exactly_one_of_d_t(self):
         g = Gaussian(20.0, 2.0)
-        with pytest.raises(ValueError):
+        message = r"^give exactly one of d \(years\) or t \(sigma multiple\)$"
+        with pytest.raises(ValueError, match=message):
             CompatQuery(g, g)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             CompatQuery(g, g, d=1.0, t=1.0)
+
+    @pytest.mark.parametrize("d, t", [(None, None), (1.0, 1.0), (-1.0, math.nan)])
+    def test_both_or_neither_raises_before_any_sigma_is_read(self, d, t):
+        class Unread:
+            @property
+            def sigma(self):
+                raise AssertionError("sigma was read")
+
+        with pytest.raises(ValueError, match="^give exactly one of d"):
+            CompatQuery(Unread(), Unread(), d=d, t=t)
 
     def test_t_anchors_on_smaller_sigma(self):
         q = _query(18.0, 0.1, 14.0, 0.1, t=1.0)
@@ -69,10 +81,20 @@ class TestCompatQuery:
 
     def test_negative_rejected(self):
         g = Gaussian(20.0, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^d must be finite and nonnegative, got -0\.5$"):
             CompatQuery(g, g, d=-0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^t must be finite and nonnegative, got -0\.5$"):
             CompatQuery(g, g, t=-0.5)
+
+    def test_t_whose_d_overflows_rejected_by_name(self):
+        g1, g2 = Gaussian(18.0, 2.7), Gaussian(14.0, 2.1)
+        t_max = _largest_t(g1, g2)
+        assert CompatQuery(g1, g2, t=t_max).d == t_max * 2.1 < math.inf
+        for t in (math.nextafter(t_max, math.inf), 1e308, sys.float_info.max):
+            message = (f"t={t!r} is too large: d = t * min(sigma1, sigma2) "
+                       f"= {t!r} * 2.1 overflows, and d must be finite")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CompatQuery(g1, g2, t=t)
 
     @pytest.mark.parametrize("field", ["d", "t"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -109,6 +131,17 @@ class TestCompatQuery:
                                       AgeProfile(14.0, 0.1), t=1.0)
         assert q.g1 == Gaussian(18.0, 1.8)
         assert q.d == pytest.approx(1.4, rel=1e-15)
+
+
+def _largest_t(g1, g2):
+    """The largest float t for which t * min(sigma1, sigma2) is finite."""
+    anchor = min(g1.sigma, g2.sigma)
+    t = sys.float_info.max / anchor
+    while t * anchor == math.inf:
+        t = math.nextafter(t, 0.0)
+    while math.nextafter(t, math.inf) * anchor < math.inf:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 def _reference_pair(g1, g2, d=None, t=None):
@@ -155,6 +188,33 @@ class TestHotPathBitIdentical:
                 d = rng.uniform(0.0, 20.0)
                 q = CompatQuery(g1, g2, d=d)
                 assert (q.d, q.t, compat_prob(q)) == _reference_pair(g1, g2, d=d)
+
+
+# the anchor 2.1 keeps 5e-324 * anchor subnormal; 0.3 rounds it to 0
+EDGE_PAIRS = {"anchor-2.1": (Gaussian(18.0, 2.7), Gaussian(14.0, 2.1)),
+              "anchor-0.3": (Gaussian(30.0, 0.3), Gaussian(31.0, 0.45))}
+
+
+class TestEdgeInputsKeepTheirFloats:
+    """Both branches of CompatQuery store the reference's d and t, zeros as +0.0."""
+
+    @pytest.fixture(params=[0.0, -0.0, 5e-324, 2.2250738585072014e-308, "largest-t",
+                            2, True, "numpy-1.5"])
+    def value(self, request):
+        if request.param == "largest-t":
+            return _largest_t(*EDGE_PAIRS["anchor-2.1"])
+        if request.param == "numpy-1.5":
+            return pytest.importorskip("numpy").float64(1.5)
+        return request.param
+
+    @pytest.mark.parametrize("pair", EDGE_PAIRS)
+    @pytest.mark.parametrize("field", ["d", "t"])
+    def test_stored_difference_matches_reference(self, pair, field, value):
+        g1, g2 = EDGE_PAIRS[pair]
+        ref_d, ref_t, ref_p = _reference_pair(g1, g2, **{field: value})
+        q = CompatQuery(g1, g2, **{field: value})
+        assert (q.d, q.t, compat_prob(q)) == (ref_d, ref_t, ref_p)
+        assert math.copysign(1.0, q.d) == math.copysign(1.0, q.t) == 1.0
 
 
 class TestCompatProb:
