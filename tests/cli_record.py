@@ -33,8 +33,11 @@ POOL_SEEDS = range(1, 11)
 # overflow, each binomial method and a subnormal tail at n = 10**7, the
 # limit and rule solvers, and two inputs that exit 2; then a tail where
 # n*p is subnormal, an n just past the binomial density's float range
-# (exit 2), and README's two worked compat examples.  The record owns
-# their bytes; CI runs one per subcommand in a fresh process as well.
+# (exit 2), README's two worked compat examples, and three queries whose
+# sigmas are tiny next to d or the gap: a d whose t = d / min sigma
+# overflows (exit 2), and two whose closed-form bounds overflow.  The
+# record owns their bytes; CI runs one per subcommand in a fresh process
+# as well.
 SMOKE = [
     "compat --age1 18 --age2 14",
     "compat --age1 18 --age2 14 --error-budget 0.1,0.1,0.1",
@@ -62,6 +65,9 @@ SMOKE = [
     f"expect --n1 {12 * 10 ** 153} --n2 {12 * 10 ** 153} --p 0.5 --at-least-k {648 * 10 ** 151}",
     "compat --age1 18 --age2 14 --s1 0.1 --s2 0.1 --t 1",
     "compat --age1 20 --age2 16 --s1 0.15 --s2 0.15 --t 1.1284",
+    "compat --age1 18 --age2 14 --s1 1e-300 --s2 1 --d 1e10",
+    "compat --age1 18 --age2 14 --s1 1e-300 --s2 1e-300 --d 1e10",
+    "compat --age1 18 --age2 14 --s1 1e-310 --s2 1e-310 --t 1",
 ]
 
 # binomial tails near and below the float underflow threshold, by the sum
