@@ -26,7 +26,7 @@ _EXPORTS = {
               "solve_m",
     "special": "erf erfc normal_cdf normal_pdf normal_quantile",
     "verify": "ErrorBudget McEstimate QuadratureError SliceParams TruncationBound "
-              "error_propagation error_ratio error_ratio_bounds integrate mc_oracle "
+              "error_propagation error_ratio error_ratio_bounds mc_oracle "
               "quad_oracle slice_params truncation_bound",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -34,9 +34,10 @@ class CompatQuery(_Value):
     The difference may be given in absolute years (d) or as a multiple t
     of the smaller standard deviation; exactly one of the two must be
     supplied, finite and nonnegative, and the other is derived via
-    d = t * min(sigma1, sigma2).  A d derived from t must be finite too:
-    a t so large that d overflows is rejected.  A zero d or t, signed or
-    not, stores +0.0 for both.
+    d = t * min(sigma1, sigma2).  The derived value must be finite too: a
+    t so large that d overflows, or a d so large next to min(sigma1,
+    sigma2) that t does, is rejected.  A zero d or t, signed or not,
+    stores +0.0 for both.
     """
 
     __slots__ = ("g1", "g2", "d", "t")
@@ -63,8 +64,12 @@ class CompatQuery(_Value):
         else:
             _check_nonneg(d, "d")
             s1, s2 = g1.sigma, g2.sigma
+            anchor = s1 if s1 <= s2 else s2
             d = d or 0.0
-            t = d / (s1 if s1 <= s2 else s2)
+            t = d / anchor
+            if t == _INF:
+                raise ValueError(f"d={d!r} is too large: t = d / min(sigma1, sigma2) "
+                                 f"= {d!r} / {anchor!r} overflows, and t must be finite")
         _set_g1(self, g1)
         _set_g2(self, g2)
         _set_d(self, d)

@@ -27,22 +27,21 @@ imports when called.
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
 
 from .compat import CompatQuery
 from .model import _Value
-from .special import (_SQRT2, _SQRT2PI, QuadratureError, _check_finite, _check_nonneg,
-                      _check_positive, _clamp_unit, _index, _pdf, _phi)
+from .special import (_SQRT2, _SQRT2PI, QuadratureError, _check_nonneg, _check_positive,
+                      _clamp_unit, _index, _pdf, _phi)
 
 __all__ = [
     "SliceParams", "ErrorBudget", "TruncationBound", "McEstimate",
     "QuadratureError", "slice_params", "truncation_bound",
     "error_propagation", "error_ratio", "error_ratio_bounds",
-    "integrate", "quad_oracle", "mc_oracle",
+    "quad_oracle", "mc_oracle",
 ]
 
-# integrate's work bound: the most panels one call evaluates, 21 calls of f
-# each.  The test suite's largest converging call takes 44
+# quad_oracle's work bound: the most panels one call evaluates, 42 erfc
+# calls each.  The test suite's largest converging call takes 12
 _MAX_PANELS = 10_000
 _MC_CHUNK = 1 << 19
 _MC_MIN_SAMPLES = 10 ** 4
@@ -235,27 +234,11 @@ def error_ratio_bounds(a: float, b: float, c: float) -> tuple[float, float]:
     return ((a + b) / (1.0 + c), 2.0 * (a + b))
 
 
-def _f_sums(rows, f):
-    """K21 and G10 estimates of f: its row sums over one panel's rows."""
-    kronrod = gauss = 0.0
-    for x, wk, wg in rows:
-        v = f(x)
-        kronrod += wk * v
-        gauss += wg * v
-    return kronrod, gauss
+def _bisect(work, window, tol):
+    """quad_oracle's loop over ``work``, the (lo, hi, rows) panels of [a, b] in order.
 
-
-def _panel(f, a, b):
-    """K21 estimate of f over [a, b] and its error estimate |K21 - G10|."""
-    kronrod, gauss = _f_sums(_rows(a, b), f)
-    return kronrod, abs(kronrod - gauss)
-
-
-def _bisect(work, sums, arg, layout, tol):
-    """integrate's loop over ``work``, the (lo, hi, rows) panels of [a, b] in order.
-
-    ``sums(rows, arg)`` gives a panel's K21 and G10 estimates, and
-    ``layout(lo, hi)`` the rows of each half of a panel that is bisected.
+    A panel's K21 and G10 estimates are ``_erfc_sums(rows, window)``, and
+    each half of a panel that is bisected gets its rows from _gauss_rows.
     Panels are evaluated, and their estimates summed, from left to right.
     """
     a, b = work[0][0], work[-1][1]
@@ -264,46 +247,16 @@ def _bisect(work, sums, arg, layout, tol):
     stack = list(reversed(work))
     for _ in range(_MAX_PANELS):
         lo, hi, rows = stack.pop()
-        kronrod, gauss = sums(rows, arg)
+        kronrod, gauss = _erfc_sums(rows, window)
         if abs(kronrod - gauss) <= tol * (hi - lo) / width:
             total += kronrod
             if not stack:
                 return total
             continue
         mid = 0.5 * (lo + hi)
-        stack.append((mid, hi, layout(mid, hi)))
-        stack.append((lo, mid, layout(lo, mid)))
+        stack.append((mid, hi, _gauss_rows(mid, hi)))
+        stack.append((lo, mid, _gauss_rows(lo, mid)))
     raise QuadratureError(f"no convergence on [{a!r}, {b!r}] within {_MAX_PANELS} panels")
-
-
-def integrate(f: Callable[[float], float], a: float, b: float,
-              tol: float = 1e-12, breakpoints=()) -> float:
-    """Adaptive quadrature of f over [a, b] to absolute tolerance tol.
-
-    Each panel is evaluated once, with 21 calls of f: the 21-point
-    Gauss-Kronrod rule gives its estimate, and the difference from the
-    10-point Gauss-Legendre rule embedded in it gives its error
-    estimate.  A panel whose error estimate is at most its share of tol,
-    tol * (hi - lo) / (b - a), is accepted; any other is bisected and
-    both halves are evaluated, left first.  Optional breakpoints seed the
-    initial panels (useful when the integrand's mass is far narrower than
-    the interval).  One call evaluates at most 10,000 panels.
-
-    Raises:
-        ValueError: a or b is not finite, or tol is not finite and
-            positive (named), or a > b.
-        QuadratureError: the panel budget ran out before convergence.
-    """
-    _check_finite(a, "a")
-    _check_finite(b, "b")
-    _check_positive(tol, "tol")
-    if a == b:
-        return 0.0
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
-    cuts = sorted({a, b, *(x for x in breakpoints if a < x < b)})
-    work = [(lo, hi, _rows(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
-    return _bisect(work, _f_sums, f, _rows, tol)
 
 
 def _erfc_sums(rows, window):
@@ -342,7 +295,7 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
     and the eight seed panels meet tol on every query measured.
 
     The seed panels, with their nodes and Gaussian factors, are the table
-    _SEED_PANELS, built at import; :func:`integrate`'s loop starts from
+    _SEED_PANELS, built at import; the adaptive loop, _bisect, starts from
     them, within one budget of 10,000 panels for the call.  Swapping g1
     and g2 gives the same float wherever sigma1 != sigma2.  Independent of
     the closed form it is used to check, and never calls it.  ``tol`` is
@@ -368,8 +321,7 @@ def quad_oracle(q: CompatQuery, tol: float = 1e-11) -> float:
         raise ValueError(
             f"quad_oracle cannot integrate {q!r}: the inner density's window, "
             f"(mu_in - mu_out -+ d)/(sqrt(2) sigma_in), is [{lo!r}, {hi!r}], which overflows")
-    total = _bisect(_SEED_PANELS, _erfc_sums, (lo, hi, g_out.sigma / scale), _gauss_rows,
-                    tol / _Z_FACTOR)
+    total = _bisect(_SEED_PANELS, (lo, hi, g_out.sigma / scale), tol / _Z_FACTOR)
     return _clamp_unit(_Z_FACTOR * total)
 
 
@@ -380,16 +332,14 @@ McEstimate.__doc__ = "Monte-Carlo estimate with its binomial standard error."
 def _screen_margin(mu1, s1, mu2, s2, d):
     """gamma, delta and the margin of mc_oracle's float32 screen, in units of R.
 
-    The margin is inf where the screen cannot run, NaN included; see
-    :func:`mc_oracle` for the bound and its guard.
+    The margin is inf where the screen cannot run; see :func:`mc_oracle`
+    for the bound and its guard.
     """
     unit = math.hypot(s1, s2)
     gamma = (mu1 - mu2) / unit
     delta = d / unit
     scale = 8.6 + abs(gamma) + delta
-    margin = (8.6 * _TRIG32_ERR + _F32_ERR * scale
-              + (1e-12 * (8.6 * (s1 + s2) + abs(mu1) + abs(mu2) + d)
-                 + 2.0 ** -1070 * scale) / unit)
+    margin = 8.6 * _TRIG32_ERR + _F32_ERR * scale + 2.0 ** -50 * scale
     return gamma, delta, (margin if scale + margin < 2.0 ** 127 else math.inf)
 
 
@@ -416,52 +366,53 @@ def _screen(log_v, theta, phi, gamma, cos, out):
 def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     """Estimate the pair probability by seeded sampling.
 
-    Draws (x1, x2) pairs via a Box-Muller transform of uniforms from a
-    PCG64 stream, so the stream position is a fixed function of the
-    sample count and identical seeds give identical output.  Chunk
-    substreams derive from (seed, chunk index), making the result
-    independent of evaluation order.
+    Draws pairs via a Box-Muller transform of uniforms from a PCG64
+    stream, so the stream position is a fixed function of the sample
+    count and identical seeds give identical output.  Chunk substreams
+    derive from (seed, chunk index), making the result independent of
+    evaluation order.
 
-    A pair is a hit where the float64 transform, x1 = r*cos(theta)*sigma1
-    + mu1 and x2 = r*sin(theta)*sigma2 + mu2, gives |x1 - x2| <= d.  Each
-    chunk first screens its pairs in float32, in units of R = hypot(sigma1,
-    sigma2) with phi = atan2(sigma2, sigma1) and gamma = (mu1 - mu2)/R:
+    The transform is taken in units of R = hypot(sigma1, sigma2), with
+    phi = atan2(sigma2, sigma1), gamma = (mu1 - mu2)/R and delta = d/R:
+    for r = sqrt(-2 ln v), v = 1 - u1, and theta = 2 pi u2,
 
-        (x1 - x2) / R = r * cos(theta + phi) + gamma.
+        (x1 - x2) / R = r * cos(theta + phi) + gamma,
 
-    The screen takes r in float32 as sqrt(-2 float32(ln v)), v = 1 - u1,
-    from the float64 logarithm, forms |r * c + gamma| in float32, c the
-    float32 cos of float32(theta + phi), and compares it with delta = d/R.
-    With the scale S = 8.6 + |gamma| + delta it is within a margin
+    and a pair is a hit where this, in float64, is at most delta in
+    absolute value.  Each chunk first screens its pairs in float32: r as
+    sqrt(-2 float32(ln v)) from the float64 logarithm, c as the float32
+    cos of float32(theta + phi), and |r * c + gamma| in float32, compared
+    with delta.  With the scale S = 8.6 + |gamma| + delta it is within a
+    margin
 
-        8.6e-6 + 7.2e-7 * S
-        + (1e-12 * (8.6 * (sigma1 + sigma2) + |mu1| + |mu2| + d) + 2**-1070 * S) / R
+        8.6e-6 + 7.2e-7 * S + 2**-50 * S
 
-    of the float64 transform's |x1 - x2|/R.  The first term covers the
-    cosine: r = sqrt(-2 log u1) < 8.58 for every u1 >= 2**-53, rounding
-    theta + phi to float32 moves it by at most 2**-22 and float32 cos is
-    within a few ulp (6e-8), so c is within 5e-7, half of 1e-6, of the
-    exact cosine.  The second covers the float32 roundings: r is within
-    1.5 * 2**-24 relative (the cast of ln v costs 2**-24, which the square
-    root halves, and the square root rounds once), and gamma, r * c and
-    the sum round by 2**-24 relative each (gamma may underflow by
-    2**-150, which r < 8.58 leaves room for): 3.5 * 2**-24 of S, under
-    half of 7.2e-7 of it, about 6.04 * 2**-24.  The logarithm stays
-    float64: taken in float32, of v rounded to float32, it would be off
-    by up to 2**-25 absolute near v = 1, a relative error in r that grows
-    without bound as r nears 0.  The third covers the float64 roundings
-    of both forms: 1e-12 of their magnitudes, and 2**-1070 of S for the
-    error of up to 2**-1074 that a subnormal R carries.  So a pair below
-    float32(delta - margin) or above float32(delta + margin), each nudged
-    one ulp outward, is a hit or a miss exactly as the float64 transform
-    decides it.  Only the rest, typically none or one per call, go through
-    that transform, so every estimate is the one it alone gives, for every
-    seed.  A query whose S plus margin reaches 2**127, an overflow
-    included, skips the screen and sends every pair through it.
+    of the float64 transform's value.  The first term covers the cosine:
+    r < 8.58 for every v >= 2**-53, rounding theta + phi to float32
+    moves it by at most 2**-22 and float32 cos is within a few ulp
+    (6e-8), so c is within 5e-7, half of 1e-6, of the float64 cosine.
+    The second covers the float32 roundings: r is within 1.5 * 2**-24
+    relative (the cast of ln v costs 2**-24, which the square root
+    halves, and the square root rounds once), and gamma, r * c and the
+    sum round by 2**-24 relative each (gamma may underflow by 2**-150,
+    which r < 8.58 leaves room for): 3.5 * 2**-24 of S, under half of
+    7.2e-7 of it, about 6.04 * 2**-24.  The logarithm stays float64:
+    taken in float32, of v rounded to float32, it would be off by up to
+    2**-25 absolute near v = 1, a relative error in r that grows without
+    bound as r nears 0.  The third covers the float64 roundings, since
+    both decisions share gamma, delta and R: 2**-53 relative each in r,
+    r * cos and the sum, 3 * 2**-53 of S, under half of 2**-50 of it.
+    So a pair below float32(delta - margin) or above float32(delta +
+    margin), each nudged one ulp outward, is a hit or a miss exactly as
+    the float64 transform decides it.  Only the rest, typically none or
+    one per call, go through that transform, so every estimate is the
+    one it alone gives, for every seed.  A query whose S plus margin
+    reaches 2**127 skips the screen and sends every pair through it.
 
     ``samples`` and ``seed`` must be integers (Python or NumPy), with
     ``samples >= 10000`` and ``seed >= 0``; anything else raises
-    ``ValueError`` naming the argument.
+    ``ValueError`` naming the argument.  A query whose gamma or delta
+    overflows raises ``ValueError`` describing the query.
 
     Needs numpy, which this function imports when called; the rest of
     the package does not use it.
@@ -472,13 +423,17 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     seed = _index(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
+    s1, s2 = q.g1.sigma, q.g2.sigma
+    gamma, delta, margin = _screen_margin(q.g1.mu, s1, q.g2.mu, s2, q.d)
+    if not (abs(gamma) < math.inf and delta < math.inf):
+        raise ValueError(
+            f"mc_oracle cannot sample {q!r}: the gap and d in units of R = hypot(sigma1, "
+            f"sigma2), (mu1 - mu2)/R and d/R, are {gamma!r} and {delta!r}, and one overflows")
     import numpy as np
 
-    mu1, s1, mu2, s2, d = q.g1.mu, q.g1.sigma, q.g2.mu, q.g2.sigma, q.d
-    gamma, delta, margin = _screen_margin(mu1, s1, mu2, s2, d)
+    phi = math.atan2(s2, s1)
     screened = margin < math.inf
     if screened:
-        phi = math.atan2(s2, s1)
         lo = np.nextafter(np.float32(delta - margin), np.float32(-np.inf))
         hi = np.nextafter(np.float32(delta + margin), np.float32(np.inf))
     # one block holds each chunk's arrays: ln v, theta and, viewed as two
@@ -512,9 +467,9 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
                 continue
             # the undecided samples get the float64 transform
             keep = np.flatnonzero(~(inside | outside))
-        r, theta = np.sqrt(-2.0 * a[keep]), b[keep]
-        x1 = r * np.cos(theta) * s1 + mu1
-        x2 = r * np.sin(theta) * s2 + mu2
-        hits += int(np.count_nonzero(np.abs(x1 - x2) <= d))
+        x = np.sqrt(-2.0 * a[keep])
+        x *= np.cos(b[keep] + phi)
+        x += gamma
+        hits += int(np.count_nonzero(np.abs(x) <= delta))
     est = hits / samples
     return McEstimate(est, math.sqrt(est * (1.0 - est) / samples))

@@ -121,6 +121,14 @@ class TestCompatCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: t=1e+308 is too large: d = t * min(sigma1, sigma2)")
 
+    def test_d_whose_t_overflows_exits_2(self, capsys):
+        # p = 1 here, but t = d / min sigma printed as inf
+        code, out, err = run_cli(capsys, "compat", "--age1", "18", "--age2", "14",
+                                 "--s1", "1e-300", "--s2", "1", "--d", "1e10")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: d=10000000000.0 is too large: "
+                              "t = d / min(sigma1, sigma2)")
+
     @pytest.mark.parametrize("command", [
         ("compat",), ("expect", "--n1", "10", "--n2", "10")])
     @pytest.mark.parametrize("flag", ["--d", "--t"])

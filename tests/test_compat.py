@@ -96,6 +96,16 @@ class TestCompatQuery:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 CompatQuery(g1, g2, t=t)
 
+    def test_d_whose_t_overflows_rejected_by_name(self):
+        g1, g2 = Gaussian(18.0, 1e-300), Gaussian(14.0, 1.0)
+        d_max = _largest_d(g1, g2)
+        assert CompatQuery(g1, g2, d=d_max).t == d_max / 1e-300 < math.inf
+        for d in (math.nextafter(d_max, math.inf), 1e10, sys.float_info.max):
+            message = (f"d={d!r} is too large: t = d / min(sigma1, sigma2) "
+                       f"= {d!r} / 1e-300 overflows, and t must be finite")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CompatQuery(g1, g2, d=d)
+
     @pytest.mark.parametrize("field", ["d", "t"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_rejected_at_construction(self, field, bad):
@@ -142,6 +152,17 @@ def _largest_t(g1, g2):
     while math.nextafter(t, math.inf) * anchor < math.inf:
         t = math.nextafter(t, math.inf)
     return t
+
+
+def _largest_d(g1, g2):
+    """The largest float d for which d / min(sigma1, sigma2) is finite."""
+    anchor = min(g1.sigma, g2.sigma)
+    d = sys.float_info.max * anchor
+    while d / anchor == math.inf:
+        d = math.nextafter(d, 0.0)
+    while math.nextafter(d, math.inf) / anchor < math.inf:
+        d = math.nextafter(d, math.inf)
+    return d
 
 
 def _reference_pair(g1, g2, d=None, t=None):
@@ -212,6 +233,12 @@ class TestEdgeInputsKeepTheirFloats:
     def test_stored_difference_matches_reference(self, pair, field, value):
         g1, g2 = EDGE_PAIRS[pair]
         ref_d, ref_t, ref_p = _reference_pair(g1, g2, **{field: value})
+        if ref_t == math.inf:
+            # the largest t's d as a d next to min sigma 0.3: t overflows
+            message = f"d={value!r} is too large: t = d / min(sigma1, sigma2)"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                CompatQuery(g1, g2, **{field: value})
+            return
         q = CompatQuery(g1, g2, **{field: value})
         assert (q.d, q.t, compat_prob(q)) == (ref_d, ref_t, ref_p)
         assert math.copysign(1.0, q.d) == math.copysign(1.0, q.t) == 1.0

@@ -1,4 +1,4 @@
-"""The package namespace: 53 public names, each loaded with its submodule on first use."""
+"""The package namespace: 52 public names, each loaded with its submodule on first use."""
 
 import ast
 import json
@@ -14,7 +14,7 @@ import agecompat
 
 
 def test_public_names_resolve_to_their_submodules():
-    assert len(agecompat.__all__) == len(set(agecompat.__all__)) == 53
+    assert len(agecompat.__all__) == len(set(agecompat.__all__)) == 52
     for name in agecompat.__all__:
         owner = import_module(f"agecompat.{agecompat._OWNER[name]}")
         assert getattr(agecompat, name) is getattr(owner, name)

@@ -18,7 +18,6 @@ from agecompat.verify import (
     error_propagation,
     error_ratio,
     error_ratio_bounds,
-    integrate,
     mc_oracle,
     quad_oracle,
     slice_params,
@@ -26,7 +25,7 @@ from agecompat.verify import (
 )
 from agecompat.verify import (_G10_NODES, _G10_WEIGHTS, _K21_CENTER_WEIGHT,
                               _K21_GAUSS_WEIGHTS, _K21_NODES, _K21_WEIGHTS, _MAX_PANELS,
-                              _MC_CHUNK, _SEED_PANELS, _Z_CUTS, _panel)
+                              _MC_CHUNK, _SEED_PANELS, _Z_CUTS, _rows)
 
 PHI_MINUS_4 = 3.1671241833119924e-05
 
@@ -35,12 +34,17 @@ def _query(mu1, s1, mu2, s2, d):
     return CompatQuery(Gaussian(mu1, s1), Gaussian(mu2, s2), d=d)
 
 
-def _two_call_mc(q, samples, seed):
-    """Reference sampler: the Box-Muller transform with numpy.cos and numpy.sin.
+def _units_of_r(mu1, s1, mu2, s2, d):
+    """phi, gamma and delta of the Box-Muller transform in units of R = hypot(s1, s2)."""
+    unit = math.hypot(s1, s2)
+    return math.atan2(s2, s1), (mu1 - mu2) / unit, d / unit
 
-    float64 throughout, with no float32 screen.
-    """
+
+def _float64_mc(q, samples, seed):
+    """Reference sampler: every pair decided in float64 in units of R, by
+    |r cos(theta + phi) + gamma| <= delta, with no float32 screen."""
     np = pytest.importorskip("numpy")
+    phi, gamma, delta = _units_of_r(q.g1.mu, q.g1.sigma, q.g2.mu, q.g2.sigma, q.d)
     hits = 0
     done = 0
     chunk_idx = 0
@@ -52,9 +56,7 @@ def _two_call_mc(q, samples, seed):
         u2 = rng.random(n)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
-        x1 = q.g1.mu + q.g1.sigma * (r * np.cos(theta))
-        x2 = q.g2.mu + q.g2.sigma * (r * np.sin(theta))
-        hits += int(np.count_nonzero(np.abs(x1 - x2) <= q.d))
+        hits += int(np.count_nonzero(np.abs(r * np.cos(theta + phi) + gamma) <= delta))
         done += n
         chunk_idx += 1
     est = hits / samples
@@ -291,6 +293,14 @@ K21 = _whole_rule(_G10_NODES + _K21_NODES, _K21_GAUSS_WEIGHTS + _K21_WEIGHTS,
                   _K21_CENTER_WEIGHT)
 
 
+def _row_sums(f, a, b):
+    """K21 estimate of f over [a, b] and |K21 - G10|, from the rows of _rows(a, b)."""
+    rows = _rows(a, b)
+    kronrod = math.fsum(wk * f(x) for x, wk, _ in rows)
+    gauss = math.fsum(wg * f(x) for x, _, wg in rows)
+    return kronrod, abs(kronrod - gauss)
+
+
 class TestGaussLegendreRule:
     """The panel rule: QUADPACK's G10/K21 Gauss-Kronrod pair.
 
@@ -326,83 +336,20 @@ class TestGaussLegendreRule:
 
     @pytest.mark.parametrize("k", range(30))
     def test_panel_exact_through_degree_29(self, k):
-        assert _panel(lambda x: x ** k, -1.0, 1.0)[0] == pytest.approx(_moment(k), abs=1e-15)
+        assert _row_sums(lambda x: x ** k, -1.0, 1.0)[0] == pytest.approx(_moment(k), abs=1e-15)
 
     @pytest.mark.parametrize("k", [30, 31])
     def test_panel_exact_through_degree_31(self, k):
         # K21 is exact through degree 3 * 10 + 1, two beyond the test above
-        assert _panel(lambda x: x ** k, -1.0, 1.0)[0] == pytest.approx(_moment(k), abs=1e-15)
+        assert _row_sums(lambda x: x ** k, -1.0, 1.0)[0] == pytest.approx(_moment(k), abs=1e-15)
 
     def test_panel_error_estimate_is_the_gauss_error(self):
         # at degree 20, where K21 is still exact and G10 no longer is
         nodes, weights = G10
         g10 = math.fsum(w * x ** 20 for x, w in zip(nodes, weights))
-        error = _panel(lambda x: x ** 20, -1.0, 1.0)[1]
+        error = _row_sums(lambda x: x ** 20, -1.0, 1.0)[1]
         assert error == pytest.approx(abs(_moment(20) - g10), rel=1e-12)
         assert error > 1e-8
-
-
-class TestIntegrate:
-    def test_polynomial_exact(self):
-        got = integrate(lambda x: 3.0 * x * x, 0.0, 2.0, tol=1e-13)
-        assert got == pytest.approx(8.0, rel=1e-13)
-
-    def test_breakpoints_capture_narrow_bump(self):
-        g = Gaussian(500.0, 0.5)
-        got = integrate(lambda x: gaussian_pdf(x, g), 0.0, 1000.0, tol=1e-12,
-                        breakpoints=[g.mu - 4 * g.sigma, g.mu, g.mu + 4 * g.sigma])
-        assert got == pytest.approx(1.0, abs=1e-11)
-
-    def test_reversed_interval_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(lambda x: x, 1.0, 0.0)
-
-    def test_empty_interval_never_calls_f(self):
-        def f(x):
-            raise AssertionError(f"f called at {x!r}")
-        assert integrate(f, 2.0, 2.0) == 0.0
-
-    @pytest.mark.parametrize("a, b, tol, message", [
-        (0.0, math.nan, 1e-12, "b must be finite"),
-        (math.nan, 1.0, 1e-12, "a must be finite"),
-        (-math.inf, 0.0, 1e-12, "a must be finite"),
-        (0.0, math.inf, 1e-12, "b must be finite"),
-        (0.0, 1.0, math.nan, "tol must be finite and positive"),
-        (0.0, 1.0, -1.0, "tol must be finite and positive"),
-        (0.0, 1.0, 0.0, "tol must be finite and positive"),
-        (0.0, 1.0, math.inf, "tol must be finite and positive"),
-        (1.0, 1.0, math.nan, "tol must be finite and positive"),
-    ])
-    def test_rejects_arguments_by_name(self, a, b, tol, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
-            integrate(lambda x: x, a, b, tol=tol)
-
-    def test_divergent_integrand_raises(self):
-        with pytest.raises(QuadratureError):
-            integrate(lambda x: math.sin(1.0 / (x + 1e-300)) / (x + 1e-12),
-                      0.0, 1.0, tol=1e-14)
-
-    def test_panel_budget_stops_a_runaway(self):
-        # quad_oracle's integrand in years of x1 with g1 outer, as it was up
-        # to the z form, on the interval, cuts and tol it then used: g2 is a
-        # spike 1.7e-9 wide, which bisection chased through 115,061 panels
-        # to a value 22% low
-        g1, g2 = Gaussian(30.0, 5.0), Gaussian(33.0189, 1.667e-9)
-        d = 3.01e-9
-        f = _closure_integrand(g1, g2, d)
-        calls = 0
-
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return f(x)
-        cuts = [g1.mu + j * g1.sigma for j in (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)]
-        cuts += [g2.mu - d, g2.mu, g2.mu + d]
-        message = f"^no convergence on \\[-20.0, 80.0\\] within {_MAX_PANELS} panels$"
-        with pytest.raises(QuadratureError, match=message):
-            integrate(counted, g1.mu - 10.0 * g1.sigma, g1.mu + 10.0 * g1.sigma, tol=1e-11,
-                      breakpoints=cuts)
-        assert calls == 21 * _MAX_PANELS
 
 
 def _certify_queries(seed, n):
@@ -552,7 +499,7 @@ class TestQuadOracleBounds:
         assert abs(quad_oracle(q) - compat_prob(q)) <= 1e-9
 
     def test_overflowing_window_describes_the_query(self):
-        # the window is quad_oracle's own, so integrate cannot name it
+        # the message gives the query and quad_oracle's own window
         q = CompatQuery(Gaussian(-1e308, 1.0), Gaussian(1e308, 1.0), t=1.0)
         message = (f"quad_oracle cannot integrate {q!r}: the inner density's window, "
                    f"(mu_in - mu_out -+ d)/(sqrt(2) sigma_in), is [inf, inf], which overflows")
@@ -608,14 +555,17 @@ def _closure_integrand(g_out, g_in, d):
     return f
 
 
-def _closure_oracle(q, tol=1e-11):
-    """The closure integrated in the narrower density's standard units z on
-    [-10, 10] at quad_oracle's cuts, whose integral is p itself: dx =
-    sigma_out dz, and tol is p's."""
+def _closure_oracle(q):
+    """The closure integrated by mpmath.quad in the narrower density's
+    standard units z on [-10, 10], split at quad_oracle's cuts, whose
+    integral is p itself: dx = sigma_out dz."""
+    mpmath = pytest.importorskip("mpmath")
     g_out, g_in = (q.g2, q.g1) if q.g2.sigma < q.g1.sigma else (q.g1, q.g2)
     f = _closure_integrand(g_out, g_in, q.d)
-    return _clamp_unit(integrate(lambda z: g_out.sigma * f(g_out.mu + g_out.sigma * z),
-                                 -10.0, 10.0, tol=tol, breakpoints=_Z_CUTS))
+    with mpmath.workdps(20):
+        total = mpmath.quad(lambda z: g_out.sigma * f(g_out.mu + g_out.sigma * float(z)),
+                            [-10.0, *_Z_CUTS, 10.0])
+    return _clamp_unit(float(total))
 
 
 class TestQuadOracleIntegrand:
@@ -630,9 +580,10 @@ class TestQuadOracleIntegrand:
                             t=rng.uniform(0.5, 2.5))
             assert abs(quad_oracle(q) - _closure_oracle(q)) <= 1e-15, q
 
-    def test_seed_panels_match_panel(self):
-        # each seed panel's row sums are _panel's K21 and |K21 - G10| of
-        # exp(-z*z/2) v(z), for the inner factor v of certify-style queries
+    def test_seed_panels_match_rows(self):
+        # each seed panel's row sums are the K21 and |K21 - G10| of
+        # exp(-z*z/2) v(z) over _rows, for the inner factor v of
+        # certify-style queries
         for q in _certify_queries(577, 20):
             g_out, g_in = (q.g2, q.g1) if q.g2.sigma < q.g1.sigma else (q.g1, q.g2)
             scale = math.sqrt(2.0) * g_in.sigma
@@ -646,7 +597,7 @@ class TestQuadOracleIntegrand:
                 assert len(rows) == 21
                 kronrod = math.fsum(wk * inner(z) for z, wk, _ in rows)
                 gauss = math.fsum(wg * inner(z) for z, _, wg in rows)
-                want, error = _panel(lambda z: math.exp(-0.5 * z * z) * inner(z), z_lo, z_hi)
+                want, error = _row_sums(lambda z: math.exp(-0.5 * z * z) * inner(z), z_lo, z_hi)
                 assert abs(kronrod - want) <= 4 * math.ulp(want), (q, z_lo)
                 assert abs(abs(kronrod - gauss) - error) <= 4 * math.ulp(want), (q, z_lo)
         edges = (-10.0, *_Z_CUTS, 10.0)
@@ -660,7 +611,7 @@ class TestQuadOracleIntegrand:
         assert quad_cost.take() == SEED_COST
         got = quad_oracle(q, tol=1e-14)
         assert quad_cost.take() > SEED_COST
-        assert abs(got - _closure_oracle(q, tol=1e-14)) <= 1e-14
+        assert abs(got - _closure_oracle(q)) <= 1e-14
 
     @pytest.mark.parametrize("tol", [1e-17, 1e-300, 5e-324])
     def test_unmeetable_tol_raises_quadrature_error(self, tol, quad_cost):
@@ -679,7 +630,7 @@ class TestQuadOracleIntegrand:
                 quad_oracle(q, tol=tol)
 
     def test_largest_tol_still_integrates(self):
-        # integrate gets 2 sqrt(2 pi) tol, which would overflow above 3.6e307
+        # the loop gets 2 sqrt(2 pi) tol, which would overflow above 3.6e307
         q = _query(20.0, 2.0, 18.0, 1.5, d=1.0)
         assert quad_oracle(q, tol=1.7e308) == quad_oracle(q, tol=1.0)
 
@@ -748,10 +699,10 @@ class TestMcOracle:
                 == mc_oracle(q, 10 ** 5, 42))
 
 
-class TestTwoCallTransform:
-    """The oracle gives the textbook Box-Muller transform's estimates."""
+class TestFloat64Transform:
+    """The oracle gives the float64 Box-Muller transform's estimates, in units of R."""
 
-    def test_same_estimates_as_two_call_transform(self):
+    def test_same_estimates_as_float64_transform(self):
         rng = random.Random(90210)
         for _ in range(60):
             mu1 = rng.uniform(15.0, 80.0)
@@ -759,12 +710,52 @@ class TestTwoCallTransform:
             s1, s2 = rng.uniform(0.1, 0.2) * mu1, rng.uniform(0.1, 0.2) * mu2
             q = _query(mu1, s1, mu2, s2, d=rng.uniform(1.0, 2.0) * min(s1, s2))
             seed = rng.getrandbits(32)
-            assert mc_oracle(q, 20_000, seed) == _two_call_mc(q, 20_000, seed)
+            assert mc_oracle(q, 20_000, seed) == _float64_mc(q, 20_000, seed)
 
     def test_same_estimate_across_a_chunk_boundary(self):
         q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
         samples = _MC_CHUNK + 1000
-        assert mc_oracle(q, samples, 9) == _two_call_mc(q, samples, 9)
+        assert mc_oracle(q, samples, 9) == _float64_mc(q, samples, 9)
+
+
+class TestMcOracleAtTheFloatLimits:
+    """In units of R, queries at the edges of the float range are sampled right."""
+
+    @pytest.mark.parametrize("mu1, s1, mu2, s2, d", [
+        # x1 and x2 of order 1e300 rounded by far more than the spread: the
+        # transform in years returned 1.0 for p = 0.518, 136 standard errors off
+        (1e300, 3.0, 1e300, 2.4, 2.7),
+        (1.5e308, 1e307, 1.5e308, 1e307, 1e307),
+        (1.0, 7e307, 1.0, 7e307, 1e308),
+        # x1 and x2 overflowed to inf and their NaN difference was a miss:
+        # 10 standard errors low
+        (1.0, _SIGMA_MAX, 1.0, _SIGMA_MAX, 1e308),
+        # R a subnormal float64, and the least subnormal, which the years
+        # transform put 31 standard errors high
+        (1e-309, 1e-310, 1.2e-309, 1e-310, 1e-310),
+        (5e-324, 5e-324, 1e-323, 5e-324, 5e-324),
+    ])
+    def test_within_5_standard_errors_of_the_closed_form(self, mu1, s1, mu2, s2, d):
+        q = _query(mu1, s1, mu2, s2, d)
+        p = compat_prob(q)
+        for seed in (0, 1, 2):
+            est, se = mc_oracle(q, 20_000, seed)
+            assert abs(est - p) <= 5.0 * se, (seed, est, p)
+
+    @pytest.mark.parametrize("g1, g2, d", [
+        # the gap and d are finite, but the gap overflows in units of R
+        (Gaussian(1e300, 1e-10), Gaussian(0.0, 1e-10), 1e297),
+        # the gap itself overflows
+        (Gaussian(-1e308, 1.0), Gaussian(1e308, 1.0), 1.0),
+    ])
+    def test_overflowing_gap_describes_the_query(self, g1, g2, d):
+        q = CompatQuery(g1, g2, d=d)
+        unit = math.hypot(g1.sigma, g2.sigma)
+        message = (f"mc_oracle cannot sample {q!r}: the gap and d in units of R = "
+                   f"hypot(sigma1, sigma2), (mu1 - mu2)/R and d/R, are "
+                   f"{(g1.mu - g2.mu) / unit!r} and {d / unit!r}, and one overflows")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mc_oracle(q, 20_000, 0)
 
 
 def _screen_draws(n):
@@ -792,57 +783,51 @@ class TestFloat32Screen:
             s1, s2 = rng.uniform(0.1, 0.2) * mu1, rng.uniform(0.1, 0.2) * mu2
             q = _query(mu1, s1, mu2, s2, d=rng.uniform(1.0, 2.0) * min(s1, s2))
             seed = rng.getrandbits(32)
-            assert mc_oracle(q, 20_000, seed) == _two_call_mc(q, 20_000, seed)
+            assert mc_oracle(q, 20_000, seed) == _float64_mc(q, 20_000, seed)
 
     @pytest.mark.parametrize("q, samples", [
         (_query(20.0, 2.0, 18.0, 1.5, d=0.0), 20_000),
-        # the margin's 1e-12 * |mu| term exceeds the spread: all refined
-        (_query(1e300, 3.0, 1e300, 2.4, d=2.7), 20_000),
-        (_query(1e300, 1e299, 1.1e300, 2e299, d=1e299), 20_000),
-        # about 2% of these samples fall inside the margin
+        (_query(20.0, 3.0, 16.0, 2.4, d=2.7), 10 ** 6),
         (_query(20.0, 1e-9, 20.0 + 1e-9, 2e-9, d=1.5e-9), 20_000),
         (_query(20.0, 2e3, 30.0, 2e3, d=2e3), 20_000),
-        (_query(20.0, 3.0, 16.0, 2.4, d=2.7), 10 ** 6),
-        # the margin overflows to inf; some x1, x2 overflow, and inf - inf is NaN
+        # means and sigmas near the float limit, and R a subnormal float64
+        # or the least subnormal: gamma and delta are of order 1, so the
+        # screen runs
+        (_query(1e300, 3.0, 1e300, 2.4, d=2.7), 20_000),
+        (_query(1e300, 1e299, 1.1e300, 2e299, d=1e299), 20_000),
         (_query(1.5e308, 1e307, 1.5e308, 1e307, d=1e307), 10 ** 5),
+        (_query(1.0, 7e307, 1.0, 7e307, d=1e308), 20_000),
+        (_query(1.0, _SIGMA_MAX, 1.0, _SIGMA_MAX, d=1e308), 20_000),
+        (_query(1e-309, 1e-310, 1.2e-309, 1e-310, d=1e-310), 20_000),
+        (_query(5e-324, 5e-324, 1e-323, 5e-324, d=5e-324), 20_000),
         # R = hypot(sigma1, sigma2) just above and just below the least
-        # normal float32, and large sigmas: all screened
+        # normal float32, and large sigmas
         (_query(1e-37, 1e-38, 1.2e-37, 1e-38, d=1e-38), 20_000),
         (_query(1e-37, 8e-39, 1.2e-37, 8e-39, d=1e-38), 20_000),
         (_query(1e37, 9e36, 1.2e37, 9e36, d=4e36), 20_000),
         (_query(1e37, 1e37, 1.2e37, 1e37, d=4e36), 20_000),
-        # small means, but x1 and x2 overflow: the margin is inf
-        (_query(1.0, 7e307, 1.0, 7e307, d=1e308), 20_000),
-        # sigmas at Gaussian's bound: R is finite, but 8.6 (sigma1 + sigma2)
-        # overflows, so the margin is inf
-        (_query(1.0, _SIGMA_MAX, 1.0, _SIGMA_MAX, d=1e308), 20_000),
-        # R a subnormal float64, and the least subnormal: there the float64
-        # transform rounds by a sizeable share of R, and the margin exceeds
-        # the scale
-        (_query(1e-309, 1e-310, 1.2e-309, 1e-310, d=1e-310), 20_000),
-        (_query(5e-324, 5e-324, 1e-323, 5e-324, d=5e-324), 20_000),
         # the screen's scale in units of R just below and just above 2**127,
         # and a screen that decides every pair a hit
         (_query(20.0, 1e-37, 3.0, 1e-37, d=1e-37), 20_000),
         (_query(30.0, 1e-37, 3.0, 1e-37, d=1e-37), 20_000),
         (_query(10.0, 1e-37, 3.0, 1e-37, d=8.0), 20_000),
     ])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_edge_queries_match_exact_transform(self, q, samples):
         for seed in (0, 1, 2):
-            assert mc_oracle(q, samples, seed) == _two_call_mc(q, samples, seed)
+            assert mc_oracle(q, samples, seed) == _float64_mc(q, samples, seed)
 
     def test_pairs_on_the_boundary_decided_as_exact_transform(self, monkeypatch):
-        # draws crafted so that every exact |x1 - x2| lies within rounding
-        # of d: the float32 screen alone would get about half of them wrong
+        # draws crafted so that every exact |r cos(theta + phi) + gamma|
+        # lies within rounding of delta (gamma = 0 here): the float32 screen
+        # alone would get about half of them wrong
         np = pytest.importorskip("numpy")
         q = _query(20.0, 3.0, 20.0, 2.4, d=2.7)
+        phi, _, delta = _units_of_r(20.0, 3.0, 20.0, 2.4, 2.7)
         n = 20_000
         rng = np.random.default_rng(7)
         u2 = rng.random(4 * n)
         theta = 2.0 * np.pi * u2
-        r = q.d / np.abs(np.cos(theta) * 3.0 - np.sin(theta) * 2.4)
+        r = delta / np.abs(np.cos(theta + phi))
         keep = (0.5 < r) & (r < 8.0)
         u2 = u2[keep][:n]
         u1 = np.exp(-0.5 * r[keep][:n] ** 2)
@@ -860,23 +845,25 @@ class TestFloat32Screen:
                 return out
 
         monkeypatch.setattr(np.random, "Generator", Draws)
-        exact = _two_call_mc(q, n, 0)
+        exact = _float64_mc(q, n, 0)
         assert 0.1 < exact.estimate < 0.9
         assert mc_oracle(q, n, 0) == exact
 
     def test_screen_decides_all_but_a_few_samples(self, monkeypatch):
         # an inf or needlessly wide margin passes every identity test above,
-        # but sends the samples through the float64 transform; its sin sees
-        # every sample that the screen leaves undecided, 66 of 4e6 here
+        # but sends the samples through the float64 transform; its float64
+        # cos sees every sample that the screen leaves undecided, 66 of 4e6
+        # here, while the screen's cos is float32
         np = pytest.importorskip("numpy")
         refined = 0
-        sin = np.sin
+        cos = np.cos
 
-        def counting(x):
+        def counting(x, *args, **kwargs):
             nonlocal refined
-            refined += x.size
-            return sin(x)
-        monkeypatch.setattr(np, "sin", counting)
+            if x.dtype == np.float64:
+                refined += x.size
+            return cos(x, *args, **kwargs)
+        monkeypatch.setattr(np, "cos", counting)
         for seed, q in enumerate(_certify_queries(1618, 200)):
             mc_oracle(q, 20_000, seed)
         assert refined <= 1e-4 * 200 * 20_000
@@ -907,19 +894,20 @@ class TestFloat32Screen:
         (1e-309, 1e-310, 1.2e-309, 1e-310, 1e-310),
     ])
     def test_screen_within_half_the_margin(self, mu1, s1, mu2, s2, d):
-        # the float32 screen's |x1 - x2|/R - d/R lies within half the margin
-        # of the float64 transform's, on draws as mc_oracle makes them
+        # the float32 screen's |r cos(theta + phi) + gamma| lies within half
+        # the margin of the float64 transform's, on draws as mc_oracle makes them
         np = pytest.importorskip("numpy")
         gamma, delta, margin = verify._screen_margin(mu1, s1, mu2, s2, d)
         assert margin < math.inf
+        phi, want_gamma, want_delta = _units_of_r(mu1, s1, mu2, s2, d)
+        assert (gamma, delta) == (want_gamma, want_delta)
         n = 1 << 19
         log_v, theta = _screen_draws(n)
         cos, out = np.empty((2, n), np.float32)
-        screened = verify._screen(log_v, theta, math.atan2(s2, s1), gamma, cos, out)
+        screened = verify._screen(log_v, theta, phi, gamma, cos, out)
         r = np.sqrt(-2.0 * log_v)
-        exact = np.abs((r * np.cos(theta) * s1 + mu1) - (r * np.sin(theta) * s2 + mu2)) - d
-        error = screened.astype(np.float64) - delta - exact / math.hypot(s1, s2)
-        assert np.max(np.abs(error)) <= margin / 2
+        exact = np.abs(r * np.cos(theta + phi) + gamma)
+        assert np.max(np.abs(screened.astype(np.float64) - exact)) <= margin / 2
 
     def test_float32_radius_within_one_and_a_half_ulp(self):
         # with theta = phi = gamma = 0 the screen returns its float32 r,
