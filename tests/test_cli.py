@@ -122,7 +122,7 @@ class TestCompatCommand:
         assert err.startswith("error: t=1e+308 is too large: d = t * min(sigma1, sigma2)")
 
     def test_d_whose_t_overflows_exits_2(self, capsys):
-        # p = 1 here, but t = d / min sigma printed as inf
+        # p = 1, but t = d / min sigma overflows, and the t column would read inf
         code, out, err = run_cli(capsys, "compat", "--age1", "18", "--age2", "14",
                                  "--s1", "1e-300", "--s2", "1", "--d", "1e10")
         assert (code, out) == (2, "")

@@ -722,16 +722,15 @@ class TestMcOracleAtTheFloatLimits:
     """In units of R, queries at the edges of the float range are sampled right."""
 
     @pytest.mark.parametrize("mu1, s1, mu2, s2, d", [
-        # x1 and x2 of order 1e300 rounded by far more than the spread: the
-        # transform in years returned 1.0 for p = 0.518, 136 standard errors off
+        # x1 and x2 in years, of order 1e300, would round by far more than
+        # the spread, or overflow
         (1e300, 3.0, 1e300, 2.4, 2.7),
         (1.5e308, 1e307, 1.5e308, 1e307, 1e307),
         (1.0, 7e307, 1.0, 7e307, 1e308),
-        # x1 and x2 overflowed to inf and their NaN difference was a miss:
-        # 10 standard errors low
+        # sigmas at Gaussian's bound: x1 and x2 in years would overflow
         (1.0, _SIGMA_MAX, 1.0, _SIGMA_MAX, 1e308),
-        # R a subnormal float64, and the least subnormal, which the years
-        # transform put 31 standard errors high
+        # R a subnormal float64, and the least subnormal: x1 - x2 in years
+        # would round by a sizeable share of R
         (1e-309, 1e-310, 1.2e-309, 1e-310, 1e-310),
         (5e-324, 5e-324, 1e-323, 5e-324, 5e-324),
     ])
@@ -787,25 +786,26 @@ class TestFloat32Screen:
 
     @pytest.mark.parametrize("q, samples", [
         (_query(20.0, 2.0, 18.0, 1.5, d=0.0), 20_000),
-        (_query(20.0, 3.0, 16.0, 2.4, d=2.7), 10 ** 6),
-        (_query(20.0, 1e-9, 20.0 + 1e-9, 2e-9, d=1.5e-9), 20_000),
-        (_query(20.0, 2e3, 30.0, 2e3, d=2e3), 20_000),
-        # means and sigmas near the float limit, and R a subnormal float64
-        # or the least subnormal: gamma and delta are of order 1, so the
-        # screen runs
+        # means near the float limit: gamma and delta are of order 1 in
+        # units of R, so the screen runs
         (_query(1e300, 3.0, 1e300, 2.4, d=2.7), 20_000),
         (_query(1e300, 1e299, 1.1e300, 2e299, d=1e299), 20_000),
+        (_query(20.0, 1e-9, 20.0 + 1e-9, 2e-9, d=1.5e-9), 20_000),
+        (_query(20.0, 2e3, 30.0, 2e3, d=2e3), 20_000),
+        (_query(20.0, 3.0, 16.0, 2.4, d=2.7), 10 ** 6),
         (_query(1.5e308, 1e307, 1.5e308, 1e307, d=1e307), 10 ** 5),
-        (_query(1.0, 7e307, 1.0, 7e307, d=1e308), 20_000),
-        (_query(1.0, _SIGMA_MAX, 1.0, _SIGMA_MAX, d=1e308), 20_000),
-        (_query(1e-309, 1e-310, 1.2e-309, 1e-310, d=1e-310), 20_000),
-        (_query(5e-324, 5e-324, 1e-323, 5e-324, d=5e-324), 20_000),
         # R = hypot(sigma1, sigma2) just above and just below the least
         # normal float32, and large sigmas
         (_query(1e-37, 1e-38, 1.2e-37, 1e-38, d=1e-38), 20_000),
         (_query(1e-37, 8e-39, 1.2e-37, 8e-39, d=1e-38), 20_000),
         (_query(1e37, 9e36, 1.2e37, 9e36, d=4e36), 20_000),
         (_query(1e37, 1e37, 1.2e37, 1e37, d=4e36), 20_000),
+        # small means, with sigmas up to Gaussian's bound
+        (_query(1.0, 7e307, 1.0, 7e307, d=1e308), 20_000),
+        (_query(1.0, _SIGMA_MAX, 1.0, _SIGMA_MAX, d=1e308), 20_000),
+        # R a subnormal float64, and the least subnormal
+        (_query(1e-309, 1e-310, 1.2e-309, 1e-310, d=1e-310), 20_000),
+        (_query(5e-324, 5e-324, 1e-323, 5e-324, d=5e-324), 20_000),
         # the screen's scale in units of R just below and just above 2**127,
         # and a screen that decides every pair a hit
         (_query(20.0, 1e-37, 3.0, 1e-37, d=1e-37), 20_000),
