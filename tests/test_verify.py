@@ -544,6 +544,28 @@ class TestQuadOracleCost:
             quad_oracle(q)
             assert quad_cost.take() == SEED_COST, q
 
+    @pytest.mark.parametrize("g1, g2", [
+        (Gaussian(30.0, 5.0), Gaussian(33.0189, 1.667e-9)),
+        (Gaussian(33.0189, 1.667e-9), Gaussian(30.0, 5.0)),
+    ])
+    def test_spike_that_ran_out_the_budget_takes_eight_panels(self, g1, g2, quad_cost):
+        # integrated in years with the wide density outer, this spike 1.7e-9
+        # wide was chased through 115,061 panels to a value 22% low; with
+        # the narrower density outer the seed panels meet tol in either order
+        q = CompatQuery(g1, g2, d=3.01e-9)
+        assert _mp_error(q, quad_oracle(q))[0] <= 1e-15
+        assert quad_cost.take() == SEED_COST
+
+    @pytest.mark.parametrize("tol", [1e-11, 5e-324])
+    def test_zero_window_is_exactly_zero_in_eight_panels(self, tol, quad_cost):
+        # at d = 0 the inner factor's two erfc terms are the same call, so
+        # every panel sums to 0.0 and stands, even where tol's share of a
+        # panel underflows to 0
+        for q in _certify_queries(1618, 20):
+            q = CompatQuery(q.g1, q.g2, d=0.0)
+            assert quad_oracle(q, tol=tol) == 0.0, q
+            assert quad_cost.take() == SEED_COST, q
+
 
 def _closure_integrand(g_out, g_in, d):
     """quad_oracle's integrand as it was first written, in years of the outer
@@ -623,11 +645,15 @@ class TestQuadOracleIntegrand:
             quad_oracle(q, tol=tol)
         assert quad_cost.take() == 2 * 21 * _MAX_PANELS
 
-    def test_rejects_bad_tol_by_name(self):
-        q = _query(20.0, 2.0, 18.0, 1.5, d=1.0)
-        for tol in (math.nan, -1.0, 0.0):
-            with pytest.raises(ValueError, match="^tol must be finite and positive"):
-                quad_oracle(q, tol=tol)
+    @pytest.mark.parametrize("d, tol", [
+        (1.0, math.nan), (1.0, -1.0), (1.0, 0.0), (1.0, math.inf),
+        # a zero window still checks tol
+        (0.0, math.nan),
+    ])
+    def test_rejects_bad_tol_by_name(self, d, tol):
+        q = _query(20.0, 2.0, 18.0, 1.5, d=d)
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            quad_oracle(q, tol=tol)
 
     def test_largest_tol_still_integrates(self):
         # the loop gets 2 sqrt(2 pi) tol, which would overflow above 3.6e307
