@@ -11,8 +11,9 @@ and every other operation here is a specialization: a point mass for a
 known mental age, normalization by the same-age probability, single
 ranges, and a pure age-ratio form that exposes scale invariance.  Each
 interval is evaluated by ``special._cdf_diff``, which keeps relative
-accuracy far into the tails, and the ratio form has one kernel,
-``_ratio_prob``, which the rule audit in ``policy`` shares.
+accuracy far into the tails (``compat_prob`` repeats its two reachable
+branches inline), and the ratio form has one kernel, ``_ratio_prob``,
+which the rule audit in ``policy`` shares.
 """
 
 import math
@@ -45,21 +46,19 @@ class CompatQuery(_Value):
     def __init__(self, g1: Gaussian, g2: Gaussian, d: float | None = None,
                  t: float | None = None):
         # every pair-grid, certify and default query gives t alone, so that
-        # branch checks t inline rather than through _check_nonneg
-        if d is None:
-            if t is None:
-                raise ValueError("give exactly one of d (years) or t (sigma multiple)")
-            if not 0.0 <= t < _INF:
-                raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+        # branch settles a positive t whose d is finite with one test
+        if d is None and t is not None:
             s1, s2 = g1.sigma, g2.sigma
             anchor = s1 if s1 <= s2 else s2     # min(s1, s2) without the call
             d = t * anchor
-            if d == _INF:
-                raise ValueError(f"t={t!r} is too large: d = t * min(sigma1, sigma2) "
-                                 f"= {t!r} * {anchor!r} overflows, and d must be finite")
-            if not t:
+            if not (0.0 < t and d < _INF):
+                if not 0.0 <= t < _INF:
+                    raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+                if d == _INF:
+                    raise ValueError(f"t={t!r} is too large: d = t * min(sigma1, sigma2) "
+                                     f"= {t!r} * {anchor!r} overflows, and d must be finite")
                 t = d = 0.0                     # +0.0 for -0.0, which prints as -0
-        elif t is not None:
+        elif d is None or t is not None:
             raise ValueError("give exactly one of d (years) or t (sigma multiple)")
         else:
             _check_nonneg(d, "d")
@@ -83,7 +82,7 @@ class CompatQuery(_Value):
 # a pair grid builds one per pair, so skip the _store loop
 _set_g1, _set_g2, _set_d, _set_t = CompatQuery._stores
 # one global read per compat_prob call instead of a global and an attribute
-_hypot = math.hypot
+_hypot, _erf, _erfc = math.hypot, math.erf, math.erfc
 
 NormalizedProb = namedtuple("NormalizedProb", "value swapped denominator")
 NormalizedProb.__doc__ = ("Pair probability over the younger cohort's same-age probability;"
@@ -100,7 +99,15 @@ def compat_prob(q: CompatQuery) -> float:
     g1, g2, d = q.g1, q.g2, q.d
     gap = abs(g1.mu - g2.mu)
     scale = _hypot(g1.sigma, g2.sigma)
-    return _cdf_diff((gap + d) / scale, (gap - d) / scale)
+    # _cdf_diff inline: gap, d >= 0 give hi >= |lo|, so a finite hi passes its guard
+    hi, lo = (gap + d) / scale, (gap - d) / scale
+    if not hi < _INF:
+        return _cdf_diff(hi, lo)
+    if lo > 0.0:
+        v = 0.5 * (_erfc(lo / _SQRT2) - _erfc(hi / _SQRT2))
+    else:
+        v = 0.5 * (_erf(hi / _SQRT2) - _erf(lo / _SQRT2))
+    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
 def compat_prob_known(d: float, x1: float, g: Gaussian) -> float:

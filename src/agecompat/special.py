@@ -6,11 +6,11 @@ erfc are the C library's, called through ``math``, the normal cdf is
 ``erfc(-z/sqrt(2))/2``, and the quantile is Wichura's AS 241 with one
 Newton step.  The test suite checks all three against a 40-digit
 reference.  The one interval kernel built on them, ``_cdf_diff`` for
-Phi(hi) - Phi(lo), also lives here: every closed-form interval
-probability in the package goes through it, and it differences
-whichever tail keeps the result relatively accurate (erf terms for an
-interval that contains 0).  All functions are
-pure and safe for concurrent use.
+Phi(hi) - Phi(lo), also lives here and differences whichever tail keeps
+the result relatively accurate (erf terms for an interval that contains
+0).  ``compat.compat_prob`` repeats its two branches for hi >= 0 inline
+and calls it only for a bound that is not finite; every other interval
+calls it.  All functions are pure and safe for concurrent use.
 
 Inputs are validated once, at the public boundary, and the whole
 package states its domain rule through six checks defined here:

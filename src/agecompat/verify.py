@@ -343,20 +343,20 @@ def _screen_margin(mu1, s1, mu2, s2, d):
     return gamma, delta, (margin if scale + margin < 2.0 ** 127 else math.inf)
 
 
-def _screen(log_v, theta, phi, gamma, cos, out):
-    """|x1 - x2| / R = |r * cos(theta + phi) + gamma| in float32, into out.
+def _screen(log_v, angle, gamma, cos, out):
+    """|x1 - x2| / R = |r * cos(angle) + gamma| in float32, into out.
 
-    ``log_v`` = ln v and ``theta`` are float64, ``cos`` and ``out`` float32
-    arrays of their size, and ``cos`` is clobbered.  r is formed as
-    sqrt(-2 float32(ln v)) in float32, within 1.5 * 2**-24 of the float64
-    r relative, and theta + phi is summed in float64 and rounded to float32
-    once; every later step is float32.
+    ``log_v`` = ln v and ``angle`` = theta + phi are float64, ``cos`` and
+    ``out`` float32 arrays of their size, and ``cos`` is clobbered.  r is
+    formed as sqrt(-2 float32(ln v)) in float32, within 1.5 * 2**-24 of the
+    float64 r relative, and the angle is rounded to float32 once; every
+    later step is float32.
     """
     import numpy as np
     out[...] = log_v
     out *= np.float32(-2.0)
     np.sqrt(out, out=out)
-    np.add(theta, phi, out=cos)
+    cos[...] = angle
     np.cos(cos, out=cos)
     out *= cos
     out += np.float32(gamma)
@@ -436,7 +436,7 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     if screened:
         lo = np.nextafter(np.float32(delta - margin), np.float32(-np.inf))
         hi = np.nextafter(np.float32(delta + margin), np.float32(np.inf))
-    # one block holds each chunk's arrays: ln v, theta and, viewed as two
+    # one block holds each chunk's arrays: ln v, theta + phi and, viewed as two
     # float32 rows, the screen's.  glibc hands a freed heap top back to the
     # OS once it exceeds twice the largest freed mmap'd block, so with
     # separate arrays, depending on heap layout, every call could fault
@@ -455,9 +455,10 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         rng.random(out=b)              # u2
         np.log(a, out=a)               # ln v, kept in float64
         b *= 2.0 * np.pi               # theta
+        b += phi                       # theta + phi, in float64 for both decisions
         keep = slice(None)
         if screened:
-            x = _screen(a, b, phi, gamma, cos32[:n], x32[:n])
+            x = _screen(a, b, gamma, cos32[:n], x32[:n])
             inside = x < lo
             outside = x > hi
             decided = int(np.count_nonzero(inside))
@@ -468,7 +469,7 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
             # the undecided samples get the float64 transform
             keep = np.flatnonzero(~(inside | outside))
         x = np.sqrt(-2.0 * a[keep])
-        x *= np.cos(b[keep] + phi)
+        x *= np.cos(b[keep])
         x += gamma
         hits += int(np.count_nonzero(np.abs(x) <= delta))
     est = hits / samples

@@ -21,7 +21,7 @@ from agecompat.compat import (
     same_age_prob,
     symmetric_range_prob,
 )
-from agecompat.model import AgeProfile, Gaussian
+from agecompat.model import _SIGMA_MAX, AgeProfile, Gaussian
 from agecompat.special import _cdf_diff
 
 T_BENCH = 2.0 / math.sqrt(math.pi)
@@ -112,6 +112,26 @@ class TestCompatQuery:
         g = Gaussian(20.0, 2.0)
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CompatQuery(g, g, **{field: bad})
+
+    @pytest.mark.parametrize("field", ["d", "t"])
+    @pytest.mark.parametrize("bad", [-math.inf, -0.5])
+    def test_negative_values_rejected_by_exact_message(self, field, bad):
+        g = Gaussian(20.0, 2.0)
+        with pytest.raises(ValueError) as info:
+            CompatQuery(g, g, **{field: bad})
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{field} must be finite and nonnegative, got {bad!r}"
+
+    @pytest.mark.parametrize("field, value, stored", [
+        ("t", -0.0, (0.0, 0.0)), ("d", -0.0, (0.0, 0.0)),
+        # 5e-324 * 2.0 is exact, and 5e-324 / 2.0 ties to the even +0.0
+        ("t", 5e-324, (1e-323, 5e-324)), ("d", 5e-324, (5e-324, 0.0)),
+    ])
+    def test_signed_zero_and_least_subnormal_stored(self, field, value, stored):
+        g = Gaussian(20.0, 2.0)
+        q = CompatQuery(g, g, **{field: value})
+        assert (q.d, q.t) == stored
+        assert math.copysign(1.0, q.d) == math.copysign(1.0, q.t) == 1.0
 
     def test_frozen_hashable_and_equal_by_value(self):
         q = _query(18.0, 0.1, 14.0, 0.1, t=1.0)
@@ -211,6 +231,94 @@ class TestHotPathBitIdentical:
                 assert (q.d, q.t, compat_prob(q)) == _reference_pair(g1, g2, d=d)
 
 
+def _outcome(pair, g1, g2, **kw):
+    """pair(g1, g2, **kw), or the text of the ValueError it raises."""
+    try:
+        return pair(g1, g2, **kw)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _hot_path(g1, g2, **kw):
+    q = CompatQuery(g1, g2, **kw)
+    return q.d, q.t, compat_prob(q)
+
+
+class TestWideDomainBitIdentical:
+    """Far beyond the age grid, the hot path gives the reference's floats or its error."""
+
+    TINY = sys.float_info.min           # the least normal float
+
+    def _check(self, g1, g2, **kw):
+        got = _outcome(_hot_path, g1, g2, **kw)
+        assert got == _outcome(_reference_pair, g1, g2, **kw), (g1, g2, kw)
+        if not isinstance(got, str):
+            assert math.copysign(1.0, got[0]) == math.copysign(1.0, got[1]) == 1.0
+        return got
+
+    @pytest.mark.parametrize("field", ["d", "t"])
+    def test_zero_gap_and_signed_zero_windows(self, field):
+        rng = random.Random(1)
+        for _ in range(300):
+            mu = 10.0 ** rng.uniform(-3.0, 308.0)
+            g1 = Gaussian(mu, mu * 10.0 ** rng.uniform(-6.0, 0.0))
+            g2 = Gaussian(mu, mu * 10.0 ** rng.uniform(-6.0, 0.0))
+            for value in (0.0, -0.0, rng.uniform(0.0, 5.0)):
+                p = self._check(g1, g2, **{field: value})[2]
+                assert (p == 0.0) == (value == 0.0)
+
+    def test_gap_equal_to_d_takes_the_erf_sum_at_lo_zero(self):
+        rng = random.Random(2)
+        for _ in range(1000):
+            mu2 = 10.0 ** rng.uniform(-3.0, 307.0)
+            mu1 = mu2 * rng.uniform(1.0, 3.0)
+            s = rng.uniform(0.01, 1.0)
+            g1, g2 = Gaussian(mu1, s * mu1), Gaussian(mu2, s * mu2)
+            p = self._check(g1, g2, d=abs(mu1 - mu2))[2]
+            assert 0.0 <= p <= 0.5
+
+    @pytest.mark.parametrize("field", ["d", "t"])
+    def test_far_gaps_with_subnormal_p(self, field):
+        rng = random.Random(3)
+        subnormal = 0
+        for _ in range(1000):
+            mu2 = 10.0 ** rng.uniform(-2.0, 300.0)
+            sigma = mu2 * rng.uniform(0.01, 0.3)
+            g2 = Gaussian(mu2, sigma)
+            # a gap of 37.3 to 38.6 joint standard deviations
+            g1 = Gaussian(mu2 + rng.uniform(37.3, 38.6) * math.hypot(sigma, sigma), sigma)
+            t = rng.uniform(0.0, 2.0)
+            p = self._check(g1, g2, **({"t": t} if field == "t" else {"d": t * sigma}))[2]
+            subnormal += 0.0 < p < self.TINY
+        assert subnormal > 100
+
+    @pytest.mark.parametrize("field", ["d", "t"])
+    def test_subnormal_and_near_maximum_sigmas(self, field):
+        rng = random.Random(4)
+        sigmas = [5e-324, 1e-320, 1e-310, self.TINY, 1e307, 8.9e307, _SIGMA_MAX / 2.0,
+                  _SIGMA_MAX]
+        ages = [1e-300, 1e-10, 14.0, 18.0, 1e300, 1e308]
+        for s1 in sigmas:
+            for s2 in sigmas:
+                for mu1 in ages:
+                    g1, g2 = Gaussian(mu1, s1), Gaussian(rng.choice(ages), s2)
+                    t = rng.uniform(0.0, 1.0)       # t * _SIGMA_MAX stays finite
+                    value = t if field == "t" else t * min(s1, s2)
+                    self._check(g1, g2, **{field: value})
+
+    @pytest.mark.parametrize("field", ["d", "t"])
+    def test_ages_near_the_float_maximum(self, field):
+        rng = random.Random(5)
+        for _ in range(1000):
+            mu1 = rng.uniform(1e307, sys.float_info.max)
+            mu2 = rng.choice([mu1, rng.uniform(1e307, sys.float_info.max)])
+            g1 = Gaussian(mu1, mu1 * rng.uniform(0.001, 0.3))
+            g2 = Gaussian(mu2, mu2 * rng.uniform(0.001, 0.3))
+            t = rng.uniform(0.0, 3.0)
+            value = t if field == "t" else t * min(g1.sigma, g2.sigma)
+            self._check(g1, g2, **{field: value})
+
+
 # the anchor 2.1 keeps 5e-324 * anchor subnormal; 0.3 rounds it to 0
 EDGE_PAIRS = {"anchor-2.1": (Gaussian(18.0, 2.7), Gaussian(14.0, 2.1)),
               "anchor-0.3": (Gaussian(30.0, 0.3), Gaussian(31.0, 0.45))}
@@ -294,6 +402,14 @@ class TestCompatProb:
         near = CompatQuery(Gaussian(mu + lo, sigma), Gaussian(mu, sigma), d=2.0)
         far = CompatQuery(Gaussian(mu + hi, sigma), Gaussian(mu, sigma), d=2.0)
         assert compat_prob(far) <= compat_prob(near) + 1e-15
+
+    def test_overflowing_bounds_raise_the_guards_message(self):
+        # both bounds are 4 / hypot(1.8e-309, 1.4e-309) = inf; the CLI
+        # record's `compat --s1 1e-310 --s2 1e-310 --t 1` exits 2 with it
+        q = _query(18.0, 1e-310, 14.0, 1e-310, t=1.0)
+        message = "interval needs finite bounds lo <= hi, got lo=inf, hi=inf"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compat_prob(q)
 
     def test_saturates_with_large_d(self):
         assert compat_prob(_query(30.0, 0.2, 20.0, 0.2, d=500.0)) == \

@@ -930,7 +930,7 @@ class TestFloat32Screen:
         n = 1 << 19
         log_v, theta = _screen_draws(n)
         cos, out = np.empty((2, n), np.float32)
-        screened = verify._screen(log_v, theta, phi, gamma, cos, out)
+        screened = verify._screen(log_v, theta + phi, gamma, cos, out)
         r = np.sqrt(-2.0 * log_v)
         exact = np.abs(r * np.cos(theta + phi) + gamma)
         assert np.max(np.abs(screened.astype(np.float64) - exact)) <= margin / 2
@@ -943,7 +943,7 @@ class TestFloat32Screen:
         n = 1 << 19
         log_v = _screen_draws(n)[0]
         cos, out = np.empty((2, n), np.float32)
-        r32 = verify._screen(log_v, np.zeros(n), 0.0, 0.0, cos, out).astype(np.float64)
+        r32 = verify._screen(log_v, np.zeros(n), 0.0, cos, out).astype(np.float64)
         r = np.sqrt(-2.0 * log_v)
         assert r[0] > 8.57 and r32[1] == r[1] == 0.0
         assert np.all(np.abs(r32 - r) <= 1.5 * 2.0 ** -24 * r)
