@@ -93,7 +93,8 @@ POPULATION = [
 # conversions at the quantile's edges; single bad arguments; a sigma past
 # the float maximum over sqrt(2) (exit 2), and one below it whose double
 # overflows under --normalized; a finite t whose d overflows (exit 2), and
-# zero differences, signed and unsigned
+# zero differences, signed and unsigned; then valid ages and s whose
+# product sigma = s * age underflows to 0 or overflows to inf (exit 2)
 EDGE = [
     "rule --mu-grid 10:14:1 --s1 -1 --t 0.5",
     "rule --mu-grid 10:14:1 --t 0.5",
@@ -117,6 +118,21 @@ EDGE = [
     "compat --age1 18 --age2 14 --d -0.0",
     "compat --age1 18 --age2 14 --t -0.0",
     "compat --age1 18 --age2 14 --t 0",
+    "compat --age1 5e-324 --age2 5e-324",
+    "compat --age1 18 --age2 14 --s1 1e308 --s2 1",
+]
+
+# every optional column group of compat and expect that no vector above
+# covers: README's two worked examples (both compat groups; expect --p
+# without k), ages without k, ages with one tail path each, and the note
+# column without k
+COLUMNS = [
+    "compat --age1 18 --age2 14 --s1 0.1 --s2 0.1 --t 1 --normalized --error-budget 0.1,0.05,0.05",
+    "expect --n1 50 --n2 200 --age1 20 --age2 16",
+    "expect --n1 3780000 --n2 3780000 --p 0.111111",
+    "expect --n1 50 --n2 200 --age1 20 --age2 16 --at-least-k 15 --exact",
+    "expect --n1 50 --n2 200 --age1 20 --age2 16 --at-least-k 15 --normal",
+    "expect --n1 10000000000 --n2 10000000000 --p 0.5",
 ]
 
 
@@ -155,7 +171,7 @@ def vectors():
     sys.path.insert(0, str(RECORD.parent.parent / "agebench"))
     from workloads import cli_argv_pool
     argvs = [argv for seed in POOL_SEEDS for argv in cli_argv_pool(seed)]
-    argvs += [line.split() for line in SMOKE + UNDERFLOW + POPULATION + EDGE]
+    argvs += [line.split() for line in SMOKE + UNDERFLOW + POPULATION + EDGE + COLUMNS]
     unique = []
     for argv in argvs:
         if argv not in unique:

@@ -20,7 +20,7 @@ def test_record_holds_every_fixed_vector_once():
     by_argv = {" ".join(e["argv"]): e for e in record}
     assert len(by_argv) == len(record) >= 350
     for line in (cli_record.SMOKE + cli_record.UNDERFLOW + cli_record.POPULATION
-                 + cli_record.EDGE):
+                 + cli_record.EDGE + cli_record.COLUMNS):
         assert line in by_argv, line
     # an audit grid that skips every age still rejects a bad --s1
     audit = by_argv["rule --mu-grid 10:14:1 --s1 -1 --t 0.5"]
