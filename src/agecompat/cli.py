@@ -56,15 +56,20 @@ def _digits(text):
     return value
 
 
+def _three_numbers(text, sep, form, wrong):
+    """The three floats of text split at sep; form and wrong word the two errors."""
+    parts = text.split(sep)
+    if len(parts) != 3:
+        raise ValueError(f"expected {form}, got {text!r}")
+    try:
+        return [float(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"{wrong}, got {text!r}") from None
+
+
 def _parse_range(text):
     """Parse lo:hi:step into an inclusive list of at most 10**5 grid values."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = map(float, parts)
-    except ValueError:
-        raise ValueError(f"lo:hi:step must be three numbers, got {text!r}") from None
+    lo, hi, step = _three_numbers(text, ":", "lo:hi:step", "lo:hi:step must be three numbers")
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
@@ -77,46 +82,45 @@ def _parse_range(text):
     return [v for v in values if v <= hi + 1e-9 * max(1.0, abs(hi))]
 
 
-def _query_from_args(args):
+def _pair(args):
+    """The checked CompatQuery of the pair flags, and its age1, age2, s1, s2, d columns."""
     if args.age1 is None or args.age2 is None:
         raise ValueError("need both --age1 and --age2")
-    args.s1 = DEFAULT_S if args.s1 is None else args.s1
-    args.s2 = DEFAULT_S if args.s2 is None else args.s2
-    for name in ("age1", "age2", "s1", "s2"):  # by flag name, before sigma = s * age
-        _check_positive(getattr(args, name), name)
-    g1 = Gaussian(args.age1, args.s1 * args.age1)
-    g2 = Gaussian(args.age2, args.s2 * args.age2)
+    row = {"age1": args.age1, "age2": args.age2,
+           "s1": DEFAULT_S if args.s1 is None else args.s1,
+           "s2": DEFAULT_S if args.s2 is None else args.s2}
+    for name, value in row.items():  # by flag name, before sigma = s * age
+        _check_positive(value, name)
+    g = []
+    for i in "12":  # valid flags whose product under- or overflows: name them
+        age, s = row["age" + i], row["s" + i]
+        try:
+            g.append(Gaussian(age, s * age))
+        except ValueError as exc:
+            raise ValueError(f"sigma{i} = s{i} * age{i} = {s!r} * {age!r}: {exc}") from None
     t = MEAN_DIFF_COEF if args.d is None and args.t is None else args.t
-    return CompatQuery(g1, g2, d=args.d, t=t)
+    q = CompatQuery(*g, d=args.d, t=t)
+    row["d"] = q.d
+    return q, row
 
 
 def _cmd_compat(args):
-    q = _query_from_args(args)
-    p = compat_mod.compat_prob(q)
-    columns = ["age1", "age2", "s1", "s2", "d", "t", "p"]
-    row = [args.age1, args.age2, args.s1, args.s2, q.d, q.t, p]
+    q, row = _pair(args)
+    row.update(t=q.t, p=compat_mod.compat_prob(q))
     if args.normalized:
         norm = compat_mod.compat_prob_normalized(q)
-        columns += ["p0", "p0_denominator", "p0_swapped"]
-        row += [norm.value, norm.denominator, norm.swapped]
+        row.update(p0=norm.value, p0_denominator=norm.denominator, p0_swapped=norm.swapped)
     if args.error_budget is not None:
         from .verify import ErrorBudget, error_propagation
-        parts = args.error_budget.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected dd,dsigma1,dsigma2, got {args.error_budget!r}")
-        try:
-            errs = [float(part) for part in parts]
-        except ValueError:
-            raise ValueError(f"--error-budget takes three numbers dd,dsigma1,dsigma2, "
-                             f"got {args.error_budget!r}") from None
-        columns.append("delta_p")
-        row.append(error_propagation(q, ErrorBudget(*errs)))
-    return _csv(columns, [row], args.digits)
+        errs = _three_numbers(args.error_budget, ",", "dd,dsigma1,dsigma2",
+                              "--error-budget takes three numbers dd,dsigma1,dsigma2")
+        row["delta_p"] = error_propagation(q, ErrorBudget(*errs))
+    return _csv(row, [row.values()], args.digits)
 
 
 def _cmd_expect(args):
     from . import expect as expect_mod
-    columns, row = ["n1", "n2"], [args.n1, args.n2]
+    row = {"n1": args.n1, "n2": args.n2}
     if args.p is not None:
         for name in ("age1", "age2", "s1", "s2", "d", "t"):
             if getattr(args, name) is not None:
@@ -125,42 +129,32 @@ def _cmd_expect(args):
     else:
         if args.age1 is None or args.age2 is None:
             raise ValueError("need --p or both --age1 and --age2")
-        q = _query_from_args(args)
+        q, pair = _pair(args)
+        row.update(pair)
         p = compat_mod.compat_prob(q)
-        columns += ["age1", "age2", "s1", "s2", "d"]
-        row += [args.age1, args.age2, args.s1, args.s2, q.d]
     n1, n2 = args.n1, args.n2
 
     pairs = expect_mod.expected_pairs(n1, n2, p)
-    columns += ["p", "pairs", "mean_counterparts_1", "mean_counterparts_2",
-                "with_match_1", "with_match_2"]
-    row += [p, pairs,
-            expect_mod.mean_counterparts(n1, p),
-            expect_mod.mean_counterparts(n2, p),
-            expect_mod.expected_with_at_least_one(n1, n2, p),
-            expect_mod.expected_with_at_least_one(n2, n1, p)]
+    row.update(p=p, pairs=pairs,
+               mean_counterparts_1=expect_mod.mean_counterparts(n1, p),
+               mean_counterparts_2=expect_mod.mean_counterparts(n2, p),
+               with_match_1=expect_mod.expected_with_at_least_one(n1, n2, p),
+               with_match_2=expect_mod.expected_with_at_least_one(n2, n1, p))
 
     if args.at_least_k is not None:
-        k = args.at_least_k
-        columns.append("k")
-        row.append(k)
-        want_exact = args.path in ("both", "exact")
-        want_normal = args.path in ("both", "normal")
-        if want_exact:
-            columns += ["k_tail_exact_1", "k_tail_exact_2"]
-            row += [expect_mod.at_least_k_exact(k, n2, p),
-                    expect_mod.at_least_k_exact(k, n1, p)]
-        if want_normal:
+        k = row["k"] = args.at_least_k
+        if args.path != "normal":
+            row["k_tail_exact_1"] = expect_mod.at_least_k_exact(k, n2, p)
+            row["k_tail_exact_2"] = expect_mod.at_least_k_exact(k, n1, p)
+        if args.path != "exact":
             tail1 = expect_mod.at_least_k_normal(k, n2, p)
             tail2 = expect_mod.at_least_k_normal(k, n1, p)
-            columns += ["k_tail_normal_1", "k_tail_normal_2",
-                        "normal_valid_1", "normal_valid_2"]
-            row += [tail1.value, tail2.value, tail1.valid, tail2.valid]
+            row.update(k_tail_normal_1=tail1.value, k_tail_normal_2=tail2.value,
+                       normal_valid_1=tail1.valid, normal_valid_2=tail2.valid)
 
     if pairs > _FLOAT_EXACT_LIMIT:
-        columns.append("note")
-        row.append("pairs exceed 2^53; value carries float64 precision only")
-    return _csv(columns, [row], args.digits)
+        row["note"] = "pairs exceed 2^53; value carries float64 precision only"
+    return _csv(row, [row.values()], args.digits)
 
 
 def _cmd_limits(args):
@@ -248,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # compat and expect share the pair flags.  Every default is None, so that
-    # expect --p can reject a given one; _query_from_args fills in DEFAULT_S.
+    # expect --p can reject a given one; _pair fills in DEFAULT_S.
     pair = argparse.ArgumentParser(add_help=False)
     for flag in ("--age1", "--age2", "--s1", "--s2"):
         pair.add_argument(flag, type=float, default=None)

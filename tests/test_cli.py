@@ -129,6 +129,22 @@ class TestCompatCommand:
         assert err.startswith("error: d=10000000000.0 is too large: "
                               "t = d / min(sigma1, sigma2)")
 
+    @pytest.mark.parametrize("args, reason", [
+        (("--age1", "5e-324", "--age2", "5e-324"),
+         "sigma1 = s1 * age1 = 0.15 * 5e-324: sigma must be finite and positive, got 0.0"),
+        (("--age1", "18", "--age2", "14", "--s1", "1e308", "--s2", "1"),
+         "sigma1 = s1 * age1 = 1e+308 * 18.0: sigma must be finite and positive, got inf"),
+        (("--age1", "18", "--age2", "14", "--s2", "1e308"),
+         "sigma2 = s2 * age2 = 1e+308 * 14.0: sigma must be finite and positive, got inf"),
+        (("--age1", "1e308", "--age2", "1e308", "--s1", "1.5", "--s2", "1.5"),
+         "sigma1 = s1 * age1 = 1.5 * 1e+308: sigma must be at most 1.271161006153646e+308 "
+         "(the float maximum over sqrt(2)), got 1.5e+308"),
+    ])
+    def test_sigma_product_outside_range_names_its_flags(self, capsys, args, reason):
+        # each flag passes its own check; the product s * age under- or overflows
+        code, out, err = run_cli(capsys, "compat", *args)
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+
     @pytest.mark.parametrize("command", [
         ("compat",), ("expect", "--n1", "10", "--n2", "10")])
     @pytest.mark.parametrize("flag", ["--d", "--t"])

@@ -24,6 +24,18 @@ def test_public_names_resolve_to_their_submodules():
         agecompat.nope
 
 
+def test_export_table_matches_each_submodule_all():
+    # a name added to a submodule's __all__ but not to _EXPORTS would be
+    # missing from agecompat; model alone also exports its five constants
+    constants = {"SIGMA_RATIO_LOW", "SIGMA_RATIO_HIGH", "MEAN_DIFF_COEF",
+                 "DIFF_DISPERSION_COEF", "D_SCOPE_UPPER_COEF"}
+    assert len(agecompat._EXPORTS) == 6
+    for module, names in agecompat._EXPORTS.items():
+        extra = constants if module == "model" else set()
+        assert set(names.split()) | extra == set(import_module(f"agecompat.{module}").__all__)
+        assert not set(names.split()) & extra
+
+
 def test_bare_import_loads_no_submodule():
     script = (
         "import json, sys\n"
