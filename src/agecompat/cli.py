@@ -82,6 +82,10 @@ def _parse_range(text):
     return [v for v in values if v <= hi + 1e-9 * max(1.0, abs(hi))]
 
 
+def _sigma_flags(row, i):
+    return f"sigma{i} = s{i} * age{i} = {row['s' + i]!r} * {row['age' + i]!r}"
+
+
 def _pair(args):
     """The checked CompatQuery of the pair flags, and its age1, age2, s1, s2, d columns."""
     if args.age1 is None or args.age2 is None:
@@ -97,9 +101,17 @@ def _pair(args):
         try:
             g.append(Gaussian(age, s * age))
         except ValueError as exc:
-            raise ValueError(f"sigma{i} = s{i} * age{i} = {s!r} * {age!r}: {exc}") from None
+            raise ValueError(f"{_sigma_flags(row, i)}: {exc}") from None
     t = MEAN_DIFF_COEF if args.d is None and args.t is None else args.t
-    q = CompatQuery(*g, d=args.d, t=t)
+    try:
+        q = CompatQuery(*g, d=args.d, t=t)
+    except ValueError as exc:
+        if "overflows" not in str(exc):
+            raise
+        # only d = t * min sigma or t = d / min sigma overflowing says so: name
+        # the flags behind that sigma, sigma1 on a tie as in CompatQuery
+        i = "1" if g[0].sigma <= g[1].sigma else "2"
+        raise ValueError(f"{exc} ({_sigma_flags(row, i)})") from None
     row["d"] = q.d
     return q, row
 

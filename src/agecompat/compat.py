@@ -52,8 +52,7 @@ class CompatQuery(_Value):
             anchor = s1 if s1 <= s2 else s2     # min(s1, s2) without the call
             d = t * anchor
             if not (0.0 < t and d < _INF):
-                if not 0.0 <= t < _INF:
-                    raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+                _check_nonneg(t, "t")
                 if d == _INF:
                     raise ValueError(f"t={t!r} is too large: d = t * min(sigma1, sigma2) "
                                      f"= {t!r} * {anchor!r} overflows, and d must be finite")

@@ -45,8 +45,9 @@ def expected_pairs(n1: int, n2: int, p: float) -> float:
 
     Heavily overlapping pairs, so this counts pair combinations rather
     than distinct people; the product can exceed 2**53 for cohort sizes
-    in the millions and is returned in floating point; one beyond the
-    float range raises ValueError.
+    in the millions and is returned in floating point.  A count past the
+    float range, about 1.8e308, raises OverflowError naming the count; a
+    product of finite counts that overflows raises ValueError.
     """
     _check_nonneg(n1, "n1")
     _check_nonneg(n2, "n2")

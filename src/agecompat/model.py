@@ -12,6 +12,7 @@ All types are immutable values and all operations pure.
 
 import math
 import sys
+from collections import namedtuple
 
 from .special import _check_finite, _check_positive, _pdf
 
@@ -35,7 +36,10 @@ D_SCOPE_UPPER_COEF = MEAN_DIFF_COEF + DIFF_DISPERSION_COEF
 
 
 class _Value:
-    """Immutable slotted record: the base of the package's value types.
+    """Immutable slotted record: the base of the package's checked inputs
+    (``Gaussian``, ``AgeProfile``, ``CompatQuery``, ``AgeLimitSpec``,
+    ``ErrorBudget``), whose fields cannot change after their constructor's
+    checks.  A result is a named tuple instead.
 
     A subclass lists its fields in ``__slots__``, in constructor order, and
     its ``__init__`` stores them with ``_store`` (or, for the per-pair
@@ -149,17 +153,12 @@ class AgeProfile(_Value):
         return SIGMA_RATIO_LOW <= self.s <= SIGMA_RATIO_HIGH
 
 
-class DiffStats(_Value):
-    """Moments of the same-cohort mental-age difference |X1 - X2|.
+DiffStats = namedtuple("DiffStats", "sigma_d mean_d disp_d")
+DiffStats.__doc__ = """Moments of the same-cohort mental-age difference |X1 - X2|.
 
-    sigma_d is the scale of the signed difference, mean_d and disp_d the
-    mean and dispersion of its absolute value (half-normal law).
-    """
-
-    __slots__ = ("sigma_d", "mean_d", "disp_d")
-
-    def __init__(self, sigma_d: float, mean_d: float, disp_d: float):
-        self._store((sigma_d, mean_d, disp_d))
+sigma_d is the scale of the signed difference, mean_d and disp_d the
+mean and dispersion of its absolute value (half-normal law).
+"""
 
 
 def gaussian_pdf(x: float, g: Gaussian) -> float:

@@ -15,6 +15,7 @@ Two applications of the core model:
 
 import math
 import warnings
+from collections import namedtuple
 from collections.abc import Iterable
 
 from .compat import _ratio_prob
@@ -158,19 +159,13 @@ def rule_probability(mu: float, delta: float, s1: float, s2: float,
     return _ratio_prob(delta / mu, s2, s1, t)
 
 
-class RuleAuditPoint(_Value):
-    """One audited age: gap delta = mu - 14 and the resulting probability.
+RuleAuditPoint = namedtuple("RuleAuditPoint", "mu delta p_min err_term flagged")
+RuleAuditPoint.__doc__ = """One audited age: gap delta = mu - 14 and the resulting probability.
 
-    err_term is 14/mu, the relative deviation of the rule's gap from
-    proportionality; flagged marks ages where it exceeds 5%, which only
-    clears at mu >= 280.
-    """
-
-    __slots__ = ("mu", "delta", "p_min", "err_term", "flagged")
-
-    def __init__(self, mu: float, delta: float, p_min: float, err_term: float,
-                 flagged: bool):
-        self._store((mu, delta, p_min, err_term, flagged))
+err_term is 14/mu, the relative deviation of the rule's gap from
+proportionality; flagged marks ages where it exceeds 5%, which only
+clears at mu >= 280.
+"""
 
 
 def audit_hyaps(mu_grid: Iterable[float], s1: float, s2: float,

@@ -91,30 +91,29 @@ _K21_WEIGHTS = (
     0.142775938577060080797094273138717,
 )
 _K21_CENTER_WEIGHT = 0.149445554002916905664936468389821
-_SHARED = tuple(zip(_G10_NODES, _G10_WEIGHTS, _K21_GAUSS_WEIGHTS))
-_KRONROD_ONLY = tuple(zip(_K21_NODES, _K21_WEIGHTS))
-
-
-def _rows(a, b):
-    """The G10/K21 rule on [a, b]: 21 rows (x, h w_K21, h w_G10), h = (b - a)/2,
-    with 0 as the G10 weight of a Kronrod-only node.
-    """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    rows = [(c, h * _K21_CENTER_WEIGHT, 0.0)]
-    for x, wg, wk in _SHARED:
-        rows += [(c - h * x, h * wk, h * wg), (c + h * x, h * wk, h * wg)]
-    for x, wk in _KRONROD_ONLY:
-        rows += [(c - h * x, h * wk, 0.0), (c + h * x, h * wk, 0.0)]
-    return rows
+# the rule on [-1, 1] as 21 rows (x, w_K21, w_G10): the center, then each
+# G10 node's mirror pair, then each Kronrod-only node's, with 0 as the G10
+# weight of a Kronrod-only node
+_UNIT_ROWS = (
+    (0.0, _K21_CENTER_WEIGHT, 0.0),
+    *((y, wk, wg) for x, wg, wk in zip(_G10_NODES, _G10_WEIGHTS, _K21_GAUSS_WEIGHTS)
+      for y in (-x, x)),
+    *((y, wk, 0.0) for x, wk in zip(_K21_NODES, _K21_WEIGHTS) for y in (-x, x)),
+)
 
 
 def _gauss_rows(a, b):
-    """_rows(a, b) with exp(-z*z/2) folded into both weights of each row z."""
+    """The G10/K21 rule on [a, b] with exp(-z*z/2) folded in: 21 rows
+    (z, h w_K21 e, h w_G10 e), z = c + h x and e = exp(-z*z/2), where c and
+    h are the midpoint and half-width of [a, b].
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
     rows = []
-    for z, wk, wg in _rows(a, b):
+    for x, wk, wg in _UNIT_ROWS:
+        z = c + h * x
         e = _exp(-0.5 * z * z)
-        rows.append((z, wk * e, wg * e))
+        rows.append((z, h * wk * e, h * wg * e))
     return tuple(rows)
 
 
@@ -123,17 +122,12 @@ _SEED_PANELS = tuple((a, b, _gauss_rows(a, b))
                      for a, b in zip((-10.0, *_Z_CUTS), (*_Z_CUTS, 10.0)))
 
 
-class SliceParams(_Value):
-    """Gaussian profile of one diagonal slice x2 = x1 + delta.
+SliceParams = namedtuple("SliceParams", "mu12 sigma12")
+SliceParams.__doc__ = """Gaussian profile of one diagonal slice x2 = x1 + delta.
 
-    The product density restricted to the slice is Gaussian in x1 with
-    mean mu12 and width sigma12 <= min(sigma1, sigma2).
-    """
-
-    __slots__ = ("mu12", "sigma12")
-
-    def __init__(self, mu12: float, sigma12: float):
-        self._store((mu12, sigma12))
+The product density restricted to the slice is Gaussian in x1 with
+mean mu12 and width sigma12 <= min(sigma1, sigma2).
+"""
 
 
 class ErrorBudget(_Value):

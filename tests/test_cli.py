@@ -129,6 +129,34 @@ class TestCompatCommand:
         assert err.startswith("error: d=10000000000.0 is too large: "
                               "t = d / min(sigma1, sigma2)")
 
+    @pytest.mark.parametrize("command", [
+        ("compat",), ("expect", "--n1", "10", "--n2", "10")])
+    @pytest.mark.parametrize("args, message", [
+        (("--age1", "18", "--age2", "14", "--s1", "1e-300", "--s2", "1", "--d", "1e10"),
+         "d=10000000000.0 is too large: t = d / min(sigma1, sigma2) = 10000000000.0 / "
+         "1.8e-299 overflows, and t must be finite (sigma1 = s1 * age1 = 1e-300 * 18.0)"),
+        (("--age1", "18", "--age2", "14", "--t", "1e308"),
+         "t=1e+308 is too large: d = t * min(sigma1, sigma2) = 1e+308 * 2.1 overflows, "
+         "and d must be finite (sigma2 = s2 * age2 = 0.15 * 14.0)"),
+        # equal sigmas: the anchor is sigma1, as in CompatQuery
+        (("--age1", "20", "--age2", "20", "--s1", "1e-300", "--s2", "1e-300", "--d", "1e10"),
+         "d=10000000000.0 is too large: t = d / min(sigma1, sigma2) = 10000000000.0 / "
+         "2e-299 overflows, and t must be finite (sigma1 = s1 * age1 = 1e-300 * 20.0)"),
+    ], ids=["d", "t", "tie"])
+    def test_overflow_names_the_flags_of_the_smaller_sigma(self, capsys, command, args,
+                                                           message):
+        code, out, err = run_cli(capsys, *command, *args)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (("--d", "1", "--t", "1"), "give exactly one of d (years) or t (sigma multiple)"),
+        (("--t", "-1"), "t must be finite and nonnegative, got -1.0"),
+        (("--d", "nan"), "d must be finite and nonnegative, got nan"),
+    ], ids=["both", "bad-t", "bad-d"])
+    def test_other_query_messages_pass_unchanged(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "compat", "--age1", "18", "--age2", "14", *args)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("args, reason", [
         (("--age1", "5e-324", "--age2", "5e-324"),
          "sigma1 = s1 * age1 = 0.15 * 5e-324: sigma must be finite and positive, got 0.0"),
