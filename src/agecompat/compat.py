@@ -93,7 +93,9 @@ def compat_prob(q: CompatQuery) -> float:
 
     Symmetric in the two persons, nondecreasing in d, and tends to 1 as
     d grows.  The gap enters via its absolute value, which makes the
-    swap symmetry exact in floating point as well.
+    swap symmetry exact in floating point as well.  Where a bound
+    overflows the float range, its limit is taken, so every query gets
+    a value.
     """
     g1, g2, d = q.g1, q.g2, q.d
     gap = abs(g1.mu - g2.mu)
@@ -101,7 +103,15 @@ def compat_prob(q: CompatQuery) -> float:
     # _cdf_diff inline: gap, d >= 0 give hi >= |lo|, so a finite hi passes its guard
     hi, lo = (gap + d) / scale, (gap - d) / scale
     if not hi < _INF:
-        return _cdf_diff(hi, lo)
+        # gap + d, or its quotient, overflowed: take hi as gap/S + d/S, where
+        # d/S <= t is finite, and halve every term if gap itself overflowed
+        if gap == _INF:
+            gap, d, scale = abs(0.5 * g1.mu - 0.5 * g2.mu), 0.5 * d, 0.5 * scale
+            lo = (gap - d) / scale
+        if lo == _INF:
+            return 0.0
+        hi = gap / scale + d / scale
+        return _phi(-lo) if hi == _INF else _cdf_diff(hi, lo)
     if lo > 0.0:
         v = 0.5 * (_erfc(lo / _SQRT2) - _erfc(hi / _SQRT2))
     else:

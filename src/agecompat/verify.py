@@ -45,9 +45,9 @@ __all__ = [
 _MAX_PANELS = 10_000
 _MC_CHUNK = 1 << 19
 _MC_MIN_SAMPLES = 10 ** 4
-# mc_oracle's screen margin rests on these: twice the worst |cos32 - cos| at
-# float32(x), x = theta + phi in [0, 2 pi + pi/2), and more than twice the
-# screen's float32 rounding, 3.5 * 2**-24 of its scale in units of R
+# mc_oracle's screen margin rests on these: twice the worst |cos32 - cos| and
+# |sin32 - sin| at float32(x), x = theta + phi in [0, 2 pi + pi/2), and more
+# than twice the screen's float32 rounding, 3.5 * 2**-24 of its scale in units of R
 _TRIG32_ERR = 1e-6
 _F32_ERR = 7.2e-7
 # quad_oracle calls erfc twice per node, 336 times per query
@@ -337,22 +337,26 @@ def _screen_margin(mu1, s1, mu2, s2, d):
     return gamma, delta, (margin if scale + margin < 2.0 ** 127 else math.inf)
 
 
-def _screen(log_v, angle, gamma, cos, out):
-    """|x1 - x2| / R = |r * cos(angle) + gamma| in float32, into out.
+def _screen(log_v, angle, gamma, f32):
+    """|r * cos(angle) + gamma| and |r * sin(angle) + gamma| in float32.
 
-    ``log_v`` = ln v and ``angle`` = theta + phi are float64, ``cos`` and
-    ``out`` float32 arrays of their size, and ``cos`` is clobbered.  r is
-    formed as sqrt(-2 float32(ln v)) in float32, within 1.5 * 2**-24 of the
-    float64 r relative, and the angle is rounded to float32 once; every
-    later step is float32.
+    ``log_v`` = ln v and ``angle`` = theta + phi are float64 arrays of
+    size n, and ``f32`` a (4, n) float32 array, clobbered: rows r, the
+    angle, and the two products, which are returned as its last two rows.
+    r is formed as sqrt(-2 float32(ln v)) in float32, within 1.5 * 2**-24
+    of the float64 r relative, and the angle is rounded to float32 once;
+    every later step is float32.
     """
     import numpy as np
-    out[...] = log_v
-    out *= np.float32(-2.0)
-    np.sqrt(out, out=out)
-    cos[...] = angle
-    np.cos(cos, out=cos)
-    out *= cos
+    r, ang, cos, sin = f32
+    r[...] = log_v
+    r *= np.float32(-2.0)
+    np.sqrt(r, out=r)
+    ang[...] = angle
+    np.cos(ang, out=cos)
+    np.sin(ang, out=sin)
+    out = f32[2:]
+    out *= r
     out += np.float32(gamma)
     return np.abs(out, out=out)
 
@@ -360,48 +364,56 @@ def _screen(log_v, angle, gamma, cos, out):
 def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     """Estimate the pair probability by seeded sampling.
 
-    Draws pairs via a Box-Muller transform of uniforms from a PCG64
-    stream, so the stream position is a fixed function of the sample
-    count and identical seeds give identical output.  Chunk substreams
-    derive from (seed, chunk index), making the result independent of
-    evaluation order.
+    Draws pairs of mental ages via a Box-Muller transform of uniforms
+    from a PCG64 stream, using both variates of each draw.  The samples
+    come in chunks of m <= 2**19, whose substreams derive from (seed,
+    chunk index), making the result independent of evaluation order.
+    A chunk draws n = ceil(m/2) uniforms u1 and then n uniforms u2, so
+    the stream position is a fixed function of the sample count and
+    identical seeds give identical output.
 
     The transform is taken in units of R = hypot(sigma1, sigma2), with
-    phi = atan2(sigma2, sigma1), gamma = (mu1 - mu2)/R and delta = d/R:
-    for r = sqrt(-2 ln v), v = 1 - u1, and theta = 2 pi u2,
+    phi = atan2(sigma2, sigma1), gamma = (mu1 - mu2)/R and delta = d/R.
+    For r = sqrt(-2 ln v), v = 1 - u1, and theta = 2 pi u2, draw j of a
+    chunk gives two samples of the pair's difference,
 
-        (x1 - x2) / R = r * cos(theta + phi) + gamma,
+        (x1 - x2) / R = r * cos(theta + phi) + gamma    (sample j),
+        (x1 - x2) / R = r * sin(theta + phi) + gamma    (sample n + j),
 
-    and a pair is a hit where this, in float64, is at most delta in
-    absolute value.  Each chunk first screens its pairs in float32: r as
-    sqrt(-2 float32(ln v)) from the float64 logarithm, c as the float32
-    cos of float32(theta + phi), and |r * c + gamma| in float32, compared
-    with delta.  With the scale S = 8.6 + |gamma| + delta it is within a
-    margin
+    the second only for j < m - n.  The sin sample is the cos sample's
+    person pair (z2, -z1) of the same draw, (z1, z2) = r (cos theta,
+    sin theta), so the two are independent and the standard error is
+    binomial.  A sample is a hit where its value, in float64, is at most
+    delta in absolute value.  Each chunk first screens its samples in
+    float32: r as sqrt(-2 float32(ln v)) from the float64 logarithm, c
+    as the float32 cos or sin of float32(theta + phi), and |r * c +
+    gamma| in float32, compared with delta.  With the scale S = 8.6 +
+    |gamma| + delta it is within a margin
 
         8.6e-6 + 7.2e-7 * S + 2**-50 * S
 
-    of the float64 transform's value.  The first term covers the cosine:
+    of the float64 transform's value.  The first term covers the trig:
     r < 8.58 for every v >= 2**-53, rounding theta + phi to float32
-    moves it by at most 2**-22 and float32 cos is within a few ulp
-    (6e-8), so c is within 5e-7, half of 1e-6, of the float64 cosine.
-    The second covers the float32 roundings: r is within 1.5 * 2**-24
-    relative (the cast of ln v costs 2**-24, which the square root
-    halves, and the square root rounds once), and gamma, r * c and the
-    sum round by 2**-24 relative each (gamma may underflow by 2**-150,
-    which r < 8.58 leaves room for): 3.5 * 2**-24 of S, under half of
-    7.2e-7 of it, about 6.04 * 2**-24.  The logarithm stays float64:
-    taken in float32, of v rounded to float32, it would be off by up to
-    2**-25 absolute near v = 1, a relative error in r that grows without
-    bound as r nears 0.  The third covers the float64 roundings, since
-    both decisions share gamma, delta and R: 2**-53 relative each in r,
-    r * cos and the sum, 3 * 2**-53 of S, under half of 2**-50 of it.
-    So a pair below float32(delta - margin) or above float32(delta +
+    moves it by at most 2**-22 and float32 cos and sin are within a few
+    ulp (6e-8), so c is within 5e-7, half of 1e-6, of the float64 cosine
+    or sine.  The second covers the float32 roundings: r is within
+    1.5 * 2**-24 relative (the cast of ln v costs 2**-24, which the
+    square root halves, and the square root rounds once), and gamma,
+    r * c and the sum round by 2**-24 relative each (gamma may underflow
+    by 2**-150, which r < 8.58 leaves room for): 3.5 * 2**-24 of S, under
+    half of 7.2e-7 of it, about 6.04 * 2**-24.  The logarithm stays
+    float64: taken in float32, of v rounded to float32, it would be off
+    by up to 2**-25 absolute near v = 1, a relative error in r that grows
+    without bound as r nears 0.  The third covers the float64 roundings,
+    since both decisions share gamma, delta and R: 2**-53 relative each
+    in r, r * c and the sum, 3 * 2**-53 of S, under half of 2**-50 of it.
+    So a sample below float32(delta - margin) or above float32(delta +
     margin), each nudged one ulp outward, is a hit or a miss exactly as
     the float64 transform decides it.  Only the rest, typically none or
-    one per call, go through that transform, so every estimate is the
-    one it alone gives, for every seed.  A query whose S plus margin
-    reaches 2**127 skips the screen and sends every pair through it.
+    one per call, go through that transform, with float64 cos or sin of
+    the same float64 theta + phi, so every estimate is the one it alone
+    gives, for every seed.  A query whose S plus margin reaches 2**127
+    skips the screen and sends every sample through it.
 
     ``samples`` and ``seed`` must be integers (Python or NumPy), with
     ``samples >= 10000`` and ``seed >= 0``; anything else raises
@@ -430,17 +442,18 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     if screened:
         lo = np.nextafter(np.float32(delta - margin), np.float32(-np.inf))
         hi = np.nextafter(np.float32(delta + margin), np.float32(np.inf))
-    # one block holds each chunk's arrays: ln v, theta + phi and, viewed as two
+    # one block holds each chunk's arrays: ln v, theta + phi and, viewed as four
     # float32 rows, the screen's.  glibc hands a freed heap top back to the
     # OS once it exceeds twice the largest freed mmap'd block, so with
     # separate arrays, depending on heap layout, every call could fault
     # their pages in again: about 150 faults at 20,000 samples
-    width = min(_MC_CHUNK, samples)
-    scratch = np.empty((3, width))
-    cos32, x32 = scratch[2].view(np.float32).reshape(2, width)
+    width = (min(_MC_CHUNK, samples) + 1) // 2
+    scratch = np.empty((4, width))
+    f32 = scratch[2:].view(np.float32).reshape(4, width)
     hits = 0
     for chunk_idx, done in enumerate(range(0, samples, _MC_CHUNK)):
-        n = min(_MC_CHUNK, samples - done)
+        m = min(_MC_CHUNK, samples - done)
+        n = (m + 1) // 2               # draws: sample j takes draw j's cos, n + j its sin
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,))))
         a, b = scratch[:2, :n]
@@ -450,21 +463,27 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         np.log(a, out=a)               # ln v, kept in float64
         b *= 2.0 * np.pi               # theta
         b += phi                       # theta + phi, in float64 for both decisions
-        keep = slice(None)
+        cos_j, sin_j = slice(None), slice(m - n)
         if screened:
-            x = _screen(a, b, gamma, cos32[:n], x32[:n])
+            x = _screen(a, b, gamma, f32[:, :n])
+            if m < 2 * n:
+                x[1, -1] = np.inf      # an odd chunk has no sample 2n - 1: a decided miss
             inside = x < lo
             outside = x > hi
             decided = int(np.count_nonzero(inside))
             hits += decided
             decided += int(np.count_nonzero(outside))
-            if decided == n:
+            if decided == 2 * n:
                 continue
-            # the undecided samples get the float64 transform
+            # the undecided samples get the float64 transform; flat index j < n
+            # is draw j's cos sample, n + j its sin sample
             keep = np.flatnonzero(~(inside | outside))
-        x = np.sqrt(-2.0 * a[keep])
-        x *= np.cos(b[keep])
-        x += gamma
-        hits += int(np.count_nonzero(np.abs(x) <= delta))
+            split = int(np.searchsorted(keep, n))
+            cos_j, sin_j = keep[:split], keep[split:] - n
+        for trig, j in ((np.cos, cos_j), (np.sin, sin_j)):
+            x = np.sqrt(-2.0 * a[j])
+            x *= trig(b[j])
+            x += gamma
+            hits += int(np.count_nonzero(np.abs(x) <= delta))
     est = hits / samples
     return McEstimate(est, math.sqrt(est * (1.0 - est) / samples))

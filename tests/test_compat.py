@@ -197,6 +197,19 @@ def _reference_pair(g1, g2, d=None, t=None):
     return d, t, _cdf_diff((gap + d) / scale, (gap - d) / scale)
 
 
+def _mp_pair(g1, g2, d):
+    """p of a pair to 40 digits, from the exact gap and d over the float math.hypot S."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        scale = mp.mpf(math.hypot(g1.sigma, g2.sigma))
+        gap = abs(mp.mpf(g1.mu) - mp.mpf(g2.mu))
+        hi, lo = (gap + d) / scale, (gap - d) / scale
+        if lo > 40:
+            return 0.0      # p < Phi(-40) < 1e-349, and mpmath's ncdf fails near 1e300
+        # upper tails above the median, so a far window does not cancel
+        return float(mp.ncdf(-lo) - mp.ncdf(-hi) if lo > 0 else mp.ncdf(hi) - mp.ncdf(lo))
+
+
 class TestHotPathBitIdentical:
     """CompatQuery and compat_prob give exactly the reference's floats."""
 
@@ -251,7 +264,14 @@ class TestWideDomainBitIdentical:
 
     def _check(self, g1, g2, **kw):
         got = _outcome(_hot_path, g1, g2, **kw)
-        assert got == _outcome(_reference_pair, g1, g2, **kw), (g1, g2, kw)
+        want = _outcome(_reference_pair, g1, g2, **kw)
+        if isinstance(want, str) and want.endswith("hi=inf"):
+            # hi = (gap + d)/S overflows, which _cdf_diff's guard rejects: the
+            # hot path takes the bounds' limits, checked against 40 digits
+            p = _mp_pair(g1, g2, CompatQuery(g1, g2, **kw).d)
+            assert got[2] == pytest.approx(p, rel=1e-15, abs=0.0), (g1, g2, kw)
+        else:
+            assert got == want, (g1, g2, kw)
         if not isinstance(got, str):
             assert math.copysign(1.0, got[0]) == math.copysign(1.0, got[1]) == 1.0
         return got
@@ -403,13 +423,34 @@ class TestCompatProb:
         far = CompatQuery(Gaussian(mu + hi, sigma), Gaussian(mu, sigma), d=2.0)
         assert compat_prob(far) <= compat_prob(near) + 1e-15
 
-    def test_overflowing_bounds_raise_the_guards_message(self):
-        # both bounds are 4 / hypot(1.8e-309, 1.4e-309) = inf; the CLI
-        # record's `compat --s1 1e-310 --s2 1e-310 --t 1` exits 2 with it
+    def test_bounds_beyond_the_float_range_give_zero(self):
+        # both bounds are 4 / hypot(1.8e-309, 1.4e-309) = inf, and lo = inf
+        # is an exact limit: the CLI record's `compat --s1 1e-310 --s2 1e-310 --t 1`
         q = _query(18.0, 1e-310, 14.0, 1e-310, t=1.0)
-        message = "interval needs finite bounds lo <= hi, got lo=inf, hi=inf"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            compat_prob(q)
+        assert compat_prob(q) == 0.0
+
+    def test_overflowing_gap_plus_d_keeps_finite_bounds(self):
+        # gap + d = 1.99999999e308 overflows, but in units of S the bounds
+        # are sqrt(2) and -7.07e-9: the CLI record's
+        # `compat --age1 1e308 --age2 1e300 --s1 1 --s2 1e8 --t 1`
+        q = _query(1e308, 1.0, 1e300, 1e8, t=1.0)
+        assert compat_prob(q) == pytest.approx(_mp_pair(q.g1, q.g2, q.d), rel=1e-15, abs=0.0)
+        assert compat_prob(q) == pytest.approx(0.42135, abs=5e-6)
+
+    def test_overflowing_upper_bound_gives_the_lower_tail(self):
+        # hi = gap/S + d/S overflows in both: p = Phi(-lo), with lo = 0 at
+        # gap = d and lo = -4.9e307 at gap < d
+        g1, g2 = Gaussian(1.3e308, 1.0), Gaussian(0.0, 1.0)
+        assert compat_prob(CompatQuery(g1, g2, d=1.3e308)) == 0.5
+        assert compat_prob(CompatQuery(Gaussian(1e308, 1.0), g2, d=1.7e308)) == 1.0
+
+    def test_overflowing_gap_is_halved(self):
+        # mu1 - mu2 = -2e308 overflows, but (gap -+ d)/S are 2.12 and 0.71
+        g1, g2 = Gaussian(-1e308, 1e308), Gaussian(1e308, 1e308)
+        p = _mp_pair(g1, g2, 1e308)
+        assert 0.2228 < p < 0.2229
+        for q in (CompatQuery(g1, g2, d=1e308), CompatQuery(g2, g1, d=1e308)):
+            assert compat_prob(q) == pytest.approx(p, rel=1e-15, abs=0.0)
 
     def test_saturates_with_large_d(self):
         assert compat_prob(_query(30.0, 0.2, 20.0, 0.2, d=500.0)) == \

@@ -41,23 +41,27 @@ def _units_of_r(mu1, s1, mu2, s2, d):
 
 
 def _float64_mc(q, samples, seed):
-    """Reference sampler: every pair decided in float64 in units of R, by
-    |r cos(theta + phi) + gamma| <= delta, with no float32 screen."""
+    """Reference sampler: every sample decided in float64 in units of R.  A
+    chunk of m samples takes n = ceil(m/2) draws (r, theta); sample j is
+    |r_j cos(theta_j + phi) + gamma| <= delta and sample n + j, j < m - n,
+    the same with sin, with no float32 screen."""
     np = pytest.importorskip("numpy")
     phi, gamma, delta = _units_of_r(q.g1.mu, q.g1.sigma, q.g2.mu, q.g2.sigma, q.d)
     hits = 0
     done = 0
     chunk_idx = 0
     while done < samples:
-        n = min(_MC_CHUNK, samples - done)
+        m = min(_MC_CHUNK, samples - done)
+        n = (m + 1) // 2
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,))))
         u1 = 1.0 - rng.random(n)
         u2 = rng.random(n)
         r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        hits += int(np.count_nonzero(np.abs(r * np.cos(theta + phi) + gamma) <= delta))
-        done += n
+        angle = 2.0 * np.pi * u2 + phi
+        x = np.concatenate((r * np.cos(angle), (r * np.sin(angle))[:m - n]))
+        hits += int(np.count_nonzero(np.abs(x + gamma) <= delta))
+        done += m
         chunk_idx += 1
     est = hits / samples
     return McEstimate(est, math.sqrt(est * (1.0 - est) / samples))
@@ -671,10 +675,11 @@ class TestMcOracle:
         assert c.estimate != a.estimate
 
     def test_stream_canary(self):
-        # pinned estimate: guards the fixed-stream contract (PCG64 plus a
-        # two-uniform transform, so the stream position is sample-count only)
+        # pinned estimate: guards the fixed-stream contract (PCG64, and one
+        # two-uniform draw per two samples, both Box-Muller variates used, so
+        # the stream position is sample-count only)
         q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
-        assert mc_oracle(q, 10 ** 5, seed=42).estimate == 0.32819
+        assert mc_oracle(q, 10 ** 5, seed=42).estimate == 0.32726
 
     def test_chunking_invariant(self):
         # crossing the chunk boundary must not disturb earlier draws
@@ -736,12 +741,26 @@ class TestFloat64Transform:
             s1, s2 = rng.uniform(0.1, 0.2) * mu1, rng.uniform(0.1, 0.2) * mu2
             q = _query(mu1, s1, mu2, s2, d=rng.uniform(1.0, 2.0) * min(s1, s2))
             seed = rng.getrandbits(32)
-            assert mc_oracle(q, 20_000, seed) == _float64_mc(q, 20_000, seed)
+            # an odd count leaves the last draw's sin sample unused
+            for samples in (20_000, 20_001):
+                assert mc_oracle(q, samples, seed) == _float64_mc(q, samples, seed)
 
-    def test_same_estimate_across_a_chunk_boundary(self):
+    @pytest.mark.parametrize("samples", [_MC_CHUNK + 1000, _MC_CHUNK + 1001])
+    def test_same_estimate_across_a_chunk_boundary(self, samples):
         q = _query(20.0, 3.0, 16.0, 2.4, d=2.7)
-        samples = _MC_CHUNK + 1000
         assert mc_oracle(q, samples, 9) == _float64_mc(q, samples, 9)
+
+    def test_sin_samples_independent_of_cos_samples(self):
+        # draw j's sin sample is the person pair (z2, -z1) of its cos sample's
+        # (z1, z2), independent of it, so the estimates spread by the binomial
+        # stderr; a sin half that repeated the cos half would spread 1.41 times it
+        np = pytest.importorskip("numpy")
+        q = _query(20.0, 3.0, 18.0, 2.4, d=2.95)
+        p = compat_prob(q)
+        assert 0.49 < p < 0.5
+        estimates = [mc_oracle(q, 20_000, seed).estimate for seed in range(300)]
+        ratio = np.std(estimates, ddof=1) / math.sqrt(p * (1.0 - p) / 20_000)
+        assert 0.8 < ratio < 1.2
 
 
 class TestMcOracleAtTheFloatLimits:
@@ -808,7 +827,8 @@ class TestFloat32Screen:
             s1, s2 = rng.uniform(0.1, 0.2) * mu1, rng.uniform(0.1, 0.2) * mu2
             q = _query(mu1, s1, mu2, s2, d=rng.uniform(1.0, 2.0) * min(s1, s2))
             seed = rng.getrandbits(32)
-            assert mc_oracle(q, 20_000, seed) == _float64_mc(q, 20_000, seed)
+            for samples in (20_000, 20_001):
+                assert mc_oracle(q, samples, seed) == _float64_mc(q, samples, seed)
 
     @pytest.mark.parametrize("q, samples", [
         (_query(20.0, 2.0, 18.0, 1.5, d=0.0), 20_000),
@@ -843,20 +863,24 @@ class TestFloat32Screen:
             assert mc_oracle(q, samples, seed) == _float64_mc(q, samples, seed)
 
     def test_pairs_on_the_boundary_decided_as_exact_transform(self, monkeypatch):
-        # draws crafted so that every exact |r cos(theta + phi) + gamma|
-        # lies within rounding of delta (gamma = 0 here): the float32 screen
-        # alone would get about half of them wrong
+        # draws crafted so that the exact |r cos(theta + phi) + gamma| of the
+        # first half and |r sin(theta + phi) + gamma| of the second lie within
+        # rounding of delta (gamma = 0 here): the float32 screen alone would
+        # get about half of those samples wrong
         np = pytest.importorskip("numpy")
         q = _query(20.0, 3.0, 20.0, 2.4, d=2.7)
         phi, _, delta = _units_of_r(20.0, 3.0, 20.0, 2.4, 2.7)
-        n = 20_000
+        samples = 20_000
+        n = samples // 2
         rng = np.random.default_rng(7)
-        u2 = rng.random(4 * n)
-        theta = 2.0 * np.pi * u2
-        r = delta / np.abs(np.cos(theta + phi))
-        keep = (0.5 < r) & (r < 8.0)
-        u2 = u2[keep][:n]
-        u1 = np.exp(-0.5 * r[keep][:n] ** 2)
+        u1, u2 = [], []
+        for trig in (np.cos, np.sin):
+            v = rng.random(4 * n)
+            r = delta / np.abs(trig(2.0 * np.pi * v + phi))
+            keep = (0.5 < r) & (r < 8.0)
+            u2.append(v[keep][:n // 2])
+            u1.append(np.exp(-0.5 * r[keep][:n // 2] ** 2))
+        u1, u2 = np.concatenate(u1), np.concatenate(u2)
         assert u2.size == n
 
         class Draws:
@@ -871,33 +895,35 @@ class TestFloat32Screen:
                 return out
 
         monkeypatch.setattr(np.random, "Generator", Draws)
-        exact = _float64_mc(q, n, 0)
+        exact = _float64_mc(q, samples, 0)
         assert 0.1 < exact.estimate < 0.9
-        assert mc_oracle(q, n, 0) == exact
+        assert mc_oracle(q, samples, 0) == exact
 
     def test_screen_decides_all_but_a_few_samples(self, monkeypatch):
         # an inf or needlessly wide margin passes every identity test above,
         # but sends the samples through the float64 transform; its float64
-        # cos sees every sample that the screen leaves undecided, 66 of 4e6
-        # here, while the screen's cos is float32
+        # cos and sin see every sample that the screen leaves undecided,
+        # 67 of 4e6 here, while the screen's cos and sin are float32
         np = pytest.importorskip("numpy")
         refined = 0
-        cos = np.cos
 
-        def counting(x, *args, **kwargs):
-            nonlocal refined
-            if x.dtype == np.float64:
-                refined += x.size
-            return cos(x, *args, **kwargs)
-        monkeypatch.setattr(np, "cos", counting)
+        def counting(trig):
+            def call(x, *args, **kwargs):
+                nonlocal refined
+                if x.dtype == np.float64:
+                    refined += x.size
+                return trig(x, *args, **kwargs)
+            return call
+        monkeypatch.setattr(np, "cos", counting(np.cos))
+        monkeypatch.setattr(np, "sin", counting(np.sin))
         for seed, q in enumerate(_certify_queries(1618, 200)):
             mc_oracle(q, 20_000, seed)
         assert refined <= 1e-4 * 200 * 20_000
 
     def test_float32_trig_within_half_the_bound(self):
         # the margin allows _TRIG32_ERR per unit r; half of it must cover
-        # float32 cos of float32(theta + phi), theta + phi in [0, 2 pi + pi/2),
-        # on this platform
+        # float32 cos and sin of float32(theta + phi), theta + phi in
+        # [0, 2 pi + pi/2), on this platform
         np = pytest.importorskip("numpy")
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=2021, spawn_key=(0,))))
@@ -905,7 +931,8 @@ class TestFloat32Screen:
         x[:7] = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0 * np.pi, 2.5 * np.pi,
                  np.nextafter(2.5 * np.pi, 0.0))
         x32 = x.astype(np.float32)
-        assert np.max(np.abs(np.cos(x32) - np.cos(x))) <= verify._TRIG32_ERR / 2
+        for trig in (np.cos, np.sin):
+            assert np.max(np.abs(trig(x32) - trig(x))) <= verify._TRIG32_ERR / 2
 
     @pytest.mark.parametrize("mu1, s1, mu2, s2, d", [
         (20.0, 3.0, 16.0, 2.4, 2.7),
@@ -920,8 +947,9 @@ class TestFloat32Screen:
         (1e-309, 1e-310, 1.2e-309, 1e-310, 1e-310),
     ])
     def test_screen_within_half_the_margin(self, mu1, s1, mu2, s2, d):
-        # the float32 screen's |r cos(theta + phi) + gamma| lies within half
-        # the margin of the float64 transform's, on draws as mc_oracle makes them
+        # the float32 screen's |r cos(theta + phi) + gamma| and |r sin(theta +
+        # phi) + gamma| lie within half the margin of the float64 transform's,
+        # on draws as mc_oracle makes them
         np = pytest.importorskip("numpy")
         gamma, delta, margin = verify._screen_margin(mu1, s1, mu2, s2, d)
         assert margin < math.inf
@@ -929,21 +957,21 @@ class TestFloat32Screen:
         assert (gamma, delta) == (want_gamma, want_delta)
         n = 1 << 19
         log_v, theta = _screen_draws(n)
-        cos, out = np.empty((2, n), np.float32)
-        screened = verify._screen(log_v, theta + phi, gamma, cos, out)
+        screened = verify._screen(log_v, theta + phi, gamma, np.empty((4, n), np.float32))
         r = np.sqrt(-2.0 * log_v)
-        exact = np.abs(r * np.cos(theta + phi) + gamma)
-        assert np.max(np.abs(screened.astype(np.float64) - exact)) <= margin / 2
+        for row, trig in zip(screened, (np.cos, np.sin)):
+            exact = np.abs(r * trig(theta + phi) + gamma)
+            assert np.max(np.abs(row.astype(np.float64) - exact)) <= margin / 2
 
     def test_float32_radius_within_one_and_a_half_ulp(self):
-        # with theta = phi = gamma = 0 the screen returns its float32 r,
+        # with theta = phi = gamma = 0 the screen's cos row is its float32 r,
         # sqrt(-2 float32(ln v)): the cast costs 2**-24 relative, halved by
         # the square root, which rounds by 2**-24 more
         np = pytest.importorskip("numpy")
         n = 1 << 19
         log_v = _screen_draws(n)[0]
-        cos, out = np.empty((2, n), np.float32)
-        r32 = verify._screen(log_v, np.zeros(n), 0.0, cos, out).astype(np.float64)
+        screened = verify._screen(log_v, np.zeros(n), 0.0, np.empty((4, n), np.float32))
+        r32 = screened[0].astype(np.float64)
         r = np.sqrt(-2.0 * log_v)
         assert r[0] > 8.57 and r32[1] == r[1] == 0.0
         assert np.all(np.abs(r32 - r) <= 1.5 * 2.0 ** -24 * r)
