@@ -145,6 +145,15 @@ def _cmd_expect(args):
         row.update(pair)
         p = compat_mod.compat_prob(q)
     n1, n2 = args.n1, args.n2
+    k = args.at_least_k
+    if k is not None:  # a tail that cannot be computed fails by the flags behind it
+        for n, flag, cohort in ((n2, "--n2", 1), (n1, "--n1", 2)):
+            if 0 <= n < k:
+                raise ValueError(f"--at-least-k {k} is above {flag} {n}, "
+                                 f"the candidates a member of cohort {cohort} faces")
+        if args.path != "exact" and p in (0.0, 1.0):
+            raise ValueError(f"the normal tail needs 0 < p < 1, and p is {p!r} here; "
+                             f"--exact prints the exact tail alone")
 
     pairs = expect_mod.expected_pairs(n1, n2, p)
     row.update(p=p, pairs=pairs,
@@ -153,8 +162,8 @@ def _cmd_expect(args):
                with_match_1=expect_mod.expected_with_at_least_one(n1, n2, p),
                with_match_2=expect_mod.expected_with_at_least_one(n2, n1, p))
 
-    if args.at_least_k is not None:
-        k = row["k"] = args.at_least_k
+    if k is not None:
+        row["k"] = k
         if args.path != "normal":
             row["k_tail_exact_1"] = expect_mod.at_least_k_exact(k, n2, p)
             row["k_tail_exact_2"] = expect_mod.at_least_k_exact(k, n1, p)
@@ -279,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_expect.add_argument("--p", type=float, default=None,
                           help="pair probability; alternatively give age/s flags")
     p_expect.add_argument("--at-least-k", type=int, default=None, metavar="K",
-                          help="also report P(at least K matches) per member")
+                          help="also report P(at least K matches) per member, "
+                               "taking a member's pair events as independent trials")
     group = p_expect.add_mutually_exclusive_group()
     group.add_argument("--exact", dest="path", action="store_const",
                        const="exact", help="only the exact binomial tail")

@@ -6,6 +6,13 @@ per person, the expected number of members with at least one match, and
 binomial "at least k matches" tails in both an exact and a normal-
 approximation form.  A count past the float range, about 1.8e308, raises
 OverflowError naming the count.
+
+The "at least one" and "at least k" quantities treat one member's n pair
+events as independent trials, each with probability p.  Under the
+mental-age model they are not independent: all n share that member's
+mental age, so these are the independent-trial values, not the model's.
+Pair counts and mean counterparts are exact either way, by linearity of
+expectation.
 """
 
 import math
@@ -70,7 +77,10 @@ def expected_with_at_least_one(n_self: int, n_other: int, p: float) -> float:
     """Expected members of the first cohort with >= 1 match in the other.
 
     n_self * (1 - (1-p)**n_other), evaluated via expm1/log1p so the
-    power does not underflow and the result never exceeds n_self.
+    power does not underflow and the result never exceeds n_self.  This
+    treats a member's n_other pair events as independent trials; under
+    the mental-age model they share that member's mental age, which this
+    form leaves out (see the module docstring).
     """
     _check_nonneg(n_self, "n_self")
     _check_nonneg(n_other, "n_other")

@@ -19,10 +19,11 @@ Three groups live here:
   and a budget of 10,000 panels bounds the work of every call.
 
 The quadrature rule is QUADPACK's published G10/K21 table, held here as
-constants.  Importing this module lays that rule once onto the quadrature
-oracle's eight seed panels, 168 rows of node and weights, and needs no
-third-party code; only the Monte-Carlo sampler needs numpy, which it
-imports when called.
+one table of 11 rows (node, Kronrod weight, Gauss weight) for the
+nonnegative nodes.  Importing this module mirrors it onto [-1, 1] and
+lays it once onto the quadrature oracle's eight seed panels, 168 rows of
+node and weights, and needs no third-party code; only the Monte-Carlo
+sampler needs numpy, which it imports when it samples.
 """
 
 import math
@@ -58,48 +59,32 @@ _erfc = math.erfc
 _Z_CUTS = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
 _Z_FACTOR = 0.5 / _SQRT2PI
 
-# The G10/K21 Gauss-Kronrod pair on [-1, 1], from QUADPACK's qk21 table
-# (Piessens et al., QUADPACK, Springer 1983).  Both rules are symmetric,
-# so only the positive nodes are stored, descending.  The 21-point Kronrod
-# rule keeps the ten nodes of the Gauss-Legendre rule and adds eleven that
-# interleave with them, the center among them.
-_G10_NODES = (
-    0.973906528517171720077964012084452, 0.865063366688984510732096688423493,
-    0.679409568299024406234327365114874, 0.433395394129247190799265943165784,
-    0.148874338981631210884826001129720,
+# QUADPACK's qk21 rule on [-1, 1] (Piessens et al., QUADPACK, Springer 1983):
+# the 21-point Kronrod rule and the 10-point Gauss-Legendre rule whose nodes
+# it keeps, adding eleven that interleave with them, the center among them.
+# Both are symmetric, so the table holds the rows (x, w_K21, w_G10) for
+# x >= 0: the center, the G10 nodes descending, then the Kronrod-only nodes
+# descending, whose G10 weight is 0
+_QK21 = (
+    (0.0, 0.149445554002916905664936468389821, 0.0),
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
+     0.066671344308688137593568809893332),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
+     0.149451349150580593145776339657697),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     0.219086362515982043995534934228163),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     0.269266719309996355091226921569469),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     0.295524224714752870173892994651338),
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192, 0.0),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580, 0.0),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366, 0.0),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074, 0.0),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717, 0.0),
 )
-_G10_WEIGHTS = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-# Kronrod weights of the shared nodes
-_K21_GAUSS_WEIGHTS = (
-    0.032558162307964727478818972459390, 0.075039674810919952767043140916190,
-    0.109387158802297641899210590325805, 0.134709217311473325928054001771707,
-    0.147739104901338491374841515972068,
-)
-# the Kronrod rule's own nodes and weights, apart from the center
-_K21_NODES = (
-    0.995657163025808080735527280689003, 0.930157491355708226001207180059508,
-    0.780817726586416897063717578345042, 0.562757134668604683339000099272694,
-    0.294392862701460198131126603103866,
-)
-_K21_WEIGHTS = (
-    0.011694638867371874278064396062192, 0.054755896574351996031381300244580,
-    0.093125454583697605535065465083366, 0.123491976262065851077958109831074,
-    0.142775938577060080797094273138717,
-)
-_K21_CENTER_WEIGHT = 0.149445554002916905664936468389821
-# the rule on [-1, 1] as 21 rows (x, w_K21, w_G10): the center, then each
-# G10 node's mirror pair, then each Kronrod-only node's, with 0 as the G10
-# weight of a Kronrod-only node
-_UNIT_ROWS = (
-    (0.0, _K21_CENTER_WEIGHT, 0.0),
-    *((y, wk, wg) for x, wg, wk in zip(_G10_NODES, _G10_WEIGHTS, _K21_GAUSS_WEIGHTS)
-      for y in (-x, x)),
-    *((y, wk, 0.0) for x, wk in zip(_K21_NODES, _K21_WEIGHTS) for y in (-x, x)),
-)
+# the same rule as 21 rows on [-1, 1]: the center, then each other node's mirror pair
+_UNIT_ROWS = tuple((y, wk, wg) for x, wk, wg in _QK21 for y in ((-x, x) if x else (x,)))
 
 
 def _gauss_rows(a, b):
@@ -146,15 +131,28 @@ TruncationBound = namedtuple("TruncationBound", "worst_slice loose")
 TruncationBound.__doc__ = "Per-slice certificate and its looser closed-form majorant."
 
 
+def _z(gap, delta, unit):
+    """(gap + delta)/unit, taken as gap/unit + delta/unit where gap + delta
+    overflows, as compat_prob takes its upper bound."""
+    total = gap + delta
+    return total / unit if abs(total) < math.inf else gap / unit + delta / unit
+
+
 def slice_params(g1, g2, delta: float) -> SliceParams:
     """Slice mean/width for x2 = x1 + delta.
 
     mu12 = mu1 - z w1 sigma1 and sigma12 = (max sigma / R) min sigma, at
     least min sigma / sqrt(2), in units of R = hypot(sigma1, sigma2), with
-    z = (mu1 - mu2 + delta)/R (z+ at delta = d) and w1 = sigma1/R.
+    z = (mu1 - mu2 + delta)/R (z+ at delta = d) and w1 = sigma1/R.  Where
+    mu1 - mu2 + delta overflows, z is taken as (mu1 - mu2)/R + delta/R; a
+    gap mu1 - mu2 that overflows raises ValueError describing the arguments.
     """
     unit = math.hypot(g1.sigma, g2.sigma)
-    z = (g1.mu - g2.mu + delta) / unit
+    gap = g1.mu - g2.mu
+    if abs(gap) == math.inf:
+        raise ValueError(f"slice_params cannot place the slice x2 = x1 + {delta!r} of {g1!r} "
+                         f"and {g2!r}: the gap mu1 - mu2 = {gap!r} overflows")
+    z = _z(gap, delta, unit)
     return SliceParams(mu12=g1.mu - z * (g1.sigma / unit) * g1.sigma,
                        sigma12=max(g1.sigma, g2.sigma) / unit * min(g1.sigma, g2.sigma))
 
@@ -184,12 +182,13 @@ def error_propagation(q: CompatQuery, budget: ErrorBudget) -> float:
         dp = (dd [pdf(z+) + pdf(z-)] + (w1 ds1 + w2 ds2) |z+ pdf(z+) - z- pdf(z-)|) / R.
 
     This is exactly |dp/dd| dd + |dp/ds1| ds1 + |dp/ds2| ds2 of the
-    closed form; one beyond the float range raises ValueError.
+    closed form; one beyond the float range raises ValueError.  Where g +- d
+    overflows, z+- is taken as g/R +- d/R.
     """
     unit = math.hypot(q.g1.sigma, q.g2.sigma)
     w1, w2 = q.g1.sigma / unit, q.g2.sigma / unit
     g = q.g1.mu - q.g2.mu
-    zp, zm = (g + q.d) / unit, (g - q.d) / unit
+    zp, zm = _z(g, q.d, unit), _z(g, -q.d, unit)
     ep, em = _pdf(zp), _pdf(zm)
     dp = (budget.d_err * (ep + em)
           + (w1 * budget.sigma1_err + w2 * budget.sigma2_err) * abs(zp * ep - zm * em)) / unit
@@ -326,8 +325,8 @@ McEstimate.__doc__ = "Monte-Carlo estimate with its binomial standard error."
 def _screen_margin(mu1, s1, mu2, s2, d):
     """gamma, delta and the margin of mc_oracle's float32 screen, in units of R.
 
-    The margin is inf where the screen cannot run; see :func:`mc_oracle`
-    for the bound and its guard.
+    The margin is inf where the screen cannot run, and mc_oracle decides
+    the query without sampling; see :func:`mc_oracle` for the bound.
     """
     unit = math.hypot(s1, s2)
     gamma = (mu1 - mu2) / unit
@@ -412,16 +411,22 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     the float64 transform decides it.  Only the rest, typically none or
     one per call, go through that transform, with float64 cos or sin of
     the same float64 theta + phi, so every estimate is the one it alone
-    gives, for every seed.  A query whose S plus margin reaches 2**127
-    skips the screen and sends every sample through it.
+    gives, for every seed.
+
+    A query whose S plus margin reaches 2**127 is decided without
+    sampling: the estimate is 1.0 if |gamma| <= delta and 0.0 otherwise,
+    with standard error 0.0, as every sample would decide it.  Where
+    |gamma| >= 2**60, |r * c| < 8.58 is below a quarter ulp of gamma, so
+    every sample reads |gamma|; otherwise delta > 2**126 exceeds |gamma|
+    + 8.58, so every sample is a hit.
 
     ``samples`` and ``seed`` must be integers (Python or NumPy), with
     ``samples >= 10000`` and ``seed >= 0``; anything else raises
     ``ValueError`` naming the argument.  A query whose gamma or delta
     overflows raises ``ValueError`` describing the query.
 
-    Needs numpy, which this function imports when called; the rest of
-    the package does not use it.
+    Needs numpy, which this function imports only when it samples; the
+    rest of the package does not use it.
     """
     samples = _index(samples, "samples")
     if samples < _MC_MIN_SAMPLES:
@@ -435,13 +440,13 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         raise ValueError(
             f"mc_oracle cannot sample {q!r}: the gap and d in units of R = hypot(sigma1, "
             f"sigma2), (mu1 - mu2)/R and d/R, are {gamma!r} and {delta!r}, and one overflows")
+    if margin == math.inf:
+        return McEstimate(1.0 if abs(gamma) <= delta else 0.0, 0.0)
     import numpy as np
 
     phi = math.atan2(s2, s1)
-    screened = margin < math.inf
-    if screened:
-        lo = np.nextafter(np.float32(delta - margin), np.float32(-np.inf))
-        hi = np.nextafter(np.float32(delta + margin), np.float32(np.inf))
+    lo = np.nextafter(np.float32(delta - margin), np.float32(-np.inf))
+    hi = np.nextafter(np.float32(delta + margin), np.float32(np.inf))
     # one block holds each chunk's arrays: ln v, theta + phi and, viewed as four
     # float32 rows, the screen's.  glibc hands a freed heap top back to the
     # OS once it exceeds twice the largest freed mmap'd block, so with
@@ -463,24 +468,21 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
         np.log(a, out=a)               # ln v, kept in float64
         b *= 2.0 * np.pi               # theta
         b += phi                       # theta + phi, in float64 for both decisions
-        cos_j, sin_j = slice(None), slice(m - n)
-        if screened:
-            x = _screen(a, b, gamma, f32[:, :n])
-            if m < 2 * n:
-                x[1, -1] = np.inf      # an odd chunk has no sample 2n - 1: a decided miss
-            inside = x < lo
-            outside = x > hi
-            decided = int(np.count_nonzero(inside))
-            hits += decided
-            decided += int(np.count_nonzero(outside))
-            if decided == 2 * n:
-                continue
-            # the undecided samples get the float64 transform; flat index j < n
-            # is draw j's cos sample, n + j its sin sample
-            keep = np.flatnonzero(~(inside | outside))
-            split = int(np.searchsorted(keep, n))
-            cos_j, sin_j = keep[:split], keep[split:] - n
-        for trig, j in ((np.cos, cos_j), (np.sin, sin_j)):
+        x = _screen(a, b, gamma, f32[:, :n])
+        if m < 2 * n:
+            x[1, -1] = np.inf          # an odd chunk has no sample 2n - 1: a decided miss
+        inside = x < lo
+        outside = x > hi
+        decided = int(np.count_nonzero(inside))
+        hits += decided
+        decided += int(np.count_nonzero(outside))
+        if decided == 2 * n:
+            continue
+        # the undecided samples get the float64 transform; flat index j < n
+        # is draw j's cos sample, n + j its sin sample
+        keep = np.flatnonzero(~(inside | outside))
+        split = int(np.searchsorted(keep, n))
+        for trig, j in ((np.cos, keep[:split]), (np.sin, keep[split:] - n)):
             x = np.sqrt(-2.0 * a[j])
             x *= trig(b[j])
             x += gamma

@@ -36,8 +36,9 @@ POOL_SEEDS = range(1, 11)
 # (exit 2), README's two worked compat examples, three queries whose
 # sigmas are tiny next to d or the gap: a d whose t = d / min sigma
 # overflows (exit 2), and two whose closed-form bounds overflow; and a
-# query whose gap + d overflows while both bounds are finite.  The record
-# owns their bytes; CI runs one per subcommand in a fresh process as well.
+# query whose gap + d overflows while both bounds are finite, the same
+# query's error budget.  The record owns their bytes; CI runs one per
+# subcommand in a fresh process as well.
 SMOKE = [
     "compat --age1 18 --age2 14",
     "compat --age1 18 --age2 14 --error-budget 0.1,0.1,0.1",
@@ -69,6 +70,7 @@ SMOKE = [
     "compat --age1 18 --age2 14 --s1 1e-300 --s2 1e-300 --d 1e10",
     "compat --age1 18 --age2 14 --s1 1e-310 --s2 1e-310 --t 1",
     "compat --age1 1e308 --age2 1e300 --s1 1 --s2 1e8 --t 1",
+    "compat --age1 1.7e308 --age2 1 --s1 0.588235 --s2 1e308 --d 1e308 --error-budget 0.1,0.1,0.1",
 ]
 
 # binomial tails near and below the float underflow threshold, by the sum
@@ -94,8 +96,9 @@ POPULATION = [
 # conversions at the quantile's edges; single bad arguments; a sigma past
 # the float maximum over sqrt(2) (exit 2), and one below it whose double
 # overflows under --normalized; a finite t whose d overflows (exit 2), and
-# zero differences, signed and unsigned; then valid ages and s whose
-# product sigma = s * age underflows to 0 or overflows to inf (exit 2)
+# zero differences, signed and unsigned; valid ages and s whose product
+# sigma = s * age underflows to 0 or overflows to inf (exit 2); then a
+# normal tail at p = 0 and a k above n (exit 2)
 EDGE = [
     "rule --mu-grid 10:14:1 --s1 -1 --t 0.5",
     "rule --mu-grid 10:14:1 --t 0.5",
@@ -121,6 +124,8 @@ EDGE = [
     "compat --age1 18 --age2 14 --t 0",
     "compat --age1 5e-324 --age2 5e-324",
     "compat --age1 18 --age2 14 --s1 1e308 --s2 1",
+    "expect --n1 10 --n2 10 --age1 80 --age2 15 --s1 0.01 --s2 0.01 --at-least-k 1",
+    "expect --n1 3 --n2 500 --p 0.5 --at-least-k 4",
 ]
 
 # every optional column group of compat and expect that no vector above

@@ -102,6 +102,9 @@ class TestCompatCommand:
         (("--age1", "18", "--age2", "14", "--s1", "1e-202", "--s2", "1e-202"), "0", "0"),
         # ages whose squares overflow: the same query as 1.1 vs 1 with a 1e-201 budget
         (("--age1", "1e200", "--age2", "1.1e200"), "0.508317", "4.78784e-201"),
+        # g + d overflows, while p and delta_p do not
+        (("--age1", "1.7e308", "--age2", "1", "--s1", "0.588235", "--s2", "1e308",
+          "--d", "1e308"), "0.28219", "3.46763e-310"),
     ])
     def test_error_budget_at_extreme_scales(self, capsys, args, p, delta_p):
         code, out, err = run_cli(capsys, "compat", *args, "--error-budget", "0.1,0.1,0.1")
@@ -258,6 +261,22 @@ class TestExpectCommand:
         header, _ = parse_csv(out)
         assert "k_tail_exact_1" in header
         assert "k_tail_normal_1" not in header
+
+    @pytest.mark.parametrize("args, message", [
+        # p underflows to 0 for these ages; --exact prints the row
+        (("--n1", "10", "--n2", "10", "--age1", "80", "--age2", "15", "--s1", "0.01",
+          "--s2", "0.01", "--at-least-k", "1"),
+         "the normal tail needs 0 < p < 1, and p is 0.0 here; --exact prints the exact tail alone"),
+        (("--n1", "10", "--n2", "10", "--p", "1", "--at-least-k", "1"),
+         "the normal tail needs 0 < p < 1, and p is 1.0 here; --exact prints the exact tail alone"),
+        (("--n1", "3", "--n2", "500", "--p", "0.5", "--at-least-k", "4"),
+         "--at-least-k 4 is above --n1 3, the candidates a member of cohort 2 faces"),
+        (("--n1", "500", "--n2", "3", "--p", "0.5", "--at-least-k", "4", "--exact"),
+         "--at-least-k 4 is above --n2 3, the candidates a member of cohort 1 faces"),
+    ])
+    def test_tail_it_cannot_compute_names_its_flags(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "expect", *args)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_p_and_ages_conflict(self, capsys):
         code, _, err = run_cli(capsys, "expect", "--n1", "10", "--n2", "10",

@@ -36,6 +36,15 @@ def test_export_table_matches_each_submodule_all():
         assert not set(names.split()) & extra
 
 
+def _fresh_json(script):
+    """The JSON that script prints, run in a fresh interpreter on this checkout's src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_bare_import_loads_no_submodule():
     script = (
         "import json, sys\n"
@@ -46,11 +55,21 @@ def test_bare_import_loads_no_submodule():
         "agecompat.erf(0.5)\n"
         "print(json.dumps([before, loaded()]))\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], ["agecompat.special"]]
+    assert _fresh_json(script) == [[], ["agecompat.special"]]
+
+
+def test_bare_import_loads_a_submodule_by_name():
+    # `agecompat.verify` after a bare `import agecompat` loads verify and
+    # what it imports, and nothing else of the package
+    script = (
+        "import json, sys\n"
+        "import agecompat\n"
+        "module = agecompat.verify\n"
+        "print(json.dumps([module is sys.modules['agecompat.verify'],\n"
+        "                  sorted(m for m in sys.modules if m.startswith('agecompat.'))]))\n"
+    )
+    assert _fresh_json(script) == [True, ["agecompat.compat", "agecompat.model",
+                                          "agecompat.special", "agecompat.verify"]]
 
 
 def test_only_special_imports_its_checked_kernels():

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 import types
 
 import pytest
@@ -23,9 +24,7 @@ from agecompat.verify import (
     slice_params,
     truncation_bound,
 )
-from agecompat.verify import (_G10_NODES, _G10_WEIGHTS, _K21_CENTER_WEIGHT,
-                              _K21_GAUSS_WEIGHTS, _K21_NODES, _K21_WEIGHTS, _MAX_PANELS,
-                              _MC_CHUNK, _SEED_PANELS, _Z_CUTS)
+from agecompat.verify import _MAX_PANELS, _MC_CHUNK, _SEED_PANELS, _UNIT_ROWS, _Z_CUTS
 
 PHI_MINUS_4 = 3.1671241833119924e-05
 
@@ -87,8 +86,44 @@ class TestSliceParams:
         assert slice_params(g1, g2, 1e-200).sigma12 == 1e-200
         assert truncation_bound(CompatQuery(g1, g2, t=1.0)).worst_slice == 0.0
 
+    def test_overflowing_gap_describes_the_arguments(self):
+        g1, g2 = Gaussian(-1e308, 1.0), Gaussian(1e308, 1.0)
+        message = (f"slice_params cannot place the slice x2 = x1 + 1.0 of {g1!r} and {g2!r}: "
+                   f"the gap mu1 - mu2 = -inf overflows")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            slice_params(g1, g2, 1.0)
+        with pytest.raises(ValueError, match="^slice_params cannot place"):
+            truncation_bound(CompatQuery(g1, g2, d=1.0))
+
+
+def _mp_certificates(q, budget):
+    """The worst slice Phi(-mu12/sigma12) and error_propagation's dp at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mu1, s1, mu2, s2, d = map(mpmath.mpf, (q.g1.mu, q.g1.sigma, q.g2.mu, q.g2.sigma, q.d))
+        unit = mpmath.sqrt(s1 ** 2 + s2 ** 2)
+        zp, zm = (mu1 - mu2 + d) / unit, (mu1 - mu2 - d) / unit
+        worst = mpmath.ncdf(-(mu1 - zp * s1 / unit * s1) / (max(s1, s2) / unit * min(s1, s2)))
+        ep, em = mpmath.npdf(zp), mpmath.npdf(zm)
+        dp = (budget.d_err * (ep + em) + (s1 * budget.sigma1_err + s2 * budget.sigma2_err)
+              / unit * abs(zp * ep - zm * em)) / unit
+        return float(worst), float(dp)
+
+
+# positive ages whose g + d, or g - d once swapped, overflows while p is finite
+OVERFLOWING_SUM = [
+    _query(1.7e308, 1e308, 1.0, 1e308, d=1e308),
+    _query(1.0, 1e308, 1.7e308, 1e308, d=1e308),
+]
+
 
 class TestTruncationBound:
+    def test_overflowing_sum_within_1e_15_of_mpmath(self):
+        # z+ is taken as g/R + d/R; mpmath gives 0.310309
+        q = OVERFLOWING_SUM[0]
+        want = _mp_certificates(q, ErrorBudget(0.0, 0.0, 0.0))[0]
+        assert truncation_bound(q).worst_slice == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_four_sigma_yardstick(self):
         # younger profile has mu = 5 sigma and d = sigma
         q = _query(10.0, 2.0, 5.0, 1.0, d=1.0)
@@ -151,6 +186,15 @@ class TestErrorPropagation:
         message = f"uncertainty of p is {value}, not finite: the inputs are too extreme"
         with pytest.raises(ValueError, match=f"^{message}$"):
             error_propagation(q, budget)
+
+    @pytest.mark.parametrize("q", OVERFLOWING_SUM)
+    def test_overflowing_sum_within_1e_12_of_mpmath(self, q):
+        # z+- is taken as g/R +- d/R; dp = 3.4676e-310 is subnormal, so it
+        # keeps only about 46 bits
+        budget = ErrorBudget(0.1, 0.1, 0.1)
+        want = _mp_certificates(q, budget)[1]
+        assert error_propagation(q, budget) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert 3.4676e-310 < want < 3.4677e-310
 
     def test_equal_means_reduction(self):
         # only the d-channel survives symmetric +-d exponents
@@ -280,11 +324,10 @@ class TestErrorRatioBounds:
             assert x / (x + 1.0) < math.tanh(x) < 1.0
 
 
-def _whole_rule(nodes, weights, center_weight=None):
-    """Ascending nodes and weights on [-1, 1] from those of positive nodes."""
-    half = sorted(zip(nodes, weights))
-    center = [] if center_weight is None else [(0.0, center_weight)]
-    rule = [(-x, w) for x, w in reversed(half)] + center + half
+def _rule(column):
+    """Ascending nodes and weights of the rule in one column of the oracle's
+    rows (x, w_K21, w_G10) on [-1, 1], leaving out the nodes it weighs 0."""
+    rule = sorted((row[0], row[column]) for row in _UNIT_ROWS if row[column])
     return [x for x, _ in rule], [w for _, w in rule]
 
 
@@ -292,9 +335,8 @@ def _moment(k):
     return 2.0 / (k + 1) if k % 2 == 0 else 0.0
 
 
-G10 = _whole_rule(_G10_NODES, _G10_WEIGHTS)
-K21 = _whole_rule(_G10_NODES + _K21_NODES, _K21_GAUSS_WEIGHTS + _K21_WEIGHTS,
-                  _K21_CENTER_WEIGHT)
+K21 = _rule(1)
+G10 = _rule(2)
 
 
 def _row_sums(f, a, b):
@@ -330,6 +372,7 @@ class TestGaussLegendreRule:
     def test_kronrod_nodes_interleave_the_gauss_nodes(self):
         # every G10 node is a K21 node, and exactly one K21 node lies
         # between neighbors and beyond each end
+        assert len(K21[0]) == 21
         assert K21[0][1::2] == G10[0]
 
     @pytest.mark.parametrize("k", range(20))
@@ -817,9 +860,9 @@ class TestFloat32Screen:
     """The oracle decides most hits with float32 trig and redoes the rest exactly."""
 
     def test_every_sample_refined_matches_exact_transform(self, monkeypatch):
-        # an infinite margin decides nothing in the screen, so the exact
-        # refinement runs on every sample of every chunk
-        monkeypatch.setattr(verify, "_TRIG32_ERR", math.inf)
+        # a finite margin wider than any sample's spread decides nothing in
+        # the screen, so the exact refinement runs on every sample of every chunk
+        monkeypatch.setattr(verify, "_F32_ERR", 1.0)
         rng = random.Random(4711)
         for _ in range(100):
             mu1 = rng.uniform(15.0, 80.0)
@@ -861,6 +904,35 @@ class TestFloat32Screen:
     def test_edge_queries_match_exact_transform(self, q, samples):
         for seed in (0, 1, 2):
             assert mc_oracle(q, samples, seed) == _float64_mc(q, samples, seed)
+
+    @pytest.mark.parametrize("q", [
+        # |gamma| = delta near 1e300 in units of R, and 1e-15 relative to
+        # either side of it
+        _query(7e299, 1.0, 0.0, 1.0, d=7e299),
+        _query(7e299, 1.0, 0.0, 1.0, d=7e299 * (1.0 - 1e-15)),
+        _query(7e299, 1.0, 0.0, 1.0, d=7e299 * (1.0 + 1e-15)),
+        # |gamma| past 2**127 with a small delta, of either sign
+        _query(1e39, 1.0, 0.0, 1.0, d=1.0),
+        _query(0.0, 1.0, 1e39, 1.0, d=1.0),
+        # delta past 2**127 with a small |gamma|
+        _query(20.0, 1.0, 18.0, 1.0, d=1e39),
+        # opposite-sign means
+        _query(-1e200, 1.0, 1e200, 1.0, d=2e200),
+        _query(-1e200, 1.0, 1e200, 1.0, d=1.9e200),
+    ])
+    def test_far_range_decided_as_exact_transform(self, q):
+        # where the screen's scale reaches 2**127 every sample decides alike,
+        # so the oracle returns 1.0 or 0.0 without sampling
+        assert verify._screen_margin(q.g1.mu, q.g1.sigma, q.g2.mu, q.g2.sigma, q.d)[2] == math.inf
+        for samples in (20_000, 20_001):
+            for seed in (0, 1, 2):
+                assert mc_oracle(q, samples, seed) == _float64_mc(q, samples, seed)
+
+    def test_only_sampling_imports_numpy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert mc_oracle(_query(20.0, 1.0, 18.0, 1.0, d=1e39), 20_000, 0) == McEstimate(1.0, 0.0)
+        with pytest.raises(ImportError):
+            mc_oracle(_query(20.0, 3.0, 16.0, 2.4, d=2.7), 20_000, 0)
 
     def test_pairs_on_the_boundary_decided_as_exact_transform(self, monkeypatch):
         # draws crafted so that the exact |r cos(theta + phi) + gamma| of the
