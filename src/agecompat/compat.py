@@ -41,14 +41,14 @@ class CompatQuery(_Value):
     stores +0.0 for both.
     """
 
-    __slots__ = ("g1", "g2", "d", "t")
+    __slots__ = ("_g1", "_g2", "_d", "_t")
 
     def __init__(self, g1: Gaussian, g2: Gaussian, d: float | None = None,
                  t: float | None = None):
         # every pair-grid, certify and default query gives t alone, so that
         # branch settles a positive t whose d is finite with one test
         if d is None and t is not None:
-            s1, s2 = g1.sigma, g2.sigma
+            s1, s2 = g1._sigma, g2._sigma       # the slots: a property read costs more
             anchor = s1 if s1 <= s2 else s2     # min(s1, s2) without the call
             d = t * anchor
             if not (0.0 < t and d < _INF):
@@ -61,25 +61,23 @@ class CompatQuery(_Value):
             raise ValueError("give exactly one of d (years) or t (sigma multiple)")
         else:
             _check_nonneg(d, "d")
-            s1, s2 = g1.sigma, g2.sigma
+            s1, s2 = g1._sigma, g2._sigma
             anchor = s1 if s1 <= s2 else s2
             d = d or 0.0
             t = d / anchor
             if t == _INF:
                 raise ValueError(f"d={d!r} is too large: t = d / min(sigma1, sigma2) "
                                  f"= {d!r} / {anchor!r} overflows, and t must be finite")
-        _set_g1(self, g1)
-        _set_g2(self, g2)
-        _set_d(self, d)
-        _set_t(self, t)
+        self._g1 = g1
+        self._g2 = g2
+        self._d = d
+        self._t = t
 
     @classmethod
     def from_profiles(cls, p1, p2, d=None, t=None) -> "CompatQuery":
         return cls(p1.gaussian, p2.gaussian, d=d, t=t)
 
 
-# a pair grid builds one per pair, so skip the _store loop
-_set_g1, _set_g2, _set_d, _set_t = CompatQuery._stores
 # one global read per compat_prob call instead of a global and an attribute
 _hypot, _erf, _erfc = math.hypot, math.erf, math.erfc
 
@@ -97,16 +95,16 @@ def compat_prob(q: CompatQuery) -> float:
     overflows the float range, its limit is taken, so every query gets
     a value.
     """
-    g1, g2, d = q.g1, q.g2, q.d
-    gap = abs(g1.mu - g2.mu)
-    scale = _hypot(g1.sigma, g2.sigma)
+    g1, g2, d = q._g1, q._g2, q._d          # the slots: a property read costs more
+    gap = abs(g1._mu - g2._mu)
+    scale = _hypot(g1._sigma, g2._sigma)
     # _cdf_diff inline: gap, d >= 0 give hi >= |lo|, so a finite hi passes its guard
     hi, lo = (gap + d) / scale, (gap - d) / scale
     if not hi < _INF:
         # gap + d, or its quotient, overflowed: take hi as gap/S + d/S, where
         # d/S <= t is finite, and halve every term if gap itself overflowed
         if gap == _INF:
-            gap, d, scale = abs(0.5 * g1.mu - 0.5 * g2.mu), 0.5 * d, 0.5 * scale
+            gap, d, scale = abs(0.5 * g1._mu - 0.5 * g2._mu), 0.5 * d, 0.5 * scale
             lo = (gap - d) / scale
         if lo == _INF:
             return 0.0

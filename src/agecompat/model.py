@@ -13,6 +13,7 @@ All types are immutable values and all operations pure.
 import math
 import sys
 from collections import namedtuple
+from operator import attrgetter
 
 from .special import _check_finite, _check_positive, _pdf
 
@@ -35,19 +36,37 @@ DIFF_DISPERSION_COEF = math.sqrt(2.0 * (1.0 - 2.0 / math.pi))
 D_SCOPE_UPPER_COEF = MEAN_DIFF_COEF + DIFF_DISPERSION_COEF
 
 
+def _field(slot):
+    """Read-only property over ``slot`` (``"_mu"`` gives field ``mu``),
+    refusing assignment and deletion with a frozen dataclass's messages."""
+    name = slot[1:]
+
+    def refuse_set(self, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def refuse_delete(self):
+        raise AttributeError(f"cannot delete field {name!r}")
+    return property(attrgetter(slot), refuse_set, refuse_delete, f"The {name} field (read-only).")
+
+
 class _Value:
     """Immutable slotted record: the base of the package's checked inputs
     (``Gaussian``, ``AgeProfile``, ``CompatQuery``, ``AgeLimitSpec``,
     ``ErrorBudget``), whose fields cannot change after their constructor's
     checks.  A result is a named tuple instead.
 
-    A subclass lists its fields in ``__slots__``, in constructor order, and
-    its ``__init__`` stores them with ``_store`` (or, for the per-pair
-    records ``Gaussian`` and ``CompatQuery``, the slot setters in
-    ``_stores``), since ``__setattr__`` refuses every
-    assignment with a frozen dataclass's message.  ``==``, ``hash`` and
-    ``repr`` go by the field tuple.  Pickle and copy rebuild through the
-    slots, never the constructor: ``CompatQuery`` refuses d and t together.
+    A subclass lists one slot ``_x`` per field ``x`` in ``__slots__``, in
+    constructor order, and its ``__init__`` stores them with plain
+    assignments.  Each field is a read-only property over its slot, whose
+    setter and deleter raise a frozen dataclass's messages; a name that is
+    neither is refused by the slots themselves.  Only the per-pair path
+    (``CompatQuery.__init__`` and ``compat_prob``) reads the slots, since a
+    slot read is several times cheaper than a property read; everything
+    else reads the fields.  A slot stays writable by name, as a field
+    always was through ``object.__setattr__``: the freeze guards against
+    mistakes, not against intent.  ``==``, ``hash`` and ``repr`` go by the
+    field tuple.  Pickle and copy rebuild through the slots, never the
+    constructor: ``CompatQuery`` refuses d and t together.
     ``__setstate__`` takes only a tuple of every field, so a state of
     another shape fails loudly instead of filling the slots with junk.
     """
@@ -55,22 +74,19 @@ class _Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls.__match_args__ = cls.__slots__
-        # each slot descriptor's own setter: about a third faster than object.__setattr__
-        cls._stores = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        cls.__match_args__ = tuple(slot[1:] for slot in cls.__slots__)
+        for slot in cls.__slots__:
+            setattr(cls, slot[1:], _field(slot))
 
     def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, slot) for slot in self.__slots__)
 
     def __setstate__(self, state):
         if not isinstance(state, tuple) or len(state) != len(self.__slots__):
             raise TypeError(f"{type(self).__qualname__} state must be a tuple of "
                             f"its {len(self.__slots__)} fields, got {state!r}")
-        self._store(state)
-
-    def _store(self, values):
-        for store, value in zip(self._stores, values):
-            store(self, value)
+        for slot, value in zip(self.__slots__, state):
+            setattr(self, slot, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -81,14 +97,8 @@ class _Value:
         return hash(self.__getstate__())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 _SIGMA_MAX = sys.float_info.max / math.sqrt(2.0)
@@ -101,7 +111,7 @@ class Gaussian(_Value):
     that sqrt(2) sigma and the pair scale hypot(sigma1, sigma2) stay finite.
     """
 
-    __slots__ = ("mu", "sigma")
+    __slots__ = ("_mu", "_sigma")
 
     def __init__(self, mu: float, sigma: float):
         _check_finite(mu, "mu")
@@ -109,12 +119,8 @@ class Gaussian(_Value):
             _check_positive(sigma, "sigma")
             raise ValueError(f"sigma must be at most {_SIGMA_MAX!r} (the float maximum "
                              f"over sqrt(2)), got {sigma!r}")
-        _set_mu(self, mu)
-        _set_sigma(self, sigma)
-
-
-# a pair grid builds two per age, so skip the _store loop
-_set_mu, _set_sigma = Gaussian._stores
+        self._mu = mu
+        self._sigma = sigma
 
 
 class AgeProfile(_Value):
@@ -126,12 +132,13 @@ class AgeProfile(_Value):
     :attr:`in_supported_band`, since the empirical studies cluster there.
     """
 
-    __slots__ = ("mu", "s")
+    __slots__ = ("_mu", "_s")
 
     def __init__(self, mu: float, s: float):
         _check_positive(mu, "mu")
         _check_positive(s, "s")
-        self._store((mu, s))
+        self._mu = mu
+        self._s = s
 
     @classmethod
     def from_sigma(cls, mu: float, sigma: float) -> "AgeProfile":

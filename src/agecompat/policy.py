@@ -53,14 +53,17 @@ def _check_rule_args(s1, s2, t):
 class AgeLimitSpec(_Value):
     """A mental-age limit: kind ('min' or 'max'), threshold, probability, s."""
 
-    __slots__ = ("kind", "x_limit", "p_limit", "s")
+    __slots__ = ("_kind", "_x_limit", "_p_limit", "_s")
 
     def __init__(self, kind: str, x_limit: float, p_limit: float, s: float):
         _check_kind(kind)
         _check_positive(x_limit, "x_limit")
         _check_open_prob(p_limit, "p_limit")
         _check_positive(s, "s")
-        self._store((kind, x_limit, p_limit, s))
+        self._kind = kind
+        self._x_limit = x_limit
+        self._p_limit = p_limit
+        self._s = s
 
 
 def _limit_factor(s, p_limit, kind):

@@ -118,13 +118,15 @@ mean mu12 and width sigma12 <= min(sigma1, sigma2).
 class ErrorBudget(_Value):
     """Absolute uncertainties of d, sigma1, sigma2 (years each)."""
 
-    __slots__ = ("d_err", "sigma1_err", "sigma2_err")
+    __slots__ = ("_d_err", "_sigma1_err", "_sigma2_err")
 
     def __init__(self, d_err: float, sigma1_err: float, sigma2_err: float):
         _check_nonneg(d_err, "d_err")
         _check_nonneg(sigma1_err, "sigma1_err")
         _check_nonneg(sigma2_err, "sigma2_err")
-        self._store((d_err, sigma1_err, sigma2_err))
+        self._d_err = d_err
+        self._sigma1_err = sigma1_err
+        self._sigma2_err = sigma2_err
 
 
 TruncationBound = namedtuple("TruncationBound", "worst_slice loose")
@@ -183,15 +185,20 @@ def error_propagation(q: CompatQuery, budget: ErrorBudget) -> float:
 
     This is exactly |dp/dd| dd + |dp/ds1| ds1 + |dp/ds2| ds2 of the
     closed form; one beyond the float range raises ValueError.  Where g +- d
-    overflows, z+- is taken as g/R +- d/R.
+    overflows, z+- is taken as g/R +- d/R, and where the gap g itself
+    overflows, z+- are infinite and dp is its limit 0, as p is.
     """
     unit = math.hypot(q.g1.sigma, q.g2.sigma)
     w1, w2 = q.g1.sigma / unit, q.g2.sigma / unit
     g = q.g1.mu - q.g2.mu
     zp, zm = _z(g, q.d, unit), _z(g, -q.d, unit)
     ep, em = _pdf(zp), _pdf(zm)
+    # z pdf(z) is taken as its limit 0 where pdf(z) is 0, since an overflowed
+    # z = +-inf would give inf * 0.0 = nan; for a finite z, z * 0.0 is 0 anyway
+    zep = zp * ep if ep else 0.0
+    zem = zm * em if em else 0.0
     dp = (budget.d_err * (ep + em)
-          + (w1 * budget.sigma1_err + w2 * budget.sigma2_err) * abs(zp * ep - zm * em)) / unit
+          + (w1 * budget.sigma1_err + w2 * budget.sigma2_err) * abs(zep - zem)) / unit
     if not math.isfinite(dp):
         raise ValueError(f"uncertainty of p is {dp!r}, not finite: the inputs are too extreme")
     return dp
@@ -206,7 +213,8 @@ def error_ratio(q: CompatQuery, budget: ErrorBudget) -> float:
     equal means the tanh term vanishes and the expression coincides with
     the quotient of the two :func:`error_propagation` channels.  Away from
     equal means it does not: that quotient is
-    |b - a tanh(a b)| (w1 ds1 + w2 ds2) / dd.
+    |b - a tanh(a b)| (w1 ds1 + w2 ds2) / dd.  Where the gap g overflows,
+    a is infinite and, for d > 0, the ratio is inf, which is its limit.
     """
     _check_positive(budget.d_err, "d_err")
     unit = math.hypot(q.g1.sigma, q.g2.sigma)

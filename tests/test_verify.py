@@ -196,6 +196,17 @@ class TestErrorPropagation:
         assert error_propagation(q, budget) == pytest.approx(want, rel=1e-12, abs=0.0)
         assert 3.4676e-310 < want < 3.4677e-310
 
+    @pytest.mark.parametrize("mu1, mu2", [(-1e308, 1e308), (1e308, -1e308)])
+    def test_overflowing_gap_gives_the_limit_zero(self, mu1, mu2):
+        # mu1 - mu2 overflows, so z+- are infinite and pdf(z+-) is 0: z pdf(z)
+        # is taken as its limit 0, not inf * 0.0 = nan, as p itself is 0
+        q = _query(mu1, 1.0, mu2, 1.0, d=1.0)
+        budget = ErrorBudget(0.1, 0.1, 0.1)
+        assert compat_prob(q) == 0.0
+        assert error_propagation(q, budget) == 0.0
+        # the paper's ratio grows without bound in |mu1 - mu2|, and inf is its limit
+        assert error_ratio(q, budget) == math.inf
+
     def test_equal_means_reduction(self):
         # only the d-channel survives symmetric +-d exponents
         q = _query(20.0, 2.0, 20.0, 1.5, d=1.2)
