@@ -215,13 +215,15 @@ def error_ratio(q: CompatQuery, budget: ErrorBudget) -> float:
     equal means it does not: that quotient is
     |b - a tanh(a b)| (w1 ds1 + w2 ds2) / dd.  Where the gap g overflows,
     a is infinite and, for d > 0, the ratio is inf, which is its limit.
+    Where b is 0, a tanh(2 a b) is taken as its limit 0, so such a gap
+    with d = 0 gives 0.0, not inf * tanh(0) = nan.
     """
     _check_positive(budget.d_err, "d_err")
     unit = math.hypot(q.g1.sigma, q.g2.sigma)
     w1, w2 = q.g1.sigma / unit, q.g2.sigma / unit
     a, b = (q.g1.mu - q.g2.mu) / unit, q.d / unit
-    return (abs(a * math.tanh(2.0 * a * b) + b)
-            * (w1 * budget.sigma1_err + w2 * budget.sigma2_err) / budget.d_err)
+    a_tanh = a * math.tanh(2.0 * a * b) if b else 0.0
+    return abs(a_tanh + b) * (w1 * budget.sigma1_err + w2 * budget.sigma2_err) / budget.d_err
 
 
 def error_ratio_bounds(a: float, b: float, c: float) -> tuple[float, float]:
@@ -350,14 +352,14 @@ def _screen(log_v, angle, gamma, f32):
     ``log_v`` = ln v and ``angle`` = theta + phi are float64 arrays of
     size n, and ``f32`` a (4, n) float32 array, clobbered: rows r, the
     angle, and the two products, which are returned as its last two rows.
-    r is formed as sqrt(-2 float32(ln v)) in float32, within 1.5 * 2**-24
-    of the float64 r relative, and the angle is rounded to float32 once;
-    every later step is float32.
+    r is sqrt(float32(-2 ln v)), a float64 product rounded into float32 and
+    so exactly -2 float32(ln v), as doubling commutes with rounding for ln v
+    = 0 or 2**-53 <= |ln v| <= 36.8; it is within 1.5 * 2**-24 of the float64
+    r relative.  The angle is rounded to float32 once; every later step is float32.
     """
     import numpy as np
     r, ang, cos, sin = f32
-    r[...] = log_v
-    r *= np.float32(-2.0)
+    np.multiply(log_v, -2.0, out=r)
     np.sqrt(r, out=r)
     ang[...] = angle
     np.cos(ang, out=cos)
@@ -375,9 +377,9 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     from a PCG64 stream, using both variates of each draw.  The samples
     come in chunks of m <= 2**19, whose substreams derive from (seed,
     chunk index), making the result independent of evaluation order.
-    A chunk draws n = ceil(m/2) uniforms u1 and then n uniforms u2, so
-    the stream position is a fixed function of the sample count and
-    identical seeds give identical output.
+    A chunk fills a (2, n) array, n = ceil(m/2), in one call: in C order,
+    n uniforms u1 and then n uniforms u2, so the stream position is a
+    fixed function of the sample count and identical seeds give identical output.
 
     The transform is taken in units of R = hypot(sigma1, sigma2), with
     phi = atan2(sigma2, sigma1), gamma = (mu1 - mu2)/R and delta = d/R.
@@ -392,7 +394,7 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     sin theta), so the two are independent and the standard error is
     binomial.  A sample is a hit where its value, in float64, is at most
     delta in absolute value.  Each chunk first screens its samples in
-    float32: r as sqrt(-2 float32(ln v)) from the float64 logarithm, c
+    float32: r as sqrt(float32(-2 ln v)) from the float64 logarithm, c
     as the float32 cos or sin of float32(theta + phi), and |r * c +
     gamma| in float32, compared with delta.  With the scale S = 8.6 +
     |gamma| + delta it is within a margin
@@ -404,7 +406,7 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     moves it by at most 2**-22 and float32 cos and sin are within a few
     ulp (6e-8), so c is within 5e-7, half of 1e-6, of the float64 cosine
     or sine.  The second covers the float32 roundings: r is within
-    1.5 * 2**-24 relative (the cast of ln v costs 2**-24, which the
+    1.5 * 2**-24 relative (rounding -2 ln v costs 2**-24, which the
     square root halves, and the square root rounds once), and gamma,
     r * c and the sum round by 2**-24 relative each (gamma may underflow
     by 2**-150, which r < 8.58 leaves room for): 3.5 * 2**-24 of S, under
@@ -453,47 +455,42 @@ def mc_oracle(q: CompatQuery, samples: int, seed: int) -> McEstimate:
     import numpy as np
 
     phi = math.atan2(s2, s1)
-    lo = np.nextafter(np.float32(delta - margin), np.float32(-np.inf))
-    hi = np.nextafter(np.float32(delta + margin), np.float32(np.inf))
-    # one block holds each chunk's arrays: ln v, theta + phi and, viewed as four
-    # float32 rows, the screen's.  glibc hands a freed heap top back to the
-    # OS once it exceeds twice the largest freed mmap'd block, so with
-    # separate arrays, depending on heap layout, every call could fault
-    # their pages in again: about 150 faults at 20,000 samples
-    width = (min(_MC_CHUNK, samples) + 1) // 2
-    scratch = np.empty((4, width))
-    f32 = scratch[2:].view(np.float32).reshape(4, width)
+    lo, hi = np.nextafter(np.float32([delta - margin, delta + margin]),
+                          np.float32([-np.inf, np.inf]))
+    # one flat block holds each chunk's arrays: u1 and u2, then ln v and theta + phi
+    # in their place, and, viewed as four float32 rows, the screen's.  glibc hands a
+    # freed heap top back to the OS once it exceeds twice the largest freed mmap'd
+    # block, so with separate arrays, depending on heap layout, every call could
+    # fault their pages in again: about 150 faults at 20,000 samples
+    block = np.empty(4 * ((min(_MC_CHUNK, samples) + 1) // 2))
     hits = 0
     for chunk_idx, done in enumerate(range(0, samples, _MC_CHUNK)):
         m = min(_MC_CHUNK, samples - done)
         n = (m + 1) // 2               # draws: sample j takes draw j's cos, n + j its sin
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,))))
-        a, b = scratch[:2, :n]
-        rng.random(out=a)
+        a, b = rng.random(out=block[:2 * n].reshape(2, n))   # C order: u1, then u2
         np.subtract(1.0, a, out=a)     # u1 in (0, 1]: keeps log finite
-        rng.random(out=b)              # u2
         np.log(a, out=a)               # ln v, kept in float64
         b *= 2.0 * np.pi               # theta
         b += phi                       # theta + phi, in float64 for both decisions
-        x = _screen(a, b, gamma, f32[:, :n])
+        x = _screen(a, b, gamma, block[2 * n:4 * n].view(np.float32).reshape(4, n))
         if m < 2 * n:
             x[1, -1] = np.inf          # an odd chunk has no sample 2n - 1: a decided miss
         inside = x < lo
         outside = x > hi
         decided = int(np.count_nonzero(inside))
         hits += decided
-        decided += int(np.count_nonzero(outside))
-        if decided == 2 * n:
+        if decided + int(np.count_nonzero(outside)) == 2 * n:
             continue
-        # the undecided samples get the float64 transform; flat index j < n
-        # is draw j's cos sample, n + j its sin sample
-        keep = np.flatnonzero(~(inside | outside))
-        split = int(np.searchsorted(keep, n))
-        for trig, j in ((np.cos, keep[:split]), (np.sin, keep[split:] - n)):
-            x = np.sqrt(-2.0 * a[j])
-            x *= trig(b[j])
-            x += gamma
-            hits += int(np.count_nonzero(np.abs(x) <= delta))
+        # the masks are disjoint, so the undecided samples, which get the float64
+        # transform, are where both are False: flat index k < n is draw k's cos
+        # sample, n + j draw j's sin sample
+        k = np.flatnonzero(inside == outside)
+        j = k % n
+        x = np.sqrt(-2.0 * a[j])
+        x *= np.where(k < n, np.cos(b[j]), np.sin(b[j]))
+        x += gamma
+        hits += int(np.count_nonzero(np.abs(x) <= delta))
     est = hits / samples
     return McEstimate(est, math.sqrt(est * (1.0 - est) / samples))

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import statistics
 import sys
 import types
 
@@ -206,6 +207,8 @@ class TestErrorPropagation:
         assert error_propagation(q, budget) == 0.0
         # the paper's ratio grows without bound in |mu1 - mu2|, and inf is its limit
         assert error_ratio(q, budget) == math.inf
+        # at d = 0, a tanh(2 a b) is taken as its limit 0, not inf * tanh(0) = nan
+        assert error_ratio(_query(mu1, 1.0, mu2, 1.0, d=0.0), budget) == 0.0
 
     def test_equal_means_reduction(self):
         # only the d-channel survives symmetric +-d exponents
@@ -746,6 +749,16 @@ class TestMcOracle:
         est, se = mc_oracle(q, 10 ** 6, seed=42)
         assert abs(est - compat_prob(q)) <= 3.0 * se
 
+    def test_unbiased_across_queries(self):
+        # one call per query, with seed i for query i: the z-scores of the
+        # estimates against the closed form centre on 0 with unit spread
+        zs = []
+        for seed, q in enumerate(_certify_queries(1958, 400)):
+            est, se = mc_oracle(q, 20_000, seed)
+            zs.append((est - compat_prob(q)) / se)
+        assert abs(statistics.fmean(zs)) <= 0.2
+        assert 0.85 <= statistics.stdev(zs) <= 1.15
+
     def test_zero_window_never_hits(self):
         q = _query(20.0, 2.0, 18.0, 1.5, d=0.0)
         assert mc_oracle(q, 10 ** 4, seed=1).estimate == 0.0
@@ -967,14 +980,15 @@ class TestFloat32Screen:
         assert u2.size == n
 
         class Draws:
-            # stands in for numpy's Generator: the chunk's 1 - u1, then u2
+            # stands in for numpy's Generator: the chunk's 1 - u1, then u2, as
+            # two calls of size n or as the rows of one (2, n) out
             def __init__(self, bit_generator):
                 self.draws = iter((1.0 - u1, u2))
 
             def random(self, size=None, out=None):
                 if out is None:
                     return next(self.draws).copy()
-                out[...] = next(self.draws)
+                out[...] = (1.0 - u1, u2)
                 return out
 
         monkeypatch.setattr(np.random, "Generator", Draws)
@@ -985,8 +999,8 @@ class TestFloat32Screen:
     def test_screen_decides_all_but_a_few_samples(self, monkeypatch):
         # an inf or needlessly wide margin passes every identity test above,
         # but sends the samples through the float64 transform; its float64
-        # cos and sin see every sample that the screen leaves undecided,
-        # 67 of 4e6 here, while the screen's cos and sin are float32
+        # cos and sin each see every sample that the screen leaves undecided,
+        # 67 of 4e6 here (134 counted), while the screen's cos and sin are float32
         np = pytest.importorskip("numpy")
         refined = 0
 
@@ -1048,8 +1062,8 @@ class TestFloat32Screen:
 
     def test_float32_radius_within_one_and_a_half_ulp(self):
         # with theta = phi = gamma = 0 the screen's cos row is its float32 r,
-        # sqrt(-2 float32(ln v)): the cast costs 2**-24 relative, halved by
-        # the square root, which rounds by 2**-24 more
+        # sqrt(float32(-2 ln v)): rounding to float32 costs 2**-24 relative,
+        # halved by the square root, which rounds by 2**-24 more
         np = pytest.importorskip("numpy")
         n = 1 << 19
         log_v = _screen_draws(n)[0]
