@@ -112,9 +112,8 @@ def compat_prob(q: CompatQuery) -> float:
         return _phi(-lo) if hi == _INF else _cdf_diff(hi, lo)
     if lo > 0.0:
         v = 0.5 * (_erfc(lo / _SQRT2) - _erfc(hi / _SQRT2))
-    else:
-        v = 0.5 * (_erf(hi / _SQRT2) - _erf(lo / _SQRT2))
-    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+        return 0.0 if v < 0.0 else v
+    return 0.5 * (_erf(hi / _SQRT2) - _erf(lo / _SQRT2))
 
 
 def compat_prob_known(d: float, x1: float, g: Gaussian) -> float:

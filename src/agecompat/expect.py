@@ -26,9 +26,6 @@ __all__ = [
     "at_least_k_exact", "at_least_k_normal", "normal_approx_valid",
 ]
 
-_REL_CUTOFF = 1e-18      # stop once terms no longer move the running sum
-
-
 def _count_text(name, n):
     # "n=12", or past 1e154 "n of about 10**400.00": the repr of such an
     # int has hundreds of digits, and past 4300 Python refuses to format it
@@ -147,28 +144,30 @@ def _log_binom_pmf(m, n, p, q):
 
 def _tail_sum(log_term, m, n, ratio):
     # exp(log_term) * (1 + r_m + r_m r_{m+1} + ...) for the term ratios
-    # r_j = (n-j)/(j+1) * ratio, clamped at 1.  The ratios, positive and
-    # decreasing, are summed into a running total from an anchor of 1.0 and
-    # stopped once a term no longer moves it, so the stop test and the terms
-    # stay normal floats even where the tail underflows, and only the final
-    # exp rounds into the subnormals.
+    # r_j = (n-j)/(j+1) * ratio, clamped at 1.  The terms are summed into a
+    # running total from an anchor of 1.0, so they and the stop test stay
+    # normal floats even where the tail underflows and only the final exp
+    # rounds into the subnormals.  The sum stops at the first term that
+    # leaves the total unchanged: the ratios are below 1 and falling, so no
+    # later, smaller term can move it either.
     # above = n - j and below = j + 1 are kept as floats.  Below 2**53 every
     # integer is exact in float64, so each quotient is the correctly rounded
     # one the integers give, without int arithmetic.  Above 2**53 a counter
     # can lag its integer by up to j after j steps, which moves the j-th
     # ratio by about j/(n - m) relative (j/m for below).  The sum stops
-    # within about 1,300 steps (see at_least_k_exact), so that is under
-    # 1.5e-13 per ratio, and the leading terms, which carry the sum, lag least
+    # within about 1,100 steps (see at_least_k_exact), so that is under
+    # 1.3e-13 per ratio, and the leading terms, which carry the sum, lag least
     term = total = 1.0
     above = float(n - m)
     below = float(m + 1)
     while above > 0.0:
         term *= above / below * ratio
-        total += term
+        t = total + term
+        if t == total:
+            break
+        total = t
         above -= 1.0
         below += 1.0
-        if term <= total * _REL_CUTOFF:
-            break
     total = math.exp(log_term + math.log(total))
     return total if total < 1.0 else 1.0
 

@@ -129,22 +129,22 @@ def normal_cdf(z: float) -> float:
 
 
 def _cdf_diff(hi: float, lo: float) -> float:
-    # Phi(hi) - Phi(lo) for finite lo <= hi, clamped to [0, 1]; above the
-    # median the upper tails are differenced, so far-tail intervals keep
-    # their relative accuracy instead of cancelling against 1, and an
-    # interval around 0 adds two erf terms of opposite sign instead of
-    # differencing two values near 1/2.  The guard is the only check
-    # between the public callers and the kernel.
+    # Phi(hi) - Phi(lo) for finite lo <= hi.  An interval below 0 is
+    # reflected onto the upper tail, Phi(-lo) - Phi(-hi), where the erfc terms
+    # are differenced, so far-tail intervals keep their relative accuracy;
+    # that difference is below 1/2 but clamped at 0, since libm's erfc need
+    # not be monotone to the last ulp.  An interval around 0 adds two erf
+    # terms of opposite sign, each at most 1 in magnitude, so their
+    # half-difference lies in [0, 1] unclamped.
     if not -_INF < lo <= hi < _INF:
         raise ValueError(
             f"interval needs finite bounds lo <= hi, got lo={lo!r}, hi={hi!r}")
+    if hi < 0.0:
+        lo, hi = -hi, -lo
     if lo > 0.0:
         v = 0.5 * (math.erfc(lo / _SQRT2) - math.erfc(hi / _SQRT2))
-    elif hi >= 0.0:
-        v = 0.5 * (math.erf(hi / _SQRT2) - math.erf(lo / _SQRT2))
-    else:
-        v = 0.5 * (math.erfc(-hi / _SQRT2) - math.erfc(-lo / _SQRT2))
-    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+        return 0.0 if v < 0.0 else v
+    return 0.5 * (math.erf(hi / _SQRT2) - math.erf(lo / _SQRT2))
 
 
 def _quantile(p):
