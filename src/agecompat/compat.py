@@ -11,9 +11,10 @@ and every other operation here is a specialization: a point mass for a
 known mental age, normalization by the same-age probability, single
 ranges, and a pure age-ratio form that exposes scale invariance.  Each
 interval is evaluated by ``special._cdf_diff``, which keeps relative
-accuracy far into the tails (``compat_prob`` repeats its two reachable
-branches inline), and the ratio form has one kernel, ``_ratio_prob``,
-which the rule audit in ``policy`` shares.
+accuracy far into the tails with two branches and one clamp
+(``compat_prob`` repeats both inline, since its hi >= |lo| needs no
+reflection of an interval below 0), and the ratio form has one kernel,
+``_ratio_prob``, which the rule audit in ``policy`` shares.
 """
 
 import math

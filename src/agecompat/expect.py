@@ -316,7 +316,7 @@ def at_least_k_exact(k: int, n: int, p: float) -> float:
     Past that grid, on 2,500 seeded draws with n from 10**7 to 10**19
     (1,500 of them above 2**53), the worst is 5.7e-16 * (1 + |ln P|) on
     the expansion's side and 1.7e-14 * (1 + |ln P|) on the sum's, and no
-    call of 20,000 took more than 1,263 steps of the sum.
+    call of 20,000 took more than 1,112 steps of the sum.
     Below the least normal float, 2.2e-308, a result is also rounded to
     a multiple of 2**-1074; it exceeds the relative bound by at most
     0.49 of that unit on those grids, on the tests' near-underflow

@@ -104,6 +104,15 @@ class _Value:
 _SIGMA_MAX = sys.float_info.max / math.sqrt(2.0)
 
 
+def _check_sigma(sigma):
+    # finite, positive and at most _SIGMA_MAX, the largest sigma whose
+    # sqrt(2) sigma is finite
+    if not 0.0 < sigma <= _SIGMA_MAX:
+        _check_positive(sigma, "sigma")
+        raise ValueError(f"sigma must be at most {_SIGMA_MAX!r} (the float maximum "
+                         f"over sqrt(2)), got {sigma!r}")
+
+
 class Gaussian(_Value):
     """Mental-age density: mean mu and standard deviation sigma, in years.
 
@@ -115,10 +124,7 @@ class Gaussian(_Value):
 
     def __init__(self, mu: float, sigma: float):
         _check_finite(mu, "mu")
-        if not 0.0 < sigma <= _SIGMA_MAX:
-            _check_positive(sigma, "sigma")
-            raise ValueError(f"sigma must be at most {_SIGMA_MAX!r} (the float maximum "
-                             f"over sqrt(2)), got {sigma!r}")
+        _check_sigma(sigma)
         self._mu = mu
         self._sigma = sigma
 
@@ -170,6 +176,7 @@ mean and dispersion of its absolute value (half-normal law).
 
 def gaussian_pdf(x: float, g: Gaussian) -> float:
     """Density of g at x; peaks at 1/(sqrt(2*pi)*sigma) when x = mu."""
+    _check_finite(x, "x")
     return _pdf((x - g.mu) / g.sigma) / g.sigma
 
 
@@ -179,8 +186,12 @@ def convolve_diff(g1: Gaussian, g2: Gaussian) -> Gaussian:
 
 
 def same_age_diff_stats(sigma: float) -> DiffStats:
-    """Half-normal moments of |X1 - X2| within one cohort of scale sigma."""
-    _check_positive(sigma, "sigma")
+    """Half-normal moments of |X1 - X2| within one cohort of scale sigma.
+
+    sigma is at most the float maximum over sqrt(2), as in ``Gaussian``,
+    so that sigma_d = sqrt(2) sigma stays finite.
+    """
+    _check_sigma(sigma)
     return DiffStats(
         sigma_d=math.sqrt(2.0) * sigma,
         mean_d=MEAN_DIFF_COEF * sigma,
@@ -193,9 +204,15 @@ def d_scope(sigma1: float, sigma2: float) -> tuple[float, float]:
 
     Lower edge: the smaller cohort dispersion (a stricter d would be
     tighter than natural same-cohort scatter).  Upper edge: mean plus
-    dispersion of the half-normal difference law, ~1.981 * sigma.
+    dispersion of the half-normal difference law, ~1.981 * sigma.  An
+    upper edge past the float range raises ValueError naming the smaller
+    sigma.
     """
     _check_positive(sigma1, "sigma1")
     _check_positive(sigma2, "sigma2")
-    lo = min(sigma1, sigma2)
-    return (lo, D_SCOPE_UPPER_COEF * lo)
+    name, lo = ("sigma1", sigma1) if sigma1 <= sigma2 else ("sigma2", sigma2)
+    hi = D_SCOPE_UPPER_COEF * lo
+    if hi == math.inf:
+        raise ValueError(f"{name}={lo!r} is too large: the upper edge "
+                         f"{D_SCOPE_UPPER_COEF:.4f} * {name} overflows")
+    return (lo, hi)

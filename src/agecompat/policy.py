@@ -141,10 +141,14 @@ def mental_limit_from_chrono(mu_limit: float, s: float, p_limit: float,
 def hyaps_bounds(mu: float) -> tuple[float, float]:
     """Half-your-age-plus-seven bounds: (mu/2 + 7, 2*mu - 14).
 
-    mu = 14 is the fixed point where both bounds collapse onto mu.
+    mu = 14 is the fixed point where both bounds collapse onto mu.  An
+    upper bound past the float range raises ValueError naming mu.
     """
     _check_positive(mu, "mu")
-    return (0.5 * mu + 7.0, 2.0 * mu - 14.0)
+    hi = 2.0 * mu - 14.0
+    if hi == math.inf:
+        raise ValueError(f"mu={mu!r} is too large: the upper bound 2*mu - 14 overflows")
+    return (0.5 * mu + 7.0, hi)
 
 
 def rule_probability(mu: float, delta: float, s1: float, s2: float,

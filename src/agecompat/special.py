@@ -6,11 +6,17 @@ erfc are the C library's, called through ``math``, the normal cdf is
 ``erfc(-z/sqrt(2))/2``, and the quantile is Wichura's AS 241 with one
 Newton step.  The test suite checks all three against a 40-digit
 reference.  The one interval kernel built on them, ``_cdf_diff`` for
-Phi(hi) - Phi(lo), also lives here and differences whichever tail keeps
-the result relatively accurate (erf terms for an interval that contains
-0).  ``compat.compat_prob`` repeats its two branches for hi >= 0 inline
-and calls it only for a bound that is not finite; every other interval
-calls it.  All functions are pure and safe for concurrent use.
+Phi(hi) - Phi(lo), also lives here.  It has two branches: an interval
+above 0 differences two upper-tail erfc values, so a far-tail interval
+keeps its relative accuracy, and one around 0 sums two erf terms; an
+interval below 0 is reflected onto the upper tail first.  Only the erfc
+difference is clamped, at 0, since the C library's erfc need not be
+monotone to the last ulp; erf keeps its argument's sign and never
+exceeds 1 in magnitude, so the erf branch needs no clamp.
+``compat.compat_prob``, whose hi is at least |lo|, repeats both branches
+inline and calls the kernel only for a bound that is not finite; every
+other interval calls it.  All functions are pure and safe for
+concurrent use.
 
 Inputs are validated once, at the public boundary, and the whole
 package states its domain rule through six checks defined here:

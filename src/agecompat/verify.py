@@ -31,8 +31,8 @@ from collections import namedtuple
 
 from .compat import CompatQuery
 from .model import _Value
-from .special import (_SQRT2, _SQRT2PI, QuadratureError, _check_nonneg, _check_positive,
-                      _clamp_unit, _index, _pdf, _phi)
+from .special import (_SQRT2, _SQRT2PI, QuadratureError, _check_finite, _check_nonneg,
+                      _check_positive, _clamp_unit, _index, _pdf, _phi)
 
 __all__ = [
     "SliceParams", "ErrorBudget", "TruncationBound", "McEstimate",
@@ -149,6 +149,7 @@ def slice_params(g1, g2, delta: float) -> SliceParams:
     mu1 - mu2 + delta overflows, z is taken as (mu1 - mu2)/R + delta/R; a
     gap mu1 - mu2 that overflows raises ValueError describing the arguments.
     """
+    _check_finite(delta, "delta")
     unit = math.hypot(g1.sigma, g2.sigma)
     gap = g1.mu - g2.mu
     if abs(gap) == math.inf:
@@ -230,11 +231,17 @@ def error_ratio_bounds(a: float, b: float, c: float) -> tuple[float, float]:
     """Bracket ((a+b)/(1+c), 2(a+b)) for the error ratio.
 
     Applies under d = a*sigma1, mu1-mu2 = b*sigma1, sigma1 = c*sigma2
-    with a, b, c > 1 and roughly equal budget entries.
+    with finite a, b, c > 1 and roughly equal budget entries.  An upper
+    bound past the float range raises ValueError naming a and b.
     """
-    if not (a > 1 and b > 1 and c > 1):
-        raise ValueError("bounds require a, b, c > 1")
-    return ((a + b) / (1.0 + c), 2.0 * (a + b))
+    for name, x in (("a", a), ("b", b), ("c", c)):
+        if not 1.0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and greater than 1, got {x!r}")
+    hi = 2.0 * (a + b)
+    if hi == math.inf:
+        raise ValueError(f"a={a!r} and b={b!r} are too large: "
+                         f"the upper bound 2*(a + b) overflows")
+    return ((a + b) / (1.0 + c), hi)
 
 
 def _bisect(work, window, tol):

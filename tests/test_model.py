@@ -194,6 +194,17 @@ class TestSameAgeDiffStats:
         with pytest.raises(ValueError):
             same_age_diff_stats(0.0)
 
+    def test_sigma_d_overflow_edge(self):
+        # Gaussian's bound, the float maximum over sqrt(2): above it
+        # sigma_d = sqrt(2) sigma overflows
+        top = sys.float_info.max / math.sqrt(2.0)
+        for sigma in (math.nextafter(top, 0.0), top):
+            assert all(math.isfinite(v) for v in same_age_diff_stats(sigma))
+        for sigma in (math.nextafter(top, math.inf), 1.3e308):
+            message = f"sigma must be at most {top!r} (the float maximum over sqrt(2)), got {sigma!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                same_age_diff_stats(sigma)
+
 
 class TestDScope:
     def test_cohort_pair(self):
@@ -220,3 +231,18 @@ class TestDScope:
             d_scope(-1.0, 2.0)
         with pytest.raises(ValueError):
             d_scope(1.0, 0.0)
+
+    def test_upper_edge_overflow(self):
+        # the largest smaller sigma whose upper edge 1.981 sigma is finite
+        top = float.fromhex("0x1.02788458b298fp+1023")
+        big = sys.float_info.max
+        for sigma in (math.nextafter(top, 0.0), top):
+            assert d_scope(sigma, big) == (sigma, D_SCOPE_UPPER_COEF * sigma)
+            assert math.isfinite(d_scope(big, sigma)[1])
+        for sigma in (math.nextafter(top, math.inf), 1e308):
+            for args, name in (((sigma, big), "sigma1"), ((big, sigma), "sigma2")):
+                message = f"{name}={sigma!r} is too large: the upper edge 1.9809 * {name} overflows"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    d_scope(*args)
+        with pytest.raises(ValueError, match=r"^sigma1=1e\+308 is too large"):
+            d_scope(1e308, 1e308)

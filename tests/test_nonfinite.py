@@ -27,7 +27,7 @@ from agecompat.compat import (
     same_age_prob,
     symmetric_range_prob,
 )
-from agecompat.model import AgeProfile, Gaussian, d_scope, same_age_diff_stats
+from agecompat.model import AgeProfile, Gaussian, d_scope, gaussian_pdf, same_age_diff_stats
 from agecompat.policy import (
     AgeLimitSpec,
     audit_hyaps,
@@ -36,7 +36,7 @@ from agecompat.policy import (
     rule_probability,
     solve_m,
 )
-from agecompat.verify import ErrorBudget
+from agecompat.verify import ErrorBudget, error_ratio_bounds, slice_params
 
 G1, G2 = Gaussian(18.0, 1.8), Gaussian(14.0, 1.4)
 NAN, INF = math.nan, math.inf
@@ -81,6 +81,7 @@ CALLS = {
     "AgeProfile(18, x)": ("s", lambda x: AgeProfile(18.0, x)),
     "AgeProfile.from_sigma(x, 2.7)": ("mu", lambda x: AgeProfile.from_sigma(x, 2.7)),
     "AgeProfile.from_sigma(18, x)": ("sigma", lambda x: AgeProfile.from_sigma(18.0, x)),
+    "gaussian_pdf(x, g)": ("x", lambda x: gaussian_pdf(x, G2)),
     "same_age_diff_stats(x)": ("sigma", same_age_diff_stats),
     "d_scope(x, 1.4)": ("sigma1", lambda x: d_scope(x, 1.4)),
     "d_scope(1.8, x)": ("sigma2", lambda x: d_scope(1.8, x)),
@@ -99,6 +100,10 @@ CALLS = {
     "ErrorBudget(x, .1, .1)": ("d_err", lambda x: ErrorBudget(x, .1, .1)),
     "ErrorBudget(.1, x, .1)": ("sigma1_err", lambda x: ErrorBudget(.1, x, .1)),
     "ErrorBudget(.1, .1, x)": ("sigma2_err", lambda x: ErrorBudget(.1, .1, x)),
+    "slice_params(g1, g2, x)": ("delta", lambda x: slice_params(G1, G2, x)),
+    "error_ratio_bounds(x, 2, 2)": ("a", lambda x: error_ratio_bounds(x, 2.0, 2.0)),
+    "error_ratio_bounds(2, x, 2)": ("b", lambda x: error_ratio_bounds(2.0, x, 2.0)),
+    "error_ratio_bounds(2, 2, x)": ("c", lambda x: error_ratio_bounds(2.0, 2.0, x)),
 }
 
 # The only (call, argument) pair that returns a value; every other pair raises.

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -205,6 +206,16 @@ class TestHyapsBounds:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             hyaps_bounds(0.0)
+
+    def test_upper_bound_overflow_edge(self):
+        # half the float maximum: above it 2*mu overflows
+        top = sys.float_info.max / 2.0
+        for mu in (math.nextafter(top, 0.0), top):
+            assert all(math.isfinite(v) for v in hyaps_bounds(mu))
+        for mu in (math.nextafter(top, math.inf), 1e308):
+            message = f"mu={mu!r} is too large: the upper bound 2*mu - 14 overflows"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                hyaps_bounds(mu)
 
 
 class TestRuleProbability:

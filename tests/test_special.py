@@ -240,14 +240,6 @@ class TestSubnormalBand:
         xs = [normal_quantile(p) for p in ps]
         assert xs == sorted(xs)
 
-    @pytest.mark.parametrize("hi, lo", [(-37.7, -38.4), (-37.6, -38.5), (-38.0, -38.0),
-                                        (-38.4, -38.5)])
-    def test_cdf_diff_in_band(self, hi, lo):
-        # both tails give the same bits, inside the clamp
-        v = special._cdf_diff(hi, lo)
-        assert 0.0 <= v <= 1.0
-        assert v == special._cdf_diff(-lo, -hi)
-
 
 class TestPdfKernel:
     def test_normal_pdf_wraps_unchecked_kernel(self):
@@ -273,3 +265,55 @@ class TestCdfDiffGuard:
     def test_empty_interval_is_zero(self):
         assert special._cdf_diff(0.7, 0.7) == 0.0
         assert special._cdf_diff(-3.0, -3.0) == 0.0
+
+
+def _three_branch_cdf_diff(hi, lo):
+    # the kernel's earlier form: a lower-tail branch of its own, and a clamp
+    # to [0, 1] on every branch
+    if lo > 0.0:
+        v = 0.5 * (math.erfc(lo / math.sqrt(2.0)) - math.erfc(hi / math.sqrt(2.0)))
+    elif hi >= 0.0:
+        v = 0.5 * (math.erf(hi / math.sqrt(2.0)) - math.erf(lo / math.sqrt(2.0)))
+    else:
+        v = 0.5 * (math.erfc(-hi / math.sqrt(2.0)) - math.erfc(-lo / math.sqrt(2.0)))
+    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+
+
+def _cdf_diff_corpus(size):
+    # (hi, lo) pairs: every ordered pair of the edge values, among them
+    # signed zeros, lo = 0.0 with hi = -0.0, +-1e308 and the subnormal band
+    # of Phi near -38, then seeded intervals around centres in both tails
+    # and around 0, with half-widths from 1e-16 up to far past the centre
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 8.3, -8.3,
+             26.5, -26.5, 37.6, -37.6, 38.5, -38.5, 1e308, -1e308,
+             sys.float_info.max, -sys.float_info.max]
+    pairs = [(max(a, b), min(a, b)) for a in edges for b in edges]
+    pairs.append((-0.0, 0.0))
+    rng = random.Random(1241)
+    while len(pairs) < size:
+        centre = rng.choice((
+            rng.uniform(-10.0, 10.0), rng.uniform(-40.0, 40.0), rng.choice((0.0, -0.0)),
+            math.copysign(10.0 ** rng.uniform(-300.0, 308.0), rng.random() - 0.5)))
+        if rng.random() < 0.5:
+            half = 10.0 ** rng.uniform(-16.0, 3.0)
+        else:
+            half = abs(centre) * 10.0 ** rng.uniform(-16.0, 0.5)
+        lo, hi = rng.choice(((centre - half, centre + half), (centre, centre + half),
+                             (centre - half, centre)))
+        if -math.inf < lo <= hi < math.inf:
+            pairs.append((hi, lo))
+    return pairs
+
+
+def test_cdf_diff_same_bits_as_three_branch_form():
+    # reflecting an interval below 0 onto the upper tail, and returning the
+    # erf branch unclamped, change no bit and no sign of zero
+    pairs = _cdf_diff_corpus(120_000)
+    bad = [(hi, lo) for hi, lo in pairs
+           if special._cdf_diff(hi, lo).hex() != _three_branch_cdf_diff(hi, lo).hex()]
+    assert not bad, bad[:5]
+    # every branch of the earlier form is well represented
+    upper = sum(lo > 0.0 for hi, lo in pairs)
+    lower = sum(hi < 0.0 for hi, lo in pairs)
+    assert min(upper, lower, len(pairs) - upper - lower) > 20_000
+    assert special._cdf_diff(-0.0, 0.0).hex() == "-0x0.0p+0"

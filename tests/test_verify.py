@@ -331,6 +331,20 @@ class TestErrorRatioBounds:
         with pytest.raises(ValueError):
             error_ratio_bounds(2.0, 2.0, 0.5)
 
+    def test_upper_bound_overflow_edge(self):
+        # a + b = 2 + x rounds to x here, so 2*(a + b) overflows above half
+        # the float maximum
+        top = sys.float_info.max / 2.0
+        for x in (math.nextafter(top, 0.0), top):
+            assert all(math.isfinite(v) for v in error_ratio_bounds(x, 2.0, 2.0))
+            assert all(math.isfinite(v) for v in error_ratio_bounds(2.0, x, 2.0))
+        for a, b in ((math.nextafter(top, math.inf), 2.0), (2.0, math.nextafter(top, math.inf)),
+                     (1e308, 1e308)):
+            message = f"a={a!r} and b={b!r} are too large: the upper bound 2*(a + b) overflows"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                error_ratio_bounds(a, b, 2.0)
+        assert all(math.isfinite(v) for v in error_ratio_bounds(2.0, 2.0, sys.float_info.max))
+
     def test_tanh_envelope(self):
         # x/(x+1) < tanh(x) < 1 on x > 0
         for i in range(1, 400):
