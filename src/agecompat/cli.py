@@ -12,9 +12,17 @@ Each command computes its whole output and returns it as text; ``main``
 writes that text to stdout once, after the command has returned, so a
 non-zero exit writes nothing there.  Exit codes: 0 success, 2 usage or
 domain error, 3 numerical failure.
+
+The parser is built once per process, at the first ``main`` call, and
+reused by every later one; it holds no command, since ``main`` looks up
+``_cmd_<command>`` by the parsed subcommand's name at each call.
+argparse translates its own group titles (such as "options") through
+gettext at that first build, so a later change of locale does not reach
+them.
 """
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -252,6 +260,7 @@ def _cmd_tables(args):
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agecompat",
@@ -280,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "same-age probability")
     p_compat.add_argument("--error-budget", default=None, metavar="DD,DS1,DS2",
                           help="first-order uncertainty budget; adds a delta_p column")
-    p_compat.set_defaults(func=_cmd_compat)
 
     p_expect = sub.add_parser("expect", parents=[pair], help="population expectations")
     p_expect.add_argument("--n1", type=int, required=True)
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                        const="exact", help="only the exact binomial tail")
     group.add_argument("--normal", dest="path", action="store_const",
                        const="normal", help="only the normal-approximation tail")
-    p_expect.set_defaults(func=_cmd_expect, path="both")
+    p_expect.set_defaults(path="both")
 
     p_limits = sub.add_parser("limits", help="age-limit conversions")
     p_limits.add_argument("--kind", choices=("min", "max"), required=True)
@@ -309,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_limits.add_argument("--sweep", default=None, metavar="LO:HI:STEP",
                           help="sweep the limit probability; emits a CSV of "
                                "(p_limit, s, mental_limit) rows")
-    p_limits.set_defaults(func=_cmd_limits)
 
     p_rule = sub.add_parser("rule", help="half-your-age-plus-seven audit / solver")
     p_rule.add_argument("--mu-grid", default=None, metavar="LO:HI:STEP",
@@ -322,22 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="solve for the gap slope m with delta = m*mu")
     p_rule.add_argument("--p", type=float, default=None,
                         help="target minimum probability for --solve-m")
-    p_rule.set_defaults(func=_cmd_rule)
 
-    p_tables = sub.add_parser("tables", help="print both reference tables")
-    p_tables.set_defaults(func=_cmd_tables)
+    sub.add_parser("tables", help="print both reference tables")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = args.func(args)
+        text = globals()[f"_cmd_{args.command}"](args)
     except (ValueError, OverflowError) as exc:
         # OverflowError: finite inputs whose intermediates leave float range
         print(f"error: {exc}", file=sys.stderr)

@@ -181,8 +181,20 @@ def gaussian_pdf(x: float, g: Gaussian) -> float:
 
 
 def convolve_diff(g1: Gaussian, g2: Gaussian) -> Gaussian:
-    """Distribution of X1 - X2: means subtract, variances add."""
-    return Gaussian(g1.mu - g2.mu, math.hypot(g1.sigma, g2.sigma))
+    """Distribution of X1 - X2: means subtract, variances add.
+
+    A mean mu1 - mu2 that overflows, or a scale hypot(sigma1, sigma2) above
+    the largest sigma a ``Gaussian`` takes, raises ValueError naming it.
+    """
+    mu = g1.mu - g2.mu
+    if abs(mu) == math.inf:
+        raise ValueError(f"mu1 - mu2 overflows: mu1 = {g1.mu!r}, mu2 = {g2.mu!r}")
+    sigma = math.hypot(g1.sigma, g2.sigma)
+    if not sigma <= _SIGMA_MAX:
+        raise ValueError(f"hypot(sigma1, sigma2) = {sigma!r} is above {_SIGMA_MAX!r}, the "
+                         f"largest sigma of a Gaussian: sigma1 = {g1.sigma!r}, "
+                         f"sigma2 = {g2.sigma!r}")
+    return Gaussian(mu, sigma)
 
 
 def same_age_diff_stats(sigma: float) -> DiffStats:

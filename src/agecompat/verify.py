@@ -147,7 +147,8 @@ def slice_params(g1, g2, delta: float) -> SliceParams:
     least min sigma / sqrt(2), in units of R = hypot(sigma1, sigma2), with
     z = (mu1 - mu2 + delta)/R (z+ at delta = d) and w1 = sigma1/R.  Where
     mu1 - mu2 + delta overflows, z is taken as (mu1 - mu2)/R + delta/R; a
-    gap mu1 - mu2 that overflows raises ValueError describing the arguments.
+    gap mu1 - mu2 or a z that overflows raises ValueError describing the
+    arguments.
     """
     _check_finite(delta, "delta")
     unit = math.hypot(g1.sigma, g2.sigma)
@@ -156,6 +157,10 @@ def slice_params(g1, g2, delta: float) -> SliceParams:
         raise ValueError(f"slice_params cannot place the slice x2 = x1 + {delta!r} of {g1!r} "
                          f"and {g2!r}: the gap mu1 - mu2 = {gap!r} overflows")
     z = _z(gap, delta, unit)
+    if abs(z) == math.inf:
+        raise ValueError(f"slice_params cannot place the slice x2 = x1 + {delta!r} of {g1!r} "
+                         f"and {g2!r}: z = (mu1 - mu2 + delta)/R = {z!r} overflows, "
+                         f"with R = hypot(sigma1, sigma2) = {unit!r}")
     return SliceParams(mu12=g1.mu - z * (g1.sigma / unit) * g1.sigma,
                        sigma12=max(g1.sigma, g2.sigma) / unit * min(g1.sigma, g2.sigma))
 

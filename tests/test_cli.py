@@ -1,5 +1,6 @@
 """CLI surface: flags, CSV shape, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -700,6 +701,61 @@ class TestCliContract:
 
         monkeypatch.setattr(policy, "solve_m", boom)
         assert run_cli(capsys, "tables") == (2, "", "error: no root\n")
+
+
+# help, a usage error, a domain error, both expect inputs and a global flag
+_ORDER_VECTORS = [
+    ["--help"],
+    ["compat", "--help"],
+    ["compat", "--age1"],
+    ["compat", "--age1", "-1", "--age2", "14"],
+    ["expect", "--n1", "5", "--n2", "5", "--p", "0.1"],
+    ["expect", "--n1", "5", "--n2", "5", "--age1", "20", "--age2", "16"],
+    ["--digits", "17", "compat", "--age1", "18", "--age2", "14"],
+]
+
+
+class TestParserCache:
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        assert main(["tables"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["compat", "--age1", "18", "--age2", "14"]) == 0
+        assert built == []
+        argparse.ArgumentParser(prog="probe")  # the wrapper counts
+        assert built == ["probe"]
+        capsys.readouterr()
+
+    def test_calls_give_the_same_output_in_either_order(self):
+        # in a fresh process, so the forward pass's first call builds the
+        # parser and every later call, backward pass included, reuses it
+        script = (
+            "import io, json, sys\n"
+            "from contextlib import redirect_stderr, redirect_stdout\n"
+            "from agecompat.cli import main\n"
+            "def run(argv):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with redirect_stdout(out), redirect_stderr(err):\n"
+            "        code = main(argv)\n"
+            "    return [code, out.getvalue(), err.getvalue()]\n"
+            "vectors = json.loads(sys.argv[1])\n"
+            "forward = [run(v) for v in vectors]\n"
+            "backward = [run(v) for v in reversed(vectors)][::-1]\n"
+            "print(json.dumps([forward, backward]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(_ORDER_VECTORS)],
+                              env=_src_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        forward, backward = json.loads(proc.stdout)
+        assert [code for code, _, _ in forward] == [0, 0, 2, 2, 0, 0, 0]
+        for argv, first, second in zip(_ORDER_VECTORS, forward, backward):
+            assert first == second, argv
 
 
 # Values for numeric flags: ordinary, negative, zero, huge and non-finite.

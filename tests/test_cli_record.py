@@ -15,6 +15,13 @@ def test_output_matches_record():
     assert not diffs, "\n".join(diffs)
 
 
+def test_output_matches_record_replayed_backward():
+    # every call after the first reuses one parser, so no call may leave
+    # state on it that moves a later call's output
+    diffs = cli_record.replay(cli_record.load()[::-1])
+    assert not diffs, "\n".join(diffs)
+
+
 def test_record_holds_every_fixed_vector_once():
     record = cli_record.load()
     by_argv = {" ".join(e["argv"]): e for e in record}

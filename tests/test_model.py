@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agecompat.model import (
+    _SIGMA_MAX,
     D_SCOPE_UPPER_COEF,
     AgeProfile,
     DiffStats,
@@ -151,6 +152,22 @@ class TestConvolveDiff:
     def test_variance_additive(self, s1, s2):
         out = convolve_diff(Gaussian(1.0, s1), Gaussian(2.0, s2))
         assert out.sigma ** 2 == pytest.approx(s1 * s1 + s2 * s2, rel=1e-12)
+
+    @pytest.mark.parametrize("mu1, mu2", [(1e308, -1e308), (-1e308, 1e308)])
+    def test_overflowing_mean_gap_named(self, mu1, mu2):
+        message = f"mu1 - mu2 overflows: mu1 = {mu1!r}, mu2 = {mu2!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convolve_diff(Gaussian(mu1, 1.0), Gaussian(mu2, 1.0))
+        assert convolve_diff(Gaussian(mu1, 1.0), Gaussian(0.0, 1.0)).mu == mu1
+
+    def test_overflowing_scale_named(self):
+        message = (f"hypot(sigma1, sigma2) = {math.hypot(1.2e308, 1.2e308)!r} is above "
+                   f"{_SIGMA_MAX!r}, the largest sigma of a Gaussian: "
+                   f"sigma1 = 1.2e+308, sigma2 = 1.2e+308")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convolve_diff(Gaussian(0.0, 1.2e308), Gaussian(0.0, 1.2e308))
+        # hypot rounds back to sigma1 at Gaussian's bound
+        assert convolve_diff(Gaussian(0.0, _SIGMA_MAX), Gaussian(0.0, 1.0)).sigma == _SIGMA_MAX
 
 
 class TestSameAgeDiffStats:

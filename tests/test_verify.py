@@ -96,6 +96,25 @@ class TestSliceParams:
         with pytest.raises(ValueError, match="^slice_params cannot place"):
             truncation_bound(CompatQuery(g1, g2, d=1.0))
 
+    @pytest.mark.parametrize("g1, g2, delta", [
+        (Gaussian(0.0, 1e-300), Gaussian(0.0, 1e-300), 1e308),  # delta/R overflows
+        (Gaussian(1.7e308, 0.5), Gaussian(0.0, 0.5), 0.5),  # the gap over R < 1 does
+    ])
+    def test_overflowing_z_describes_the_arguments(self, g1, g2, delta):
+        unit = math.hypot(g1.sigma, g2.sigma)
+        message = (f"slice_params cannot place the slice x2 = x1 + {delta!r} of {g1!r} "
+                   f"and {g2!r}: z = (mu1 - mu2 + delta)/R = inf overflows, "
+                   f"with R = hypot(sigma1, sigma2) = {unit!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            slice_params(g1, g2, delta)
+
+    def test_truncation_bound_refuses_an_overflowing_z(self):
+        # the true mu12 is 8.5e307 and the worst slice 0; an infinite z
+        # would give mu12 = -inf and a worst slice of 1
+        q = CompatQuery(Gaussian(1.7e308, 0.5), Gaussian(0.0, 0.5), d=0.5)
+        with pytest.raises(ValueError, match="^slice_params cannot place"):
+            truncation_bound(q)
+
 
 def _mp_certificates(q, budget):
     """The worst slice Phi(-mu12/sigma12) and error_propagation's dp at 40 digits."""
