@@ -13,19 +13,24 @@ writes that text to stdout once, after the command has returned, so a
 non-zero exit writes nothing there.  Exit codes: 0 success, 2 usage or
 domain error, 3 numerical failure.
 
-The parser is built once per process, at the first ``main`` call, and
-reused by every later one; it holds no command, since ``main`` looks up
-``_cmd_<command>`` by the parsed subcommand's name at each call.
+``main`` reads a plain argv, ``[--digits N]... COMMAND`` then exact long
+flags each with its value or a switch, from ``_FLAGS`` without importing
+argparse.  Any other argv (help, an abbreviation, ``--flag=value``, a value
+that starts with ``-``, one that does not convert, a missing or unknown
+flag) goes to argparse, so every help screen, usage line and error message
+is argparse's own.  Its parser is built once per process, at the first call
+that needs it, and reused by every later one; it holds no command, since
+``main`` looks up ``_cmd_<command>`` by the subcommand's name at each call.
 argparse translates its own group titles (such as "options") through
 gettext at that first build, so a later change of locale does not reach
 them.
 """
 
-import argparse
 import functools
 import math
 import sys
 import warnings
+from types import SimpleNamespace
 
 from . import compat as compat_mod
 from .compat import CompatQuery
@@ -60,6 +65,7 @@ def _csv(columns, rows, digits):
 def _digits(text):
     value = int(text)
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
@@ -261,7 +267,8 @@ def _cmd_tables(args):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
     parser = argparse.ArgumentParser(
         prog="agecompat",
         description="Mental-age compatibility probabilities, expectations, "
@@ -335,11 +342,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# build_parser's subcommand flags, which the tests check against it: flag ->
+# (kind, default).  A kind that is a type or a tuple of choices takes one
+# value; any other kind is the constant that a switch stores.  A default of
+# ... marks a required flag.  --exact and --normal store into "path".
+_PAIR = dict.fromkeys(("--age1", "--age2", "--s1", "--s2", "--d", "--t"), (float, None))
+_FLAGS = {
+    "compat": {**_PAIR, "--normalized": (True, False), "--error-budget": (str, None)},
+    "expect": {**_PAIR, "--n1": (int, ...), "--n2": (int, ...), "--p": (float, None),
+               "--at-least-k": (int, None), "--exact": ("exact", "both"),
+               "--normal": ("normal", "both")},
+    "limits": {"--kind": (("min", "max"), ...), "--mental": (float, None),
+               "--chrono": (float, None), "--p": (float, None), "--s": (float, DEFAULT_S),
+               "--sweep": (str, None)},
+    "rule": {"--mu-grid": (str, None), "--s1": (float, DEFAULT_S), "--s2": (float, DEFAULT_S),
+             "--t": (float, MEAN_DIFF_COEF), "--solve-m": (True, False),
+             "--p": (float, None)},
+    "tables": {},
+}
+
+
+def _dest(flag):
+    return "path" if flag in ("--exact", "--normal") else flag[2:].replace("-", "_")
+
+
+def _fast_args(argv):
+    """build_parser().parse_args(argv)'s attributes for a plain argv, else None.
+
+    Plain is ``[--digits N]... COMMAND`` then exact long flags of COMMAND,
+    each with a value that does not start with ``-`` and converts as
+    argparse would convert it, or a switch; every required flag is given and
+    not both of --exact and --normal.  None sends argv to argparse.
+    """
+    values, flags, given = {"digits": DEFAULT_DIGITS}, {"--digits": (int, None)}, set()
+    tokens = iter(argv)
+    for token in tokens:
+        if "command" not in values and token in _FLAGS:
+            values["command"], flags = token, _FLAGS[token]
+            continue
+        if token not in flags:
+            return None
+        kind = flags[token][0]
+        given.add(token)
+        if not (callable(kind) or isinstance(kind, tuple)):  # a switch
+            values[_dest(token)] = kind
+            continue
+        text = next(tokens, "-")  # a missing value reads as "-"
+        try:
+            value = kind(text) if callable(kind) else kind[kind.index(text)]
+        except ValueError:  # no number, or none of the choices
+            return None
+        if text.startswith("-") or token == "--digits" and value < 1:
+            return None
+        values[_dest(token)] = value
+    if "command" not in values or {"--exact", "--normal"} <= given:
+        return None
+    for flag, (_, default) in flags.items():
+        if _dest(flag) not in values:
+            if default is ...:
+                return None
+            values[_dest(flag)] = default
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         text = globals()[f"_cmd_{args.command}"](args)
     except (ValueError, OverflowError) as exc:

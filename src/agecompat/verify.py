@@ -140,16 +140,8 @@ def _z(gap, delta, unit):
     return total / unit if abs(total) < math.inf else gap / unit + delta / unit
 
 
-def slice_params(g1, g2, delta: float) -> SliceParams:
-    """Slice mean/width for x2 = x1 + delta.
-
-    mu12 = mu1 - z w1 sigma1 and sigma12 = (max sigma / R) min sigma, at
-    least min sigma / sqrt(2), in units of R = hypot(sigma1, sigma2), with
-    z = (mu1 - mu2 + delta)/R (z+ at delta = d) and w1 = sigma1/R.  Where
-    mu1 - mu2 + delta overflows, z is taken as (mu1 - mu2)/R + delta/R; a
-    gap mu1 - mu2 or a z that overflows raises ValueError describing the
-    arguments.
-    """
+def _slice(g1, g2, delta):
+    """z, w1 and sigma12 of slice_params, raising where the gap or z overflows."""
     _check_finite(delta, "delta")
     unit = math.hypot(g1.sigma, g2.sigma)
     gap = g1.mu - g2.mu
@@ -161,8 +153,26 @@ def slice_params(g1, g2, delta: float) -> SliceParams:
         raise ValueError(f"slice_params cannot place the slice x2 = x1 + {delta!r} of {g1!r} "
                          f"and {g2!r}: z = (mu1 - mu2 + delta)/R = {z!r} overflows, "
                          f"with R = hypot(sigma1, sigma2) = {unit!r}")
-    return SliceParams(mu12=g1.mu - z * (g1.sigma / unit) * g1.sigma,
-                       sigma12=max(g1.sigma, g2.sigma) / unit * min(g1.sigma, g2.sigma))
+    return z, g1.sigma / unit, max(g1.sigma, g2.sigma) / unit * min(g1.sigma, g2.sigma)
+
+
+def slice_params(g1, g2, delta: float) -> SliceParams:
+    """Slice mean/width for x2 = x1 + delta.
+
+    mu12 = mu1 - z w1 sigma1 and sigma12 = (max sigma / R) min sigma, at
+    least min sigma / sqrt(2), in units of R = hypot(sigma1, sigma2), with
+    z = (mu1 - mu2 + delta)/R (z+ at delta = d) and w1 = sigma1/R.  Where
+    mu1 - mu2 + delta overflows, z is taken as (mu1 - mu2)/R + delta/R; a
+    gap mu1 - mu2, a z or a mu12 that overflows raises ValueError describing
+    the arguments.
+    """
+    z, w1, sigma12 = _slice(g1, g2, delta)
+    mu12 = g1.mu - z * w1 * g1.sigma
+    if abs(mu12) == math.inf:
+        raise ValueError(f"slice_params cannot place the slice x2 = x1 + {delta!r} of {g1!r} "
+                         f"and {g2!r}: mu12 = mu1 - z w1 sigma1 = {mu12!r} overflows, "
+                         f"with z = {z!r} and w1 = sigma1/R = {w1!r}")
+    return SliceParams(mu12=mu12, sigma12=sigma12)
 
 
 def truncation_bound(q: CompatQuery) -> TruncationBound:
@@ -172,10 +182,17 @@ def truncation_bound(q: CompatQuery) -> TruncationBound:
     decreases in delta), giving the worst-slice certificate.  The loose
     companion Phi(-(mu - d)/sigma), evaluated for the younger person,
     majorizes it when the age-to-dispersion ratios agree, and is the
-    quantity quoted against the 4-sigma yardstick.
+    quantity quoted against the 4-sigma yardstick.  Where mu12 leaves the
+    float range, the ratio is formed from mu12/4, which cannot, since
+    |z sigma1| <= |mu1 - mu2| + d.
     """
-    sp = slice_params(q.g1, q.g2, q.d)
-    worst = _phi(-sp.mu12 / sp.sigma12)
+    z, w1, sigma12 = _slice(q.g1, q.g2, q.d)
+    mu12 = q.g1.mu - z * w1 * q.g1.sigma
+    if abs(mu12) == math.inf:
+        ratio = (q.g1.mu / 4 - z * w1 * (q.g1.sigma / 4)) / sigma12 * 4
+    else:
+        ratio = mu12 / sigma12
+    worst = _phi(-ratio)
     younger = q.g1 if q.g1.mu <= q.g2.mu else q.g2
     loose = _phi(-(younger.mu - q.d) / younger.sigma)
     return TruncationBound(worst_slice=worst, loose=loose)

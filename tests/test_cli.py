@@ -12,9 +12,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import cli_record
+from agecompat import cli
 from agecompat.cli import main
 
 
@@ -28,6 +30,27 @@ def _src_env():
     # child interpreters import the package from this checkout's src/
     src = Path(__file__).resolve().parents[1] / "src"
     return dict(os.environ, PYTHONPATH=str(src))
+
+
+def _run_module(argv):
+    """Exit code, stdout, stderr and newly loaded modules of a fresh
+    ``python -m agecompat`` run of argv."""
+    script = (
+        "import json, runpy, sys\n"
+        "before = set(sys.modules)\n"
+        "sys.argv = ['agecompat', *json.loads(sys.argv[1])]\n"
+        "try:\n"
+        "    runpy.run_module('agecompat', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "sys.stdout.flush()\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=_src_env(),
+                          capture_output=True, text=True)
+    err, _, last = proc.stderr.rstrip("\n").rpartition("\n")
+    code, loaded = json.loads(last)
+    return code, proc.stdout, err + "\n" if err else "", set(loaded)
 
 
 def parse_csv(text):
@@ -543,28 +566,40 @@ class TestCliContract:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("age1,")
 
-    def test_subcommand_loads_only_what_it_runs(self):
-        # compat needs neither the oracles, nor the binomial tails, nor the
-        # limit and rule solvers, nor the dataclasses/typing machinery (which
-        # pulls in inspect, ast, dis and tokenize).  New modules are compared,
-        # not absent ones, because a site .pth file may preload typing.
-        script = (
-            "import json, runpy, sys\n"
-            "before = set(sys.modules)\n"
-            "sys.argv = ['agecompat', 'compat', '--age1', '30', '--age2', '32']\n"
-            "try:\n"
-            "    runpy.run_module('agecompat', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(json.loads(proc.stderr.splitlines()[-1]))
-        assert "agecompat.compat" in loaded
-        assert not loaded & {"dataclasses", "inspect", "typing", "agecompat.verify",
-                             "agecompat.expect", "agecompat.policy"}
+    # CI's five smoke vectors and a plain compat: the module each runs, the
+    # package modules it must leave alone.  New modules are compared, not
+    # absent ones, because a site .pth file may preload typing.
+    @pytest.mark.parametrize("argv, runs, skips", [
+        ("compat --age1 30 --age2 32", "compat", {"verify", "expect", "policy"}),
+        ("compat --age1 18 --age2 14 --error-budget 0.1,0.1,0.1", "verify",
+         {"expect", "policy"}),
+        ("expect --n1 50 --n2 200 --age1 20 --age2 16 --at-least-k 15", "expect",
+         {"verify", "policy"}),
+        ("limits --kind min --chrono 18 --sweep 0.05:0.95:0.05", "policy",
+         {"verify", "expect"}),
+        ("rule --mu-grid 15:80:5", "policy", {"verify", "expect"}),
+        ("tables", "policy", {"verify", "expect"}),
+    ], ids=["compat", "compat-error-budget", "expect", "limits", "rule", "tables"])
+    def test_subcommand_loads_only_what_it_runs(self, argv, runs, skips):
+        # a well-formed argv is read without argparse (and the gettext and
+        # locale it imports), and no command needs the dataclasses/typing
+        # machinery (which pulls in inspect, ast, dis and tokenize)
+        code, out, err, loaded = _run_module(argv.split())
+        assert code == 0 and out, err
+        assert f"agecompat.{runs}" in loaded
+        assert not loaded & {f"agecompat.{name}" for name in skips}
+        assert not loaded & {"argparse", "gettext", "locale", "dataclasses", "inspect",
+                             "typing"}
+
+    def test_help_and_usage_errors_come_from_argparse(self):
+        code, out, err, loaded = _run_module(["compat", "--help"])
+        assert (code, err) == (0, "") and "argparse" in loaded
+        assert out.startswith("usage: agecompat compat [-h] [--age1 AGE1]")
+        assert "--error-budget DD,DS1,DS2" in out
+        code, out, err, loaded = _run_module(["compat", "--age1"])
+        assert (code, out) == (2, "") and "argparse" in loaded
+        assert err.startswith("usage: agecompat compat [-h] [--age1 AGE1]")
+        assert err.endswith("agecompat compat: error: argument --age1: expected one argument\n")
 
     @pytest.mark.parametrize("argv, expected", [
         (("compat", "--age1", "18", "--age2", "14", "--s1", "0.1", "--s2", "0.1",
@@ -716,8 +751,7 @@ _ORDER_VECTORS = [
 
 
 class TestParserCache:
-    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
-        assert main(["tables"]) == 0
+    def test_only_fallbacks_build_the_parser_and_only_once(self, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -726,15 +760,22 @@ class TestParserCache:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
         assert main(["compat", "--age1", "18", "--age2", "14"]) == 0
-        assert built == []
+        assert built == []  # a well-formed argv builds no parser
+        assert main(["compat", "--age1", "-1", "--age2", "14"]) == 2
+        assert built[:1] == ["agecompat"]  # the first fallback builds it
+        built.clear()
+        assert main(["compat", "--age1"]) == 2
+        assert main(["--help"]) == 0
+        assert built == []  # later fallbacks reuse it
         argparse.ArgumentParser(prog="probe")  # the wrapper counts
         assert built == ["probe"]
         capsys.readouterr()
 
     def test_calls_give_the_same_output_in_either_order(self):
         # in a fresh process, so the forward pass's first call builds the
-        # parser and every later call, backward pass included, reuses it
+        # parser and every later fallback, backward pass included, reuses it
         script = (
             "import io, json, sys\n"
             "from contextlib import redirect_stderr, redirect_stdout\n"
@@ -756,6 +797,157 @@ class TestParserCache:
         assert [code for code, _, _ in forward] == [0, 0, 2, 2, 0, 0, 0]
         for argv, first, second in zip(_ORDER_VECTORS, forward, backward):
             assert first == second, argv
+
+
+def _action_row(action):
+    """An argparse action as (option, class, dest, nargs, type, default,
+    required, choices, const)."""
+    return (action.option_strings[0], type(action).__name__, action.dest, action.nargs,
+            action.type, action.default, action.required, action.choices, action.const)
+
+
+def _table_row(flag, kind, default):
+    """The same row for one entry of cli._FLAGS."""
+    takes = isinstance(kind, tuple) or callable(kind)
+    action = ("_StoreAction" if takes else
+              "_StoreTrueAction" if kind is True else "_StoreConstAction")
+    return (flag, action, cli._dest(flag), None if takes else 0,
+            kind if kind in (float, int) else None, None if default is ... else default,
+            default is ..., kind if isinstance(kind, tuple) else None,
+            None if takes else kind)
+
+
+def _same_values(fast, parsed):
+    """vars of two namespaces equal, a NaN equal to a NaN."""
+    fast, parsed = vars(fast), vars(parsed)
+    return fast.keys() == parsed.keys() and all(
+        a == b or a != a and b != b for a, b in ((fast[k], parsed[k]) for k in fast))
+
+
+def _check_fast_against_argparse(argv):
+    """Assert that _fast_args(argv) is None or argparse's namespace, and None
+    where argparse exits; return the fast namespace."""
+    fast = cli._fast_args(argv)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            parsed = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        assert fast is None, argv
+        return fast
+    assert fast is None or _same_values(fast, parsed), (argv, fast, parsed)
+    return fast
+
+
+# Tokens for the differential test: every value type argparse converts, and
+# values that int() or float() read in ways a shortcut might not (digit
+# separators, padding, other scripts' digits, superscripts).
+_FAST_VALUES = ["0", "1", "18", "14", "0.1", "2", "1e400", "nan", "inf", "1_000", " 5 ",
+                "\u00b2", "\u0663", "", "+3", "0x10", "min", "max", "0.1,0.1,0.1", "15:80:5",
+                "-0.0", "-1e5", "-1", "-"]
+_FAST_TOKENS = sorted({flag for flags in cli._FLAGS.values() for flag in flags}
+                      | set(cli._FLAGS) | set(_FAST_VALUES)
+                      | {"--digits", "--age", "--norm", "--n", "--e", "--dig", "--mu",
+                         "--solve", "--exa", "--age1=18", "--digits=3", "--kind=min",
+                         "-h", "--help", "--"})
+
+
+# valid values by the kind of flag they are given to
+_KIND_VALUES = {
+    float: ["18", "14", "0.1", "1e5", "1e400", "nan", "inf", "1_000", " 5 ", "+3", "\u0663"],
+    int: ["0", "15", "50", "200", "1_000", " 5 ", "+3", "\u0663"],
+    str: ["0.1,0.1,0.1", "15:80:5", "x", " 5 ", ""],
+    tuple: ["min", "max"],
+}
+
+
+@st.composite
+def _fast_argv(draw):
+    """Any tokens one time in three; else [--digits V]... COMMAND, then some
+    of its flags in any order (a required one four times in five, one of
+    them twice at times), each value of the flag's kind four times in five,
+    and one stray token one time in five."""
+    if draw(st.integers(0, 2)) == 0:
+        return draw(st.lists(st.sampled_from(_FAST_TOKENS), max_size=8))
+
+    def value(kind):
+        pool = _KIND_VALUES[tuple if isinstance(kind, tuple) else kind]
+        return draw(st.sampled_from(pool if draw(st.integers(0, 4)) else _FAST_VALUES))
+
+    argv = []
+    for _ in range(draw(st.integers(0, 2))):
+        argv += ["--digits", value(int)]
+    command = draw(st.sampled_from(sorted(cli._FLAGS)))
+    flags = cli._FLAGS[command]
+    chosen = draw(st.permutations(sorted(flags)))[:draw(st.integers(0, len(flags)))]
+    chosen += [flag for flag, (_, default) in flags.items()
+               if default is ... and flag not in chosen and draw(st.integers(0, 4))]
+    if chosen and draw(st.integers(0, 4)) == 0:
+        chosen.append(draw(st.sampled_from(chosen)))
+    argv.append(command)
+    for flag in chosen:
+        argv.append(flag)
+        kind = flags[flag][0]
+        if isinstance(kind, tuple) or callable(kind):
+            argv.append(value(kind))
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_FAST_TOKENS)))
+    return argv
+
+
+class TestFastPath:
+    def test_table_matches_the_parser(self):
+        parser = cli.build_parser()
+        top = [a for a in parser._actions if a.dest != "help"]
+        digits, commands = top
+        assert _action_row(digits) == ("--digits", "_StoreAction", "digits", None, cli._digits,
+                                       cli.DEFAULT_DIGITS, False, None, None)
+        assert list(commands.choices) == list(cli._FLAGS)
+        for name, sub in commands.choices.items():
+            rows = [_action_row(a) for a in sub._actions if a.dest != "help"]
+            assert rows == [_table_row(flag, *spec) for flag, spec in cli._FLAGS[name].items()]
+            groups = [[a.option_strings[0] for a in g._group_actions]
+                      for g in sub._mutually_exclusive_groups]
+            assert groups == ([["--exact", "--normal"]] if name == "expect" else [])
+
+    def test_digits_rule(self):
+        # the fast path reads --digits as int(text) >= 1, which is _digits
+        for text in ("1", "17", "\u0663", "1_0", " 2 "):
+            assert cli._fast_args(["--digits", text, "tables"]).digits == cli._digits(text)
+        for text in ("0", "\u00b2", "1.5", "x"):
+            assert cli._fast_args(["--digits", text, "tables"]) is None
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--digits", "3"], ["-h"], ["tables", "--help"], ["tables", "compat"],
+        ["compat", "--age1", "18", "--age2", "14", "tables"],
+        ["compat", "--age1", "18", "--age2", "14", "--digits", "3"],
+        ["--digits", "0", "--digits", "3", "tables"], ["--dig", "3", "tables"],
+        ["compat", "--age", "18"], ["compat", "--age1=18", "--age2", "14"],
+        ["compat", "--age1", "18", "--age2"], ["compat", "--error-budget"],
+        ["compat", "--", "--age1", "18"],
+        ["compat", "--age1", "18", "--age2", "-14"], ["compat", "--normalized", "yes"],
+        ["expect", "--n1", "5", "--n2", "5", "--p", "0.1", "--exact", "--normal"],
+        ["expect", "--n1", "5", "--p", "0.1"], ["expect", "--n1", "5", "--n2", "²"],
+        ["limits", "--kind", "mid", "--chrono", "18"], ["limits", "--chrono", "18"],
+    ])
+    def test_every_other_argv_goes_to_argparse(self, argv):
+        assert cli._fast_args(argv) is None
+        _check_fast_against_argparse(argv)
+
+    @seed(20261022)
+    @settings(max_examples=300, derandomize=False, database=None)
+    @given(argv=_fast_argv())
+    def test_fast_namespace_is_argparse_namespace(self, argv):
+        _check_fast_against_argparse(argv)
+
+    def test_record_vectors(self):
+        # every record vector takes the fast path but those holding a
+        # negative value, which only argparse parses
+        for entry in cli_record.load():
+            argv = entry["argv"]
+            fast = _check_fast_against_argparse(argv)
+            negative = any(token[:1] == "-" and token[1:2] != "-" for token in argv)
+            assert (fast is None) == negative, argv
 
 
 # Values for numeric flags: ordinary, negative, zero, huge and non-finite.

@@ -616,6 +616,11 @@ class TestRangeProb:
         with pytest.raises(ValueError):
             range_prob(5.0, 4.0, Gaussian(4.5, 1.0))
 
+    @pytest.mark.parametrize("x", [4.5, -1e308, 1e308])
+    def test_single_point_range_holds_no_mass(self, x):
+        # x_lo == x_hi is a valid range, not an empty one
+        assert range_prob(x, x, Gaussian(4.5, 1.0)) == 0.0
+
 
 class TestRatioForm:
     def test_matches_absolute_form(self):

@@ -56,6 +56,15 @@ class TestExpectedPairs:
         with pytest.raises(ValueError):
             expected_pairs(10, 10, 1.5)
 
+    @pytest.mark.parametrize("p, pairs", [(0.0, 0.0), (1.0, 200.0)])
+    def test_probability_edges_accepted(self, p, pairs):
+        assert expected_pairs(10, 20, p) == pairs
+
+    @pytest.mark.parametrize("p", [math.nextafter(1.0, 2.0), -5e-324])
+    def test_probability_just_outside_rejected_by_name(self, p):
+        with pytest.raises(ValueError, match=f"^p must lie in \\[0, 1\\], got {p!r}$"):
+            expected_pairs(10, 20, p)
+
     @pytest.mark.parametrize("p, value", [(0.5, "inf"), (0.0, "nan")])
     def test_overflowing_product_names_the_result(self, p, value):
         message = f"expected pair count is {value}, not finite: the inputs are too extreme"

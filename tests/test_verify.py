@@ -108,6 +108,15 @@ class TestSliceParams:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             slice_params(g1, g2, delta)
 
+    def test_overflowing_mu12_named(self):
+        # z = 1 and w1 = 1 are finite; mu12 = -1.7e308 - 1e308 is not
+        g1, g2 = Gaussian(-1.7e308, 1e308), Gaussian(-1.7e308, 1.0)
+        message = (f"slice_params cannot place the slice x2 = x1 + 1e+308 of {g1!r} "
+                   f"and {g2!r}: mu12 = mu1 - z w1 sigma1 = -inf overflows, "
+                   f"with z = 1.0 and w1 = sigma1/R = 1.0")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            slice_params(g1, g2, 1e308)
+
     def test_truncation_bound_refuses_an_overflowing_z(self):
         # the true mu12 is 8.5e307 and the worst slice 0; an infinite z
         # would give mu12 = -inf and a worst slice of 1
@@ -141,6 +150,18 @@ class TestTruncationBound:
     def test_overflowing_sum_within_1e_15_of_mpmath(self):
         # z+ is taken as g/R + d/R; mpmath gives 0.310309
         q = OVERFLOWING_SUM[0]
+        want = _mp_certificates(q, ErrorBudget(0.0, 0.0, 0.0))[0]
+        assert truncation_bound(q).worst_slice == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_overflowing_mu12_takes_its_limit(self):
+        # mu12 is about -2.7e308 and sigma12 = 1, so the worst slice is 1
+        q = CompatQuery(Gaussian(-1.7e308, 1e308), Gaussian(-1.7e308, 1.0), d=1e308)
+        assert truncation_bound(q).worst_slice == 1.0
+
+    def test_overflowing_mu12_within_1e_15_of_mpmath(self):
+        # mu12 is about -2.2e308 and sigma12 8.5e307: an infinite mu12 would
+        # give a worst slice of 1, and mpmath gives 0.995239
+        q = CompatQuery(Gaussian(-1.7e308, 1.2e308), Gaussian(-1.7e308, 1.2e308), d=1e308)
         want = _mp_certificates(q, ErrorBudget(0.0, 0.0, 0.0))[0]
         assert truncation_bound(q).worst_slice == pytest.approx(want, rel=1e-15, abs=0.0)
 
